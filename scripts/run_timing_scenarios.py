@@ -20,14 +20,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/timing", help="Output root directory.")
     parser.add_argument("--scenarios", nargs="*", default=SCENARIOS)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     root = Path(__file__).resolve().parents[1]
     for name in args.scenarios:
         config = root / "scenarios" / f"{name}.json"
         out_dir = Path(args.out) / name
-        summary = run_scenario(config, out_dir, threads=args.threads)
+        summary = run_scenario(config, out_dir)
         line = f"{name}: {summary['n_estimates']}/{summary['n_blocks']} blocks"
         seg0 = summary["segments"][0]
         if "mean_delta_ps" in seg0:

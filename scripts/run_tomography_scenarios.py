@@ -21,14 +21,13 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/tomo", help="Output root directory.")
     parser.add_argument("--scenarios", nargs="*", default=SCENARIOS)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     root = Path(__file__).resolve().parents[1]
     for name in args.scenarios:
         config = root / "scenarios" / f"{name}.json"
         out_dir = Path(args.out) / name
-        summary = run_tomo_scenario(config, out_dir, threads=args.threads)
+        summary = run_tomo_scenario(config, out_dir)
         print(
             f"{name}: F(before, after) = {summary['fidelity_before_vs_after']:.4f}, "
             f"Monte Carlo mean {summary['fidelity_mc_mean']:.4f} "

@@ -8,8 +8,11 @@ circulators is modeled separately and the two layers do not couple.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import ConfigError
 from .timetags import TimeTagStream
@@ -69,11 +72,27 @@ class ChannelConfig:
         return int(round(self.delay_ps(direction)))
 
 
-def apply_channel(stream: TimeTagStream, direction: Direction, cfg: ChannelConfig) -> TimeTagStream:
-    """Shift every timestamp by the one-way delay for this direction."""
-    cfg.validate()
-    delay = cfg.delay_rounded_ps(direction)
-    return TimeTagStream(stream.timestamps_ps + delay, stream.channels)
+def apply_channel(
+    stream: TimeTagStream,
+    direction: Direction,
+    schedule: Sequence[tuple[int, ChannelConfig]],
+) -> TimeTagStream:
+    """Delay each event by the one-way delay of the channel active at its time.
+
+    ``schedule`` lists ``(start_ps, config)`` segments in increasing start
+    order; the first segment also covers everything before its start, so a
+    fixed channel is ``[(0, config)]``. Channel labels travel with their
+    events, and the result is re-sorted because a delay that drops at a
+    segment boundary can swap neighbouring events.
+    """
+    for _, cfg in schedule:
+        cfg.validate()
+    delays = np.array([cfg.delay_rounded_ps(direction) for _, cfg in schedule], dtype=np.int64)
+    starts = np.array([start for start, _ in schedule[1:]], dtype=np.int64)
+    segment = np.searchsorted(starts, stream.timestamps_ps, side="right")
+    shifted = stream.timestamps_ps + delays[segment]
+    order = np.argsort(shifted, kind="stable")
+    return TimeTagStream(shifted[order], stream.channels[order])
 
 
 def predicted_offset_error_ps(cfg: ChannelConfig) -> float:

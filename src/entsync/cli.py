@@ -8,10 +8,10 @@ import argparse
 import json
 import sys
 
-from .channel import Direction, predicted_offset_error_ps
+from .channel import ChannelConfig, Direction, predicted_offset_error_ps
 from .correlation import SyncAnalysisParams
 from .errors import ConfigError, PeaksNotFoundError, ReconstructionError, StreamFormatError
-from .scenario import _channel_from_dict, analyze_files, run_scenario, run_tomo_scenario
+from .scenario import analyze_files, parse_config, run_scenario, run_tomo_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,7 +25,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="Scenario JSON path.")
     sim.add_argument("--out", required=True, help="Output directory.")
     sim.add_argument("--seed", type=int, default=None, help="Override the config seed.")
-    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument(
         "--tag-format", choices=["binary", "csv"], default="binary",
         help="Time-tag file format to write.",
@@ -46,13 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument(
         "--centroid-halfwidth-bins", type=int, default=defaults.centroid_halfwidth_bins
     )
-    ana.add_argument("--threads", type=int, default=1)
 
     tomo = sub.add_parser("tomo", help="Run a tomography comparison scenario.")
     tomo.add_argument("--config", required=True)
     tomo.add_argument("--out", required=True)
     tomo.add_argument("--seed", type=int, default=None)
-    tomo.add_argument("--threads", type=int, default=1)
 
     pred = sub.add_parser(
         "predict", help="Print the analytic offset error for a channel config."
@@ -62,10 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args) -> int:
-    summary = run_scenario(
-        args.config, args.out, seed=args.seed, threads=args.threads,
-        tag_format=args.tag_format,
-    )
+    summary = run_scenario(args.config, args.out, seed=args.seed, tag_format=args.tag_format)
     print(f"wrote {summary['n_estimates']}/{summary['n_blocks']} block estimates to {args.out}")
     if summary["measured_shift_ps"] is not None:
         print(
@@ -92,14 +86,13 @@ def _cmd_analyze(args) -> int:
         params,
         block_s=args.block_s,
         n_blocks=args.n_blocks,
-        threads=args.threads,
     )
     print(f"wrote {len(estimates)} block estimates to {args.out}")
     return 0
 
 
 def _cmd_tomo(args) -> int:
-    summary = run_tomo_scenario(args.config, args.out, seed=args.seed, threads=args.threads)
+    summary = run_tomo_scenario(args.config, args.out, seed=args.seed)
     print(
         f"fidelity before/after: {summary['fidelity_before_vs_after']:.4f}, "
         f"Monte Carlo mean {summary['fidelity_mc_mean']:.4f} "
@@ -113,8 +106,7 @@ def _cmd_predict(args) -> int:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
-    channel_dict = payload.get("channel", payload)
-    cfg = _channel_from_dict(channel_dict, "channel.")
+    cfg = parse_config(ChannelConfig, payload.get("channel", payload), "channel")
     cfg.validate()
     print(
         json.dumps(

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import optimize, signal
 
 from .errors import ConfigError, PeaksNotFoundError
-from .timetags import PS_PER_S, TimeTagStream
+from .timetags import TimeTagStream, atomic_write_bytes
 
 
 @dataclass(frozen=True)
@@ -324,42 +323,6 @@ def complete_blocks(a: TimeTagStream, b: TimeTagStream, block_ps: int) -> int:
     return int((last + tolerance) // block_ps)
 
 
-def iter_block_results(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    block_s: float,
-    params: SyncAnalysisParams,
-    n_blocks: Optional[int] = None,
-) -> Iterator[tuple[int, G2Histogram, Optional[SyncEstimate]]]:
-    """Per-block histogram plus estimate; estimate is None when peaks fail.
-
-    By default only blocks fully covered by the data are analyzed.
-    """
-    params.validate()
-    if block_s <= 0:
-        raise ConfigError("block_s must be > 0")
-    block_ps = int(round(block_s * PS_PER_S))
-    if n_blocks is None:
-        n_blocks = complete_blocks(a, b, block_ps)
-    for k in range(n_blocks):
-        hist, est = analyze_block(a, b, k, block_ps, params)
-        yield k, hist, est
-
-
-def block_analysis(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    block_s: float,
-    params: SyncAnalysisParams,
-    n_blocks: Optional[int] = None,
-) -> list[SyncEstimate]:
-    """Run the per-block pipeline; failed blocks appear as index gaps."""
-    return [
-        est for _, _, est in iter_block_results(a, b, block_s, params, n_blocks)
-        if est is not None
-    ]
-
-
 def fit_peak_gaussian(hist: G2Histogram, tau_guess_ps: float, halfwidth_ps: float) -> dict:
     """Least-squares Gaussian fit around one peak; reports FWHM."""
     centers = hist.bin_centers_ps()
@@ -396,10 +359,7 @@ def write_histogram_csv(hist: G2Histogram, path):
         f"{c:.10g},{int(n)},{g:.10g}"
         for c, n, g in zip(centers, hist.counts, hist.normalized)
     )
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def estimates_to_json(estimates: list[SyncEstimate]) -> list[dict]:
@@ -415,8 +375,5 @@ def estimates_to_json(estimates: list[SyncEstimate]) -> list[dict]:
 
 
 def write_estimates_json(estimates: list[SyncEstimate], path):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(estimates_to_json(estimates), fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    text = json.dumps(estimates_to_json(estimates), indent=2) + "\n"
+    atomic_write_bytes(path, text.encode())

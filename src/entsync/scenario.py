@@ -10,15 +10,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import rng as rngmod
-from .channel import ChannelConfig, Direction, predicted_offset_error_ps
+from .channel import ChannelConfig, Direction, apply_channel, predicted_offset_error_ps
 from .correlation import (
     SyncAnalysisParams,
     SyncEstimate,
@@ -47,6 +46,7 @@ from .timetags import (
     TimeTagStream,
     apply_clock,
     apply_detector,
+    atomic_write_bytes,
     generate_pairs,
     merge_streams,
     read_tags,
@@ -92,11 +92,11 @@ class TimingScenario:
     seed: int
     alice_source: PairSourceModel
     bob_source: PairSourceModel
+    channel: ChannelConfig
     alice_clock: ClockModel = ClockModel()
     bob_clock: ClockModel = ClockModel()
-    channel: ChannelConfig = ChannelConfig()
     schedule: tuple[ScheduleEntry, ...] = ()
-    detectors: dict = field(default_factory=dict)
+    detectors: dict[str, DetectorModel] = field(default_factory=dict)
     block_s: float = 40.0
     analysis: SyncAnalysisParams = SyncAnalysisParams()
 
@@ -141,137 +141,71 @@ class TimingScenario:
         return list(zip(starts, ends, configs))
 
 
-# --- config (de)serialization ----------------------------------------------
+# --- config loading --------------------------------------------------------
 
 
-def _get(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"missing field {path}{key}")
-    return d[key]
+def parse_config(cls, data, path: str = ""):
+    """Build the dataclass ``cls`` from a JSON object, field by field.
+
+    Each value is checked against the field's type: ``float`` takes any
+    number, ``int`` an integer (integer-valued floats included), a nested
+    dataclass an object, ``tuple[X, ...]`` a list and ``dict[str, X]`` an
+    object of X. A field is required exactly when the dataclass gives it no
+    default, and keys that are not fields are rejected. Errors name the field
+    by its path, e.g. ``schedule[1].channel.base_length_m``.
+    """
+    if not isinstance(data, dict):
+        if not path:
+            raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"field {path} must be an object")
+    prefix = f"{path}." if path else ""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"unknown field {prefix}{key}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields:
+        if f.name in data:
+            values[f.name] = _field_value(hints[f.name], data[f.name], prefix + f.name)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing field {prefix}{f.name}")
+    return cls(**values)
 
 
-def _num(d: dict, key: str, path: str, default=None) -> float:
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing field {path}{key}")
-        return default
-    value = d[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"field {path}{key} must be a number")
-    return float(value)
-
-
-def _int(d: dict, key: str, path: str, default=None) -> int:
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing field {path}{key}")
-        return default
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {path}{key} must be an integer")
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"field {path}{key} must be an integer")
-    return int(value)
-
-
-def _source_from_dict(d: dict, path: str) -> PairSourceModel:
-    return PairSourceModel(
-        pair_rate_hz=_num(d, "pair_rate_hz", path),
-        emission_jitter_sigma_ps=_num(d, "emission_jitter_sigma_ps", path, 0.0),
-        heralding_efficiency=_num(d, "heralding_efficiency", path, 1.0),
-    )
-
-
-def _clock_from_dict(d: dict, path: str) -> ClockModel:
-    return ClockModel(
-        offset_ps=_int(d, "offset_ps", path, 0),
-        drift_ppb=_num(d, "drift_ppb", path, 0.0),
-    )
-
-
-def _channel_from_dict(d: dict, path: str) -> ChannelConfig:
-    return ChannelConfig(
-        base_length_m=_num(d, "base_length_m", path, 0.0),
-        eve_length_ab_m=_num(d, "eve_length_ab_m", path, 0.0),
-        eve_length_ba_m=_num(d, "eve_length_ba_m", path, 0.0),
-        group_index=_num(d, "group_index", path, ChannelConfig().group_index),
-    )
-
-
-def _detector_from_dict(d: dict, path: str) -> DetectorModel:
-    return DetectorModel(
-        jitter_sigma_ps=_num(d, "jitter_sigma_ps", path, 0.0),
-        efficiency=_num(d, "efficiency", path, 1.0),
-        dark_rate_hz=_num(d, "dark_rate_hz", path, 0.0),
-        dead_time_ps=_int(d, "dead_time_ps", path, 0),
-    )
-
-
-def _analysis_from_dict(d: dict, path: str) -> SyncAnalysisParams:
-    defaults = SyncAnalysisParams()
-    return SyncAnalysisParams(
-        tau_min_ps=_int(d, "tau_min_ps", path, defaults.tau_min_ps),
-        tau_max_ps=_int(d, "tau_max_ps", path, defaults.tau_max_ps),
-        bin_width_ps=_int(d, "bin_width_ps", path, defaults.bin_width_ps),
-        min_separation_ps=_int(d, "min_separation_ps", path, defaults.min_separation_ps),
-        threshold_sigma=_num(d, "threshold_sigma", path, defaults.threshold_sigma),
-        centroid_halfwidth_bins=_int(
-            d, "centroid_halfwidth_bins", path, defaults.centroid_halfwidth_bins
-        ),
-    )
+def _field_value(hint, value, path: str):
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"field {path} must be a number")
+        return float(value)
+    if hint is int:
+        integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not integral:
+            raise ConfigError(f"field {path} must be an integer")
+        return int(value)
+    if dataclasses.is_dataclass(hint):
+        return parse_config(hint, value, path)
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"field {path} must be a list")
+        return tuple(_field_value(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"field {path} must be an object")
+        return {k: _field_value(args[1], v, f"{path}.{k}") for k, v in value.items()}
+    return value
 
 
 def timing_scenario_from_dict(d: dict) -> TimingScenario:
-    if not isinstance(d, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    detectors = {}
-    for key, sub in d.get("detectors", {}).items():
-        if key not in DETECTOR_KEYS:
-            raise ConfigError(f"detectors.{key} is not one of {DETECTOR_KEYS}")
-        detectors[key] = _detector_from_dict(sub, f"detectors.{key}.")
-    schedule = []
-    for i, entry in enumerate(d.get("schedule", [])):
-        schedule.append(
-            ScheduleEntry(
-                time_s=_num(entry, "time_s", f"schedule[{i}]."),
-                channel=_channel_from_dict(
-                    _get(entry, "channel", f"schedule[{i}]."), f"schedule[{i}].channel."
-                ),
-            )
-        )
-    sc = TimingScenario(
-        duration_s=_num(d, "duration_s", ""),
-        seed=_int(d, "seed", ""),
-        alice_source=_source_from_dict(_get(d, "alice_source", ""), "alice_source."),
-        bob_source=_source_from_dict(_get(d, "bob_source", ""), "bob_source."),
-        alice_clock=_clock_from_dict(d.get("alice_clock", {}), "alice_clock."),
-        bob_clock=_clock_from_dict(d.get("bob_clock", {}), "bob_clock."),
-        channel=_channel_from_dict(_get(d, "channel", ""), "channel."),
-        schedule=tuple(schedule),
-        detectors=detectors,
-        block_s=_num(d, "block_s", "", 40.0),
-        analysis=_analysis_from_dict(d.get("analysis", {}), "analysis."),
-    )
+    sc = parse_config(TimingScenario, d)
     sc.validate()
     return sc
 
 
 def timing_scenario_to_dict(sc: TimingScenario) -> dict:
-    return {
-        "duration_s": sc.duration_s,
-        "seed": sc.seed,
-        "alice_source": dataclasses.asdict(sc.alice_source),
-        "bob_source": dataclasses.asdict(sc.bob_source),
-        "alice_clock": dataclasses.asdict(sc.alice_clock),
-        "bob_clock": dataclasses.asdict(sc.bob_clock),
-        "channel": dataclasses.asdict(sc.channel),
-        "schedule": [
-            {"time_s": e.time_s, "channel": dataclasses.asdict(e.channel)} for e in sc.schedule
-        ],
-        "detectors": {k: dataclasses.asdict(v) for k, v in sorted(sc.detectors.items())},
-        "block_s": sc.block_s,
-        "analysis": dataclasses.asdict(sc.analysis),
-    }
+    return dataclasses.asdict(sc)
 
 
 def load_timing_scenario(path) -> TimingScenario:
@@ -280,23 +214,6 @@ def load_timing_scenario(path) -> TimingScenario:
 
 
 # --- timing simulation ------------------------------------------------------
-
-
-def _apply_channel_schedule(
-    stream: TimeTagStream, direction: Direction, sc: TimingScenario
-) -> TimeTagStream:
-    """Delay each photon by the channel configuration active when it was emitted."""
-    segments = sc.channel_segments()
-    delays = np.array(
-        [cfg.delay_rounded_ps(direction) for _, _, cfg in segments], dtype=np.int64
-    )
-    if len(segments) == 1:
-        return TimeTagStream.from_timestamps(stream.timestamps_ps + delays[0])
-    boundaries = np.array(
-        [int(round(start * PS_PER_S)) for start, _, _ in segments[1:]], dtype=np.int64
-    )
-    idx = np.searchsorted(boundaries, stream.timestamps_ps, side="right")
-    return TimeTagStream.from_timestamps(stream.timestamps_ps + delays[idx])
 
 
 def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
@@ -308,17 +225,19 @@ def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
     b_local, b_remote = generate_pairs(
         sc.bob_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.BOB_SOURCE)
     )
+    schedule = [(int(round(start * PS_PER_S)), cfg) for start, _, cfg in sc.channel_segments()]
     arrivals = {
         "alice_local": a_local,
-        "bob_remote": _apply_channel_schedule(a_remote, Direction.A_TO_B, sc),
+        "bob_remote": apply_channel(a_remote, Direction.A_TO_B, schedule),
         "bob_local": b_local,
-        "alice_remote": _apply_channel_schedule(b_remote, Direction.B_TO_A, sc),
+        "alice_remote": apply_channel(b_remote, Direction.B_TO_A, schedule),
     }
     detected = {}
     for key, stream in arrivals.items():
         detected[key] = apply_detector(
-            stream.with_channel(_DETECTOR_CHANNELS[key]),
+            stream,
             sc.detector(key),
+            _DETECTOR_CHANNELS[key],
             sc.duration_s,
             rngmod.child_seed(sc.seed, _DETECTOR_SEEDS[key]),
         )
@@ -331,28 +250,32 @@ def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
     return alice, bob
 
 
-def _analyze_stream_blocks(
+def analyze_blocks(
     alice: TimeTagStream,
     bob: TimeTagStream,
     block_s: float,
     params: SyncAnalysisParams,
-    n_blocks: int,
-    out_dir: Path | None,
-    threads: int = 1,
+    n_blocks: int | None = None,
+    out_dir: Path | None = None,
 ) -> list[SyncEstimate]:
+    """Analyze consecutive blocks of two records; failed blocks are index gaps.
+
+    Without ``n_blocks`` only the blocks the recorded data covers are
+    analyzed. With ``out_dir`` each block's histogram is written there as
+    ``g2_block_NNN.csv``.
+    """
+    params.validate()
+    if block_s <= 0:
+        raise ConfigError("block_s must be > 0")
     block_ps = int(round(block_s * PS_PER_S))
-
-    def run(k: int):
-        return analyze_block(alice, bob, k, block_ps, params)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(n_blocks)))
-    else:
-        results = [run(k) for k in range(n_blocks)]
-
+    if n_blocks is None:
+        n_blocks = complete_blocks(alice, bob, block_ps)
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
     estimates = []
-    for k, (hist, est) in enumerate(results):
+    for k in range(n_blocks):
+        hist, est = analyze_block(alice, bob, k, block_ps, params)
         if out_dir is not None:
             write_histogram_csv(hist, out_dir / f"g2_block_{k:03d}.csv")
         if est is not None:
@@ -444,18 +367,13 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
 
 
 def _write_json(payload: dict, path):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def run_scenario(
     config_path,
     out_dir,
     seed: int | None = None,
-    threads: int = 1,
     tag_format: str = "binary",
 ) -> dict:
     """Simulate a timing scenario and write tags, histograms, and estimates."""
@@ -475,9 +393,7 @@ def run_scenario(
         write_tags_binary(alice, out / "alice.tt")
         write_tags_binary(bob, out / "bob.tt")
 
-    estimates = _analyze_stream_blocks(
-        alice, bob, sc.block_s, sc.analysis, sc.n_blocks(), out, threads
-    )
+    estimates = analyze_blocks(alice, bob, sc.block_s, sc.analysis, sc.n_blocks(), out)
     write_estimates_json(estimates, out / "estimates.json")
     summary = build_timing_summary(sc, estimates)
     _write_json(summary, out / "summary.json")
@@ -491,19 +407,12 @@ def analyze_files(
     params: SyncAnalysisParams,
     block_s: float,
     n_blocks: int | None = None,
-    threads: int = 1,
 ) -> list[SyncEstimate]:
     """Run the offline analysis half on previously recorded tag files."""
-    params.validate()
-    if block_s <= 0:
-        raise ConfigError("block_s must be > 0")
     alice = read_tags(alice_path)
     bob = read_tags(bob_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if n_blocks is None:
-        n_blocks = complete_blocks(alice, bob, int(round(block_s * PS_PER_S)))
-    estimates = _analyze_stream_blocks(alice, bob, block_s, params, n_blocks, out, threads)
+    estimates = analyze_blocks(alice, bob, block_s, params, n_blocks, out)
     write_estimates_json(estimates, out / "estimates.json")
     return estimates
 
@@ -541,45 +450,18 @@ class TomoScenario:
 
 
 def tomo_scenario_from_dict(d: dict) -> TomoScenario:
-    if not isinstance(d, dict):
-        raise ConfigError("tomography config must be a JSON object")
-    fdict = d.get("faraday", {})
-    defaults = FaradayParams()
-    faraday = FaradayParams(
-        wavelength_nm=_num(fdict, "wavelength_nm", "faraday.", defaults.wavelength_nm),
-        n0=_num(fdict, "n0", "faraday.", defaults.n0),
-        length_d_m=_num(fdict, "length_d_m", "faraday.", defaults.length_d_m),
-        rotation_VBd_rad=_num(fdict, "rotation_VBd_rad", "faraday.", defaults.rotation_VBd_rad),
-    )
-    state = d.get("state", "psi_minus")
-    if state != "psi_minus":
-        raise ConfigError("state must be 'psi_minus'")
-    sc = TomoScenario(
-        seed=_int(d, "seed", ""),
-        attack=d.get("attack", "none"),
-        theta_rad=_num(d, "theta_rad", "", 0.0),
-        faraday=faraday,
-        counts_per_setting=_num(d, "counts_per_setting", "", 100_000.0),
-        accidentals_per_setting=_num(d, "accidentals_per_setting", "", 0.0),
-        depolarization=_num(d, "depolarization", "", 0.0),
-        reps=_int(d, "reps", "", 100),
-    )
+    # The source state is fixed, so a config may only name it.
+    if isinstance(d, dict):
+        d = dict(d)
+        if d.pop("state", "psi_minus") != "psi_minus":
+            raise ConfigError("state must be 'psi_minus'")
+    sc = parse_config(TomoScenario, d)
     sc.validate()
     return sc
 
 
 def tomo_scenario_to_dict(sc: TomoScenario) -> dict:
-    return {
-        "seed": sc.seed,
-        "state": "psi_minus",
-        "attack": sc.attack,
-        "theta_rad": sc.theta_rad,
-        "faraday": dataclasses.asdict(sc.faraday),
-        "counts_per_setting": sc.counts_per_setting,
-        "accidentals_per_setting": sc.accidentals_per_setting,
-        "depolarization": sc.depolarization,
-        "reps": sc.reps,
-    }
+    return {**dataclasses.asdict(sc), "state": "psi_minus"}
 
 
 def load_tomo_scenario(path) -> TomoScenario:
@@ -596,7 +478,7 @@ def attacked_state(sc: TomoScenario) -> TwoQubitState:
     return apply_attack_naive_geometric(base, sc.theta_rad)
 
 
-def run_tomo_scenario(config_path, out_dir, seed: int | None = None, threads: int = 1) -> dict:
+def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
     """Forward-model, sample, reconstruct, and error-propagate one comparison."""
     sc = load_tomo_scenario(config_path)
     if seed is not None:
@@ -628,7 +510,7 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None, threads: in
     _write_json(density_to_json(rho_hat_before), out / "rho_before.json")
     _write_json(density_to_json(rho_hat_after), out / "rho_after.json")
 
-    distribution = monte_carlo_fidelity(counts_before, counts_after, sc.reps, sc.seed, threads)
+    distribution = monte_carlo_fidelity(counts_before, counts_after, sc.reps, sc.seed)
     _write_json(distribution.to_json(), out / "fidelity_distribution.json")
 
     summary = {

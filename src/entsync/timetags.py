@@ -48,9 +48,6 @@ class TimeTagStream:
     def __len__(self) -> int:
         return int(self.timestamps_ps.size)
 
-    def with_channel(self, channel: int) -> "TimeTagStream":
-        return TimeTagStream(self.timestamps_ps, np.full(len(self), channel, dtype=np.uint32))
-
     def window(self, t0_ps: int, t1_ps: int) -> "TimeTagStream":
         """Events with t0_ps <= t < t1_ps."""
         lo, hi = np.searchsorted(self.timestamps_ps, [t0_ps, t1_ps])
@@ -190,13 +187,13 @@ def _dead_time_filter(timestamps: np.ndarray, dead_time_ps: int) -> np.ndarray:
 
 
 def apply_detector(
-    stream: TimeTagStream, det: DetectorModel, duration_s: float, seed: int
+    stream: TimeTagStream, det: DetectorModel, channel: int, duration_s: float, seed: int
 ) -> TimeTagStream:
     """Pass a single-detector stream through efficiency, jitter, darks, dead time.
 
     Dark counts are Poissonian over [0, duration_s) and merged with the signal
     before dead-time filtering: dead time acts on the physical detector, not
-    per event origin.
+    per event origin. Every output event carries this detector's channel label.
     """
     det.validate()
     if not math.isfinite(duration_s) or duration_s < 0:
@@ -204,28 +201,21 @@ def apply_detector(
     rng = np.random.default_rng(seed)
 
     ts = stream.timestamps_ps
-    ch = stream.channels
     if det.efficiency < 1.0:
-        keep = rng.random(ts.size) < det.efficiency
-        ts, ch = ts[keep], ch[keep]
+        ts = ts[rng.random(ts.size) < det.efficiency]
     if det.jitter_sigma_ps > 0 and ts.size:
         ts = ts + np.rint(rng.normal(0.0, det.jitter_sigma_ps, ts.size)).astype(np.int64)
 
     if det.dark_rate_hz > 0:
         n_dark = rng.poisson(det.dark_rate_hz * duration_s)
         dark_ts = np.rint(rng.random(n_dark) * duration_s * PS_PER_S).astype(np.int64)
-        dark_ch = np.full(n_dark, ch[0] if ch.size else 0, dtype=np.uint32)
         ts = np.concatenate([ts, dark_ts])
-        ch = np.concatenate([ch, dark_ch])
 
-    order = np.lexsort((ch, ts))
-    ts, ch = ts[order], ch[order]
-
+    ts = np.sort(ts, kind="stable")
     if det.dead_time_ps > 0 and ts.size:
-        keep = _dead_time_filter(ts, det.dead_time_ps)
-        ts, ch = ts[keep], ch[keep]
+        ts = ts[_dead_time_filter(ts, det.dead_time_ps)]
 
-    return TimeTagStream(ts, ch)
+    return TimeTagStream(ts, np.full(ts.size, channel, dtype=np.uint32))
 
 
 def apply_clock(stream: TimeTagStream, clock: ClockModel) -> TimeTagStream:
@@ -257,7 +247,8 @@ def apply_clock(stream: TimeTagStream, clock: ClockModel) -> TimeTagStream:
 RECORD_DTYPE = np.dtype([("timestamp_ps", "<i8"), ("channel", "<u4"), ("reserved", "<u4")])
 
 
-def _atomic_write_bytes(path, payload: bytes):
+def atomic_write_bytes(path, payload: bytes):
+    """Write payload to path through a temporary file, so readers never see a partial file."""
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -268,7 +259,7 @@ def write_tags_binary(stream: TimeTagStream, path):
     rec = np.zeros(len(stream), dtype=RECORD_DTYPE)
     rec["timestamp_ps"] = stream.timestamps_ps
     rec["channel"] = stream.channels
-    _atomic_write_bytes(path, rec.tobytes())
+    atomic_write_bytes(path, rec.tobytes())
 
 
 def read_tags_binary(path) -> TimeTagStream:
@@ -284,7 +275,7 @@ def read_tags_binary(path) -> TimeTagStream:
 def write_tags_csv(stream: TimeTagStream, path):
     lines = ["timestamp_ps,channel"]
     lines.extend(f"{int(t)},{int(c)}" for t, c in zip(stream.timestamps_ps, stream.channels))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_tags_csv(path) -> TimeTagStream:

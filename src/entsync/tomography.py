@@ -9,8 +9,6 @@ bars come from re-sampling the observed counts and repeating the fit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +17,7 @@ from scipy import optimize
 from . import rng as rngmod
 from .errors import ConfigError, ReconstructionError, StreamFormatError
 from .polarization import BASIS_HV, JonesState
+from .timetags import atomic_write_bytes
 
 PROJECTOR_LABELS = "HVDALR"
 
@@ -103,10 +102,9 @@ def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class CountsTable:
-    """36 setting counts (first-party-major order) plus acquisition metadata."""
+    """36 setting counts (first-party-major order) plus the accidental rate."""
 
     counts: np.ndarray
-    acquisition_duration_s: float = 0.0
     accidental_rate_per_setting: float = 0.0
 
     def __post_init__(self):
@@ -141,14 +139,13 @@ def sample_counts(
     expected: np.ndarray,
     seed: int,
     accidental_rate_per_setting: float = 0.0,
-    acquisition_duration_s: float = 0.0,
 ) -> CountsTable:
     """Independent Poisson draws around the expected counts."""
     means = np.asarray(expected, dtype=np.float64).reshape(36)
     if np.any(means < 0):
         raise ConfigError("expected counts must be >= 0")
     draws = np.random.default_rng(seed).poisson(means)
-    return CountsTable(draws, acquisition_duration_s, accidental_rate_per_setting)
+    return CountsTable(draws, accidental_rate_per_setting)
 
 
 def _estimate_n_per_setting(table: CountsTable) -> float:
@@ -318,7 +315,6 @@ def monte_carlo_fidelity(
     counts_after: CountsTable,
     reps: int,
     seed: int,
-    threads: int = 1,
 ) -> FidelityDistribution:
     """Propagate counting noise through the full reconstruction pipeline.
 
@@ -330,7 +326,8 @@ def monte_carlo_fidelity(
     if reps < 2:
         raise ConfigError("reps must be >= 2")
 
-    def one_rep(r: int) -> float | None:
+    samples = []
+    for r in range(reps):
         s1 = rngmod.child_seed(seed, rngmod.TOMO_MONTE_CARLO, r, 0)
         s2 = rngmod.child_seed(seed, rngmod.TOMO_MONTE_CARLO, r, 1)
         resampled_before = sample_counts(
@@ -347,16 +344,8 @@ def monte_carlo_fidelity(
             rho_b = mle_reconstruct(resampled_before)
             rho_a = mle_reconstruct(resampled_after)
         except ReconstructionError:
-            return None
-        return fidelity(rho_b, rho_a)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_rep, range(reps)))
-    else:
-        results = [one_rep(r) for r in range(reps)]
-
-    samples = [f for f in results if f is not None]
+            continue
+        samples.append(fidelity(rho_b, rho_a))
     failures = reps - len(samples)
     if failures > 0.2 * reps:
         raise ReconstructionError(
@@ -372,10 +361,7 @@ def write_counts_csv(table: CountsTable, path):
     lines = ["alice,bob,counts"]
     for idx, (a, b) in enumerate(setting_labels()):
         lines.append(f"{a},{b},{int(table.counts[idx])}")
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def read_counts_csv(path) -> CountsTable:

@@ -43,14 +43,14 @@ class TestApplyChannel:
     def test_zero_lengths_identity(self):
         cfg = ChannelConfig(0.0, 0.0, 0.0)
         s = make_stream([0, 10, 20])
-        out = apply_channel(s, Direction.A_TO_B, cfg)
+        out = apply_channel(s, Direction.A_TO_B, [(0, cfg)])
         assert np.array_equal(out.timestamps_ps, s.timestamps_ps)
 
     def test_direction_dependent_delay(self):
         cfg = ChannelConfig(base_length_m=0.0, eve_length_ab_m=10.0, eve_length_ba_m=0.0)
         s = make_stream([0, 100])
-        ab = apply_channel(s, Direction.A_TO_B, cfg)
-        ba = apply_channel(s, Direction.B_TO_A, cfg)
+        ab = apply_channel(s, Direction.A_TO_B, [(0, cfg)])
+        ba = apply_channel(s, Direction.B_TO_A, [(0, cfg)])
         extra = int(ab.timestamps_ps[0] - ba.timestamps_ps[0])
         assert abs(extra - 50480) <= 10
         assert np.array_equal(ab.timestamps_ps - extra, ba.timestamps_ps)
@@ -58,7 +58,7 @@ class TestApplyChannel:
     def test_every_event_shifts_identically(self):
         cfg = ChannelConfig(base_length_m=3.3, eve_length_ab_m=1.7)
         s = make_stream([0, 7, 3000, 10**12])
-        out = apply_channel(s, Direction.A_TO_B, cfg)
+        out = apply_channel(s, Direction.A_TO_B, [(0, cfg)])
         shifts = set((out.timestamps_ps - s.timestamps_ps).tolist())
         assert len(shifts) == 1
 
@@ -73,9 +73,29 @@ class TestApplyChannel:
 
     def test_empty_stream_passes_through(self):
         out = apply_channel(
-            TimeTagStream.empty(), Direction.B_TO_A, ChannelConfig(base_length_m=7.0)
+            TimeTagStream.empty(), Direction.B_TO_A, [(0, ChannelConfig(base_length_m=7.0))]
         )
         assert len(out) == 0
+
+    def test_schedule_switches_delay_at_segment_start(self):
+        short = ChannelConfig(base_length_m=1.0)
+        long = ChannelConfig(base_length_m=3.0)
+        s = make_stream([0, 999, 1000, 5000])
+        out = apply_channel(s, Direction.A_TO_B, [(0, short), (1000, long)])
+        d_short = short.delay_rounded_ps(Direction.A_TO_B)
+        d_long = long.delay_rounded_ps(Direction.A_TO_B)
+        expected = [0 + d_short, 999 + d_short, 1000 + d_long, 5000 + d_long]
+        assert out.timestamps_ps.tolist() == expected
+
+    def test_delay_drop_keeps_stream_sorted_with_labels(self):
+        # A 10 m shorter path from t = 1000 ps overtakes events sent just before.
+        long = ChannelConfig(base_length_m=10.0)
+        short = ChannelConfig(base_length_m=0.0)
+        s = TimeTagStream(np.array([0, 900, 1000, 1100]), np.array([5, 6, 7, 8]))
+        out = apply_channel(s, Direction.B_TO_A, [(0, long), (1000, short)])
+        d_long = long.delay_rounded_ps(Direction.B_TO_A)
+        assert out.timestamps_ps.tolist() == [1000, 1100, d_long, 900 + d_long]
+        assert out.channels.tolist() == [7, 8, 5, 6]
 
 
 class TestPredictedOffsetError:
@@ -112,6 +132,6 @@ def test_channel_commutes_with_clock_translation(offset, length):
     cfg = ChannelConfig(base_length_m=length, eve_length_ab_m=2.0)
     clock = ClockModel(offset_ps=offset)
     s = make_stream([0, 17, 40_000])
-    one = apply_clock(apply_channel(s, Direction.A_TO_B, cfg), clock)
-    two = apply_channel(apply_clock(s, clock), Direction.A_TO_B, cfg)
+    one = apply_clock(apply_channel(s, Direction.A_TO_B, [(0, cfg)]), clock)
+    two = apply_channel(apply_clock(s, clock), Direction.A_TO_B, [(0, cfg)])
     assert np.array_equal(one.timestamps_ps, two.timestamps_ps)

@@ -8,7 +8,6 @@ from entsync.correlation import (
     G2Histogram,
     PeakPair,
     SyncAnalysisParams,
-    block_analysis,
     compute_g2,
     estimate_sync,
     estimates_to_json,
@@ -17,7 +16,7 @@ from entsync.correlation import (
     write_histogram_csv,
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
-from entsync.scenario import ScheduleEntry, TimingScenario, simulate_timing
+from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
 from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream
 
 from oracles import g2_bruteforce
@@ -231,7 +230,7 @@ class TestPipeline:
     def test_block_analysis_five_minute_run(self):
         sc = small_scenario(duration_s=300.0, seed=11)
         alice, bob = simulate_timing(sc)
-        estimates = block_analysis(alice, bob, 40.0, PARAMS)
+        estimates = analyze_blocks(alice, bob, 40.0, PARAMS)
         assert len(estimates) == 7
         assert [e.block_index for e in estimates] == list(range(7))
         deltas = [e.delta_ps for e in estimates]
@@ -251,7 +250,7 @@ class TestPipeline:
             schedule=(ScheduleEntry(80.0, extended),),
         )
         alice, bob = simulate_timing(sc)
-        estimates = block_analysis(alice, bob, 80.0, PARAMS)
+        estimates = analyze_blocks(alice, bob, 80.0, PARAMS)
         assert len(estimates) == 2
         first, second = estimates
         expected_rt_change = 2.0 * 5.0 * 1.5134 / 0.000299792458
@@ -266,7 +265,7 @@ class TestPipeline:
             bob_clock=ClockModel(offset_ps=0, drift_ppb=0.002),
         )
         alice, bob = simulate_timing(sc)
-        estimates = block_analysis(alice, bob, 40.0, PARAMS)
+        estimates = analyze_blocks(alice, bob, 40.0, PARAMS)
         assert len(estimates) == 3
         # 0.002 ppb over a 40 s block centre spacing is an 80 ps step.
         for first, second in zip(estimates, estimates[1:]):
@@ -283,18 +282,18 @@ class TestPipeline:
             bob_clock=ClockModel(offset_ps=0, drift_ppb=100.0),
         )
         alice, bob = simulate_timing(sc)
-        assert block_analysis(alice, bob, 40.0, PARAMS) == []
+        assert analyze_blocks(alice, bob, 40.0, PARAMS) == []
 
     def test_empty_streams_give_empty_result(self):
         empty = TimeTagStream.empty()
-        assert block_analysis(empty, empty, 40.0, PARAMS) == []
+        assert analyze_blocks(empty, empty, 40.0, PARAMS) == []
 
     def test_zero_rate_gives_gaps_not_errors(self):
         sc = small_scenario(
             alice_source=PairSourceModel(0.0), bob_source=PairSourceModel(0.0)
         )
         alice, bob = simulate_timing(sc)
-        assert block_analysis(alice, bob, 40.0, PARAMS, n_blocks=2) == []
+        assert analyze_blocks(alice, bob, 40.0, PARAMS, n_blocks=2) == []
 
     def test_gap_blocks_skipped_but_indices_kept(self, streams):
         alice, bob = streams
@@ -313,7 +312,7 @@ class TestPipeline:
             ]
         )
         bob_holed = TimeTagStream.from_timestamps(hole_b)
-        estimates = block_analysis(alice_holed, bob_holed, 40.0, PARAMS, n_blocks=3)
+        estimates = analyze_blocks(alice_holed, bob_holed, 40.0, PARAMS, n_blocks=3)
         assert [e.block_index for e in estimates] == [0, 2]
 
 

@@ -107,6 +107,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alice_source.pair_rate_hz"):
             timing_scenario_from_dict(cfg)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", 1.5, r"field seed must be an integer"),
+            ("duration", 10.0, r"unknown field duration"),
+            # A misspelt attack length must not load as a symmetric channel.
+            ("channel", {"eve_length_ab": 10.0}, r"unknown field channel\.eve_length_ab"),
+            (
+                "detectors",
+                {"bob_remote": {"dark_rate": 10.0}},
+                r"unknown field detectors\.bob_remote\.dark_rate",
+            ),
+            ("schedule", [{"time_s": 5.0}], r"missing field schedule\[0\]\.channel"),
+            ("schedule", [7], r"field schedule\[0\] must be an object"),
+            ("alice_source", 5, r"field alice_source must be an object"),
+        ],
+    )
+    def test_field_error_names_path(self, key, value, message):
+        cfg = self.base_config()
+        cfg[key] = value
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            timing_scenario_from_dict(cfg)
+
+    def test_integer_valued_float_accepted_for_int_field(self):
+        cfg = self.base_config()
+        cfg["seed"] = 3.0
+        sc = timing_scenario_from_dict(cfg)
+        assert sc.seed == 3 and isinstance(sc.seed, int)
+
+    def test_tomo_fields_checked(self):
+        assert tomo_scenario_from_dict({"seed": 1, "state": "psi_minus"}).seed == 1
+        with pytest.raises(ConfigError, match="state must be 'psi_minus'"):
+            tomo_scenario_from_dict({"seed": 1, "state": "phi_plus"})
+        with pytest.raises(ConfigError, match=r"^unknown field faraday\.n$"):
+            tomo_scenario_from_dict({"seed": 1, "faraday": {"n": 1.6}})
+
 
 class TestRunScenario:
     def test_artifacts_written(self, smoke_run):
@@ -135,12 +171,6 @@ class TestRunScenario:
         second = tmp_path / "again"
         run_scenario(scenario_dir / "smoke.json", second)
         assert dir_digest(first) == dir_digest(second)
-
-    def test_threads_do_not_change_bytes(self, scenario_dir, smoke_run, tmp_path):
-        first, _ = smoke_run
-        threaded = tmp_path / "threaded"
-        run_scenario(scenario_dir / "smoke.json", threaded, threads=4)
-        assert dir_digest(first) == dir_digest(threaded)
 
     def test_csv_tag_format(self, scenario_dir, smoke_run, tmp_path):
         binary_out, _ = smoke_run
@@ -284,6 +314,33 @@ class TestCliErrors:
         code = cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "alice_source.pair_rate_hz" in capsys.readouterr().err
+
+    def test_non_object_section_exits_1(self, tmp_path, capsys):
+        cfg = {
+            "duration_s": 10.0,
+            "seed": 1,
+            "alice_source": 5,
+            "bob_source": {"pair_rate_hz": 100.0},
+            "channel": {},
+        }
+        config = write_json(tmp_path / "bad.json", cfg)
+        code = cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "field alice_source must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "c.json", "--out", "o"],
+            ["analyze", "--alice", "a.tt", "--bob", "b.tt", "--out", "o"],
+            ["tomo", "--config", "c.json", "--out", "o"],
+        ],
+    )
+    def test_threads_flag_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--threads", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -105,27 +105,27 @@ class TestGeneratePairs:
 class TestApplyDetector:
     def test_identity_settings_pass_through(self):
         s = make_stream([1, 5, 9], channel=2)
-        out = apply_detector(s, DetectorModel(), 1.0, 0)
+        out = apply_detector(s, DetectorModel(), 2, 1.0, 0)
         assert np.array_equal(out.timestamps_ps, s.timestamps_ps)
         assert np.array_equal(out.channels, s.channels)
 
     def test_zero_efficiency_empties_stream(self):
         s = make_stream(np.arange(100))
-        out = apply_detector(s, DetectorModel(efficiency=0.0), 1.0, 0)
+        out = apply_detector(s, DetectorModel(efficiency=0.0), 0, 1.0, 0)
         assert len(out) == 0
 
     def test_rate_conservation_with_darks(self):
         duration = 10.0
         local, _ = generate_pairs(PairSourceModel(2000.0), duration, 5)
         det = DetectorModel(efficiency=0.7, dark_rate_hz=300.0)
-        out = apply_detector(local, det, duration, 6)
+        out = apply_detector(local, det, 0, duration, 6)
         expected = (0.7 * 2000.0 + 300.0) * duration
         assert expected > 1e4
         assert abs(len(out) - expected) < 5.0 * np.sqrt(expected)
 
     def test_dead_time_enforced(self):
         s = make_stream([0, 10, 25, 26, 100, 149, 150])
-        out = apply_detector(s, DetectorModel(dead_time_ps=50), 1.0, 0)
+        out = apply_detector(s, DetectorModel(dead_time_ps=50), 0, 1.0, 0)
         diffs = np.diff(out.timestamps_ps)
         assert np.all(diffs >= 50)
         assert out.timestamps_ps[0] == 0
@@ -138,13 +138,18 @@ class TestApplyDetector:
     def test_dead_time_property(self, dead, seed):
         rng = np.random.default_rng(seed)
         s = make_stream(np.sort(rng.integers(0, 100_000, size=200)))
-        out = apply_detector(s, DetectorModel(dead_time_ps=dead), 1e-6, seed)
+        out = apply_detector(s, DetectorModel(dead_time_ps=dead), 0, 1e-6, seed)
         if len(out) > 1:
             assert int(np.diff(out.timestamps_ps).min()) >= dead
 
     def test_dark_counts_inherit_channel(self):
         s = make_stream([500_000], channel=3)
-        out = apply_detector(s, DetectorModel(dark_rate_hz=5000.0), 1.0, 7)
+        out = apply_detector(s, DetectorModel(dark_rate_hz=5000.0), 3, 1.0, 7)
+        assert len(out) > 1
+        assert set(out.channels.tolist()) == {3}
+
+    def test_darks_on_empty_signal_carry_detector_channel(self):
+        out = apply_detector(TimeTagStream.empty(), DetectorModel(dark_rate_hz=5000.0), 3, 1.0, 7)
         assert len(out) > 1
         assert set(out.channels.tolist()) == {3}
 

@@ -216,12 +216,6 @@ class TestMonteCarlo:
         two = monte_carlo_fidelity(table, table, reps=5, seed=6)
         assert np.array_equal(one.samples, two.samples)
 
-    def test_threads_do_not_change_results(self):
-        table = table_for(SINGLET, 1e4)
-        serial = monte_carlo_fidelity(table, table, reps=6, seed=7, threads=1)
-        parallel = monte_carlo_fidelity(table, table, reps=6, seed=7, threads=4)
-        assert np.array_equal(serial.samples, parallel.samples)
-
     def test_all_failures_abort(self):
         empty = CountsTable(np.zeros(36, dtype=np.int64))
         with pytest.raises(ReconstructionError):
