@@ -8,6 +8,7 @@ visible block by block.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +18,16 @@ import numpy as np
 from scipy import optimize, signal
 
 from .errors import ConfigError, PeaksNotFoundError
-from .timetags import TimeTagStream, atomic_write_bytes
+from .timetags import (
+    TimeTagStream,
+    atomic_write_bytes,
+    format_each_distinct,
+    join_text_columns,
+)
+
+
+def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
+    return tau_min_ps + (np.arange(n_bins) + 0.5) * bin_width_ps
 
 
 @dataclass(frozen=True)
@@ -37,7 +47,7 @@ class G2Histogram:
         return int(self.counts.size)
 
     def bin_centers_ps(self) -> np.ndarray:
-        return self.tau_min_ps + (np.arange(self.n_bins) + 0.5) * self.bin_width_ps
+        return _bin_centers_ps(self.tau_min_ps, self.bin_width_ps, self.n_bins)
 
     def summary(self) -> dict:
         return {
@@ -352,14 +362,23 @@ def fit_peak_gaussian(hist: G2Histogram, tau_guess_ps: float, halfwidth_ps: floa
     }
 
 
+@functools.lru_cache(maxsize=4)
+def _center_column(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
+    """The histogram CSV's "tau_ps," cells; every block of a run shares them."""
+    centers = _bin_centers_ps(tau_min_ps, bin_width_ps, n_bins).tolist()
+    column = np.array([f"{c:.10g}," for c in centers], dtype=np.bytes_)
+    column.flags.writeable = False
+    return column
+
+
 def write_histogram_csv(hist: G2Histogram, path):
-    centers = hist.bin_centers_ps()
-    lines = ["tau_ps,counts,g2"]
-    lines.extend(
-        f"{c:.10g},{int(n)},{g:.10g}"
-        for c, n, g in zip(centers, hist.counts, hist.normalized)
+    """Write ``tau_ps,counts,g2`` rows: bin centre, raw count, normalised g2."""
+    rows = join_text_columns(
+        _center_column(hist.tau_min_ps, hist.bin_width_ps, hist.n_bins),
+        format_each_distinct(hist.counts, lambda n: f"{int(n)},"),
+        format_each_distinct(hist.normalized, lambda g: f"{g:.10g}\n"),
     )
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    atomic_write_bytes(path, b"tau_ps,counts,g2\n" + rows)
 
 
 def estimates_to_json(estimates: list[SyncEstimate]) -> list[dict]:

@@ -175,14 +175,29 @@ def generate_pairs(
 
 
 def _dead_time_filter(timestamps: np.ndarray, dead_time_ps: int) -> np.ndarray:
-    """Keep events separated by >= dead_time_ps from the previous retained one."""
+    """Keep events separated by >= dead_time_ps from the previous retained one.
+
+    The last retained event is never later than the previous raw event, so an
+    event at least dead_time_ps after its raw predecessor is always kept. Only
+    the events closer than that to their predecessor need the sequential rule,
+    and a run of them starts after an event that was kept.
+    """
     keep = np.ones(timestamps.size, dtype=bool)
-    last = None
-    for i, t in enumerate(timestamps):
-        if last is not None and t - last < dead_time_ps:
+    candidates = np.flatnonzero(np.diff(timestamps) < dead_time_ps) + 1
+    previous = -1
+    for i, t, t_before in zip(
+        candidates.tolist(),
+        timestamps[candidates].tolist(),
+        timestamps[candidates - 1].tolist(),
+    ):
+        if i - 1 != previous:
+            # A new run: the event before it was kept and is the last kept one.
+            last = t_before
+        if t - last < dead_time_ps:
             keep[i] = False
         else:
             last = t
+        previous = i
     return keep
 
 
@@ -272,10 +287,38 @@ def read_tags_binary(path) -> TimeTagStream:
     return TimeTagStream(rec["timestamp_ps"].copy(), rec["channel"].copy())
 
 
+def join_text_columns(*columns: np.ndarray) -> bytes:
+    """Concatenate equal-length bytes-string columns row by row into one payload.
+
+    Each row is its cells back to back, so the columns carry their own
+    separators. Fixed-width numpy strings are NUL-padded and formatted numbers
+    never contain NUL, so dropping every NUL byte leaves exactly the text.
+    """
+    rows = columns[0]
+    for column in columns[1:]:
+        # np.char.add is np.strings.add on numpy 2 and also exists on numpy 1.24.
+        rows = np.char.add(rows, column)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def format_each_distinct(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt(v)`` encoded for every value, calling ``fmt`` once per distinct value.
+
+    Values are told apart by their bit pattern, so -0.0 and 0.0 keep their own
+    text.
+    """
+    bits = values.view(np.dtype(f"u{values.itemsize}"))
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    cells = np.array([fmt(v) for v in values[first].tolist()], dtype=np.bytes_)
+    return cells[inverse]
+
+
 def write_tags_csv(stream: TimeTagStream, path):
-    lines = ["timestamp_ps,channel"]
-    lines.extend(f"{int(t)},{int(c)}" for t, c in zip(stream.timestamps_ps, stream.channels))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    rows = join_text_columns(
+        np.char.add(stream.timestamps_ps.astype(np.bytes_), b","),
+        format_each_distinct(stream.channels, lambda c: f"{c}\n"),
+    )
+    atomic_write_bytes(path, b"timestamp_ps,channel\n" + rows)
 
 
 def read_tags_csv(path) -> TimeTagStream:

@@ -32,3 +32,34 @@ def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> np.ndarray
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     return rho
+
+
+def dead_time_keep_reference(timestamps: np.ndarray, dead_time_ps: int) -> np.ndarray:
+    """Event-by-event dead time: keep an event when it is at least dead_time_ps
+    after the previous kept one."""
+    keep = np.ones(timestamps.size, dtype=bool)
+    last = None
+    for i, t in enumerate(timestamps):
+        if last is not None and t - last < dead_time_ps:
+            keep[i] = False
+        else:
+            last = t
+    return keep
+
+
+def histogram_csv_reference(hist) -> bytes:
+    """Row-by-row text of a G2Histogram's CSV; the vectorised writer must match it."""
+    centers = hist.bin_centers_ps()
+    lines = ["tau_ps,counts,g2"]
+    lines.extend(
+        f"{c:.10g},{int(n)},{g:.10g}"
+        for c, n, g in zip(centers, hist.counts, hist.normalized)
+    )
+    return ("\n".join(lines) + "\n").encode()
+
+
+def tags_csv_reference(stream) -> bytes:
+    """Row-by-row text of a time-tag CSV file."""
+    lines = ["timestamp_ps,channel"]
+    lines.extend(f"{int(t)},{int(c)}" for t, c in zip(stream.timestamps_ps, stream.channels))
+    return ("\n".join(lines) + "\n").encode()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from entsync.channel import ChannelConfig
 from entsync.correlation import (
     G2Histogram,
+    _center_column,
     PeakPair,
     SyncAnalysisParams,
     compute_g2,
@@ -19,7 +20,7 @@ from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
 from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream
 
-from oracles import g2_bruteforce
+from oracles import g2_bruteforce, histogram_csv_reference
 
 PARAMS = SyncAnalysisParams()
 
@@ -328,6 +329,52 @@ class TestExports:
         assert [int(c) for c in counts] == hist.counts.tolist()
         assert np.allclose([float(t) for t in taus], hist.bin_centers_ps())
         assert np.allclose([float(g) for g in g2s], hist.normalized)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["odd_bin_width", "exponent_centres", "zero_duration", "hand_built", "zero_bins"],
+    )
+    def test_histogram_csv_bytes_match_row_loop(self, case, tmp_path):
+        a = make_stream([0, 37, 50, 900, 901])
+        b = make_stream([10, 11, 60, 880, 2_000])
+        expected_text = b""
+        if case == "odd_bin_width":
+            hist = compute_g2(a, b, -1_001, 1_000, 7)
+            expected_text = b"\n-997.5,"
+        elif case == "exponent_centres":
+            shift = 3 * 10**10
+            far_b = make_stream(b.timestamps_ps + shift)
+            hist = compute_g2(a, far_b, shift - 5_000, shift + 5_000, 3)
+            expected_text = b"\n2.9999995e+10,"
+        elif case == "zero_duration":
+            hist = compute_g2(a, b, -100, 100, 4, duration_ps=0)
+            assert hist.counts.any() and not hist.normalized.any()
+        elif case == "hand_built":
+            # g2 is not a function of counts, and -0.0 keeps its sign.
+            normalized = np.array([-0.0, 0.0, 1.0 / 3.0, -0.0, 1e-300, np.inf, 7e22, 1.5])
+            hist = G2Histogram(
+                tau_min_ps=-40,
+                bin_width_ps=10,
+                counts=np.array([0, 0, 5, 5, 1, 0, 12345678901, 2]),
+                normalized=normalized,
+                n_a=3,
+                n_b=4,
+                duration_ps=1,
+            )
+            expected_text = b"\n-35,0,-0\n"
+        else:
+            hist = G2Histogram(0, 16, np.zeros(0, np.int64), np.zeros(0), 0, 0, 10)
+            expected_text = b"tau_ps,counts,g2\n"
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(hist, path)
+        assert path.read_bytes() == histogram_csv_reference(hist)
+        assert expected_text in path.read_bytes()
+
+    def test_histogram_centre_column_is_read_only(self):
+        column = _center_column(-1_000, 16, 125)
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = b"0,"
 
     def test_estimates_json_schema(self):
         est = estimate_sync(PeakPair(10.0, -10.0, 1.0, 1.0, 5.0, 5.0), block_index=3)

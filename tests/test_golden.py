@@ -1,4 +1,4 @@
-"""Golden sha256 digests of every artifact of two small end-to-end runs.
+"""Golden sha256 digests of every artifact of small end-to-end runs.
 
 Any refactor that moves a single output byte fails here; a change that is
 meant to alter an output format updates these digests and says so. The
@@ -9,7 +9,8 @@ different numerical stack may legitimately change them.
 import hashlib
 import json
 
-from entsync.scenario import run_scenario, run_tomo_scenario
+from entsync.correlation import SyncAnalysisParams
+from entsync.scenario import analyze_files, run_scenario, run_tomo_scenario
 
 SMOKE_DIGESTS = {
     "alice.tt": "1b92f5fff5d72583aca8e0aff56f445893f3d6365665b639e2130c5f475f17c4",
@@ -18,6 +19,45 @@ SMOKE_DIGESTS = {
     "g2_block_000.csv": "5079e23e07f8aa3620101944dab299df878123b30f03300d02197294435a0f29",
     "g2_block_001.csv": "2b45c9860339a19277d8e5253878d88da79cc86bbf83bf56a883f3612d235a4c",
     "summary.json": "6299d9609d85b9f7f29557502134e179591c90a65ec9e8d637878a06aa6f3f8a",
+}
+
+# analyze_files on the smoke run's tags writes the same histograms and
+# estimates as the run itself.
+SMOKE_ANALYZE_DIGESTS = {
+    name: SMOKE_DIGESTS[name]
+    for name in ("estimates.json", "g2_block_000.csv", "g2_block_001.csv")
+}
+
+# Realistic detectors on all four channels, so that efficiency, jitter, dark
+# counts and dead time all shape the recorded tags.
+DETECTOR = {
+    "efficiency": 0.7,
+    "jitter_sigma_ps": 40.0,
+    "dark_rate_hz": 1000.0,
+    "dead_time_ps": 25000,
+}
+SOURCE = {"pair_rate_hz": 5000.0, "emission_jitter_sigma_ps": 150.0}
+DETECTOR_CONFIG = {
+    "duration_s": 4.0,
+    "seed": 11,
+    "block_s": 2.0,
+    "alice_source": SOURCE,
+    "bob_source": SOURCE,
+    "bob_clock": {"offset_ps": 137000},
+    "detectors": {
+        key: DETECTOR for key in ("alice_local", "alice_remote", "bob_local", "bob_remote")
+    },
+    "channel": {"base_length_m": 1.9, "eve_length_ab_m": 1.0, "eve_length_ba_m": 1.0},
+    "analysis": {"tau_min_ps": -200000, "tau_max_ps": 200000},
+}
+
+DETECTOR_DIGESTS = {
+    "alice.tt": "d135212991e43440d9fd8b90e8698bf138c0cf84d632a2991878c167c1473659",
+    "bob.tt": "0b846269cafe174f032b02d333f042feb723d01f4221fc8f53978eed0b148a51",
+    "estimates.json": "d184840aec92e3554cf748aa7457edf43baffd1e0f8004547bda488d81f1d79d",
+    "g2_block_000.csv": "45a84ecda5a1b313043ba2b1e87c8aeac11778bd1ddac029b177df781af30aff",
+    "g2_block_001.csv": "4e92d19b91c6fe17aa778932c39416864b6af604da370277cbd93f848afb767d",
+    "summary.json": "b0801c9d01622febb81ad75728c5d755ff14cc279c52c73c5e50eb763b863ff9",
 }
 
 SMALL_TOMO_CONFIG = {"seed": 42, "attack": "none", "counts_per_setting": 2000.0, "reps": 4}
@@ -45,6 +85,25 @@ def dir_digest(path) -> dict:
 def test_smoke_scenario_artifacts_match_golden(scenario_dir, tmp_path):
     run_scenario(scenario_dir / "smoke.json", tmp_path / "smoke")
     assert dir_digest(tmp_path / "smoke") == SMOKE_DIGESTS
+
+
+def test_smoke_analyze_artifacts_match_golden(scenario_dir, tmp_path):
+    run_scenario(scenario_dir / "smoke.json", tmp_path / "smoke")
+    analyze_files(
+        tmp_path / "smoke" / "alice.tt",
+        tmp_path / "smoke" / "bob.tt",
+        tmp_path / "analyze",
+        SyncAnalysisParams(),
+        block_s=40.0,
+    )
+    assert dir_digest(tmp_path / "analyze") == SMOKE_ANALYZE_DIGESTS
+
+
+def test_detector_scenario_artifacts_match_golden(tmp_path):
+    config = tmp_path / "detectors.json"
+    config.write_text(json.dumps(DETECTOR_CONFIG))
+    run_scenario(config, tmp_path / "run")
+    assert dir_digest(tmp_path / "run") == DETECTOR_DIGESTS
 
 
 def test_small_tomo_artifacts_match_golden(tmp_path):

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entsync.errors import ConfigError, StreamFormatError
 from entsync.timetags import (
+    CH_ALICE_LOCAL,
+    CH_ALICE_REMOTE,
+    CH_BOB_LOCAL,
+    CH_BOB_REMOTE,
     ClockModel,
     DetectorModel,
     PairSourceModel,
@@ -17,7 +21,10 @@ from entsync.timetags import (
     read_tags_csv,
     write_tags_binary,
     write_tags_csv,
+    _dead_time_filter,
 )
+
+from oracles import dead_time_keep_reference, tags_csv_reference
 
 
 def make_stream(timestamps, channel=0):
@@ -142,6 +149,26 @@ class TestApplyDetector:
         if len(out) > 1:
             assert int(np.diff(out.timestamps_ps).min()) >= dead
 
+    @given(
+        # Gaps of 0-60 ps give duplicate timestamps and dense clusters, gaps up
+        # to 5 ns isolated events; short lists give a dead time longer than
+        # the whole span.
+        gaps=st.lists(
+            st.one_of(st.integers(0, 60), st.integers(0, 5_000)), min_size=0, max_size=300
+        ),
+        start=st.integers(-(10**12), 10**12),
+        dead=st.integers(min_value=1, max_value=10_000),
+    )
+    @example(gaps=[], start=0, dead=50)
+    @example(gaps=[0], start=7, dead=50)
+    @example(gaps=[0, 0, 0, 10, 0, 40, 0], start=0, dead=50)
+    @example(gaps=[0, 30, 2_000, 100, 1], start=-500, dead=10**6)
+    @settings(max_examples=200, deadline=None)
+    def test_dead_time_filter_matches_event_loop(self, gaps, start, dead):
+        ts = start + np.cumsum(np.asarray(gaps, dtype=np.int64))
+        keep = _dead_time_filter(ts, dead)
+        assert np.array_equal(keep, dead_time_keep_reference(ts, dead))
+
     def test_dark_counts_inherit_channel(self):
         s = make_stream([500_000], channel=3)
         out = apply_detector(s, DetectorModel(dark_rate_hz=5000.0), 3, 1.0, 7)
@@ -212,6 +239,20 @@ class TestFileFormats:
         back = read_tags_csv(path)
         assert np.array_equal(back.timestamps_ps, s.timestamps_ps)
         assert np.array_equal(back.channels, s.channels)
+
+    def test_csv_bytes_match_row_loop(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ts = np.sort(rng.integers(-(10**15), 10**15, size=2_000))
+        ts[:2] = [-(2**62) + 1, -1]
+        ts[-2:] = [0, 2**62 - 1]
+        ts.sort()
+        labels = [CH_ALICE_LOCAL, CH_ALICE_REMOTE, CH_BOB_LOCAL, CH_BOB_REMOTE]
+        s = TimeTagStream(ts, rng.choice(labels, size=ts.size).astype(np.uint32))
+        path = tmp_path / "tags.csv"
+        write_tags_csv(s, path)
+        assert path.read_bytes() == tags_csv_reference(s)
+        write_tags_csv(TimeTagStream.empty(), path)
+        assert path.read_bytes() == tags_csv_reference(TimeTagStream.empty())
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "tags.csv"
