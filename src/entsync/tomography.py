@@ -188,11 +188,9 @@ def _params_from_rho(rho: np.ndarray) -> np.ndarray:
     return t
 
 
-def _linear_inversion(table: CountsTable, n_hat: float) -> np.ndarray:
-    """Least-squares Hermitian estimate used to seed the likelihood search."""
-    probs = (table.counts - table.accidental_rate_per_setting) / n_hat
-    # Real basis of Hermitian 4x4 matrices: E_kk, symmetric and antisymmetric
-    # off-diagonal combinations.
+def _hermitian_basis() -> list[np.ndarray]:
+    """Real basis of Hermitian 4x4 matrices: E_kk, symmetric and antisymmetric
+    off-diagonal combinations."""
     basis = []
     for k in range(4):
         m = np.zeros((4, 4), dtype=np.complex128)
@@ -207,11 +205,21 @@ def _linear_inversion(table: CountsTable, n_hat: float) -> np.ndarray:
             m[r, c] = -1j
             m[c, r] = 1j
             basis.append(m)
-    design = np.array(
-        [[(p.T.reshape(16) @ b.reshape(16)).real for b in basis] for p in _SETTING_OPS]
-    )
-    coef, *_ = np.linalg.lstsq(design, probs, rcond=None)
-    rho = sum(c * b for c, b in zip(coef, basis))
+    return basis
+
+
+_HERMITIAN_BASIS = _hermitian_basis()
+# Row s, column k: Tr(P_s @ B_k), the setting probabilities per basis coefficient.
+_DESIGN = np.array(
+    [[(p.T.reshape(16) @ b.reshape(16)).real for b in _HERMITIAN_BASIS] for p in _SETTING_OPS]
+)
+
+
+def _linear_inversion(table: CountsTable, n_hat: float) -> np.ndarray:
+    """Least-squares Hermitian estimate used to seed the likelihood search."""
+    probs = (table.counts - table.accidental_rate_per_setting) / n_hat
+    coef, *_ = np.linalg.lstsq(_DESIGN, probs, rcond=None)
+    rho = sum(c * b for c, b in zip(coef, _HERMITIAN_BASIS))
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
