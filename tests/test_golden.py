@@ -66,11 +66,11 @@ SMALL_TOMO_DIGESTS = {
     "counts_after.csv": "18d9b9d6ce15d48127ce750b5796271f87e707fdba498c0eed0a070fd631695c",
     "counts_before.csv": "d634a79e92857e1361f138def6ead7666c2e09f3645109e3b29b98af5e52df07",
     "fidelity_distribution.json": (
-        "bf83e5b2a6497144922ad1b315d362316216c175d94c6d61385b3c6b86502684"
+        "d8012beef88884a2406c2f56741bce863ba81d38e7b7e7d3eaa601708ab2b121"
     ),
-    "rho_after.json": "fc02cd62ea3df052e5c7df318bf133a25c92cb39dcd9ce418961c87fd9eff6c1",
-    "rho_before.json": "366eb27c66c3f0f89dcf3d592563c308d30fbb95ef9a77c8af3243aac4e2a7ed",
-    "summary.json": "235267d7a1622bd61eca95c94eb0d2f84e796020f8efa1fedb7f4138cce9511c",
+    "rho_after.json": "5d7eec8c4041e3eefa30d5746d45f04d9f4d0775bd6b0d9869d55d08b3648920",
+    "rho_before.json": "413b808b867068055ea035ba15a2a725b121b2e255896abc02ca49ccbcdd15c6",
+    "summary.json": "075d9a4bfa61798da2ae493aef0ece9ef3e93c196a7559073a460f3e0cfe22be",
 }
 
 

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from entsync.errors import ConfigError, ReconstructionError, StreamFormatError
 from entsync.polarization import bell_psi_minus
+from entsync.scenario import run_tomo_scenario
 from entsync.tomography import (
     PROJECTOR_LABELS,
     CountsTable,
@@ -21,8 +24,14 @@ from entsync.tomography import (
     setting_labels,
     write_counts_csv,
 )
+from entsync.tomography import _estimate_n_per_setting, _nll_and_gradient, _rho_from_params
 
-from oracles import random_density_matrix, random_pure_state
+from oracles import (
+    mle_reconstruct_fd_reference,
+    poisson_nll,
+    random_density_matrix,
+    random_pure_state,
+)
 
 SINGLET = DensityMatrix.from_pure(bell_psi_minus().amplitudes)
 MIXED = DensityMatrix(np.eye(4) / 4.0)
@@ -154,6 +163,55 @@ class TestMLE:
         assert isinstance(rho_hat, DensityMatrix)
 
 
+def central_differences(objective, t: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    grad = np.empty(t.size)
+    for i in range(t.size):
+        step = np.zeros(t.size)
+        step[i] = h
+        grad[i] = (objective(t + step)[0] - objective(t - step)[0]) / (2.0 * h)
+    return grad
+
+
+def gradient_error(table: CountsTable, t: np.ndarray) -> float:
+    """Largest gap between the analytic gradient and central differences,
+    relative to the largest gradient component."""
+    objective = _nll_and_gradient(table)
+    _, grad = objective(t)
+    reference = central_differences(objective, t)
+    return float(np.abs(grad - reference).max() / np.abs(reference).max())
+
+
+class TestLikelihoodGradient:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_central_differences_at_random_parameters(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(random_density_matrix(rng, rank=int(rng.integers(1, 5))))
+        table = sample_counts(expected_counts(rho, 1e4), seed)
+        assert gradient_error(table, rng.normal(size=16)) < 1e-6
+
+    def test_matches_central_differences_with_accidentals(self):
+        rng = np.random.default_rng(5)
+        acc = 30.0
+        table = sample_counts(
+            expected_counts(depolarize(SINGLET, 0.2), 1e4, acc), 5, accidental_rate_per_setting=acc
+        )
+        assert gradient_error(table, rng.normal(size=16)) < 1e-6
+
+    def test_clipped_settings_do_not_contribute(self):
+        # rho is pure, with amplitude 1e-6 / |v| ~ 8e-8 on |VV>: every setting that
+        # projects the first photon onto V has a mean count below the 1e-10
+        # floor, also one step h away, so the likelihood is flat in those
+        # settings although their probabilities move with t[3] and t[14:16].
+        table = CountsTable(np.random.default_rng(7).integers(5, 20, size=36))
+        t = np.zeros(16)
+        t[3] = 1e-6
+        t[10:14] = [8.0, 4.0, 6.0, -5.0]
+        mu = expected_counts(_rho_from_params(t), _estimate_n_per_setting(table))
+        clipped = [setting_labels()[s] for s in np.flatnonzero(mu < 1e-10)]
+        assert clipped == [("V", b) for b in PROJECTOR_LABELS]
+        assert gradient_error(table, t) < 1e-6
+
+
 class TestFidelity:
     def test_self_fidelity(self):
         assert fidelity(SINGLET, SINGLET) == pytest.approx(1.0, abs=1e-10)
@@ -231,6 +289,45 @@ class TestMonteCarlo:
         payload = dist.to_json()
         assert set(payload) == {"samples", "mean", "ci95_low", "ci95_high"}
         assert payload["mean"] == pytest.approx(0.7)
+
+
+@pytest.fixture(scope="module")
+def bundled_counts(scenario_dir, tmp_path_factory):
+    """The before/after counts of the bundled tomo_full and tomo_naive runs."""
+    tables = {}
+    for name in ("tomo_full", "tomo_naive"):
+        config = json.loads((scenario_dir / f"{name}.json").read_text())
+        config["reps"] = 2  # the counts do not depend on the Monte Carlo
+        path = tmp_path_factory.mktemp(name) / "config.json"
+        path.write_text(json.dumps(config))
+        run_tomo_scenario(path, path.parent / "out")
+        for which in ("before", "after"):
+            tables[f"{name}_{which}"] = read_counts_csv(path.parent / "out" / f"counts_{which}.csv")
+    return tables
+
+
+class TestFiniteDifferenceReference:
+    @pytest.mark.parametrize(
+        "name", ["tomo_full_before", "tomo_full_after", "tomo_naive_before", "tomo_naive_after"]
+    )
+    def test_bundled_counts(self, bundled_counts, name):
+        self.assert_matches_reference(bundled_counts[name])
+
+    def test_depolarised_with_accidentals(self):
+        acc = 20.0
+        table = sample_counts(
+            expected_counts(depolarize(SINGLET, 0.1), 1e4, acc), 17, accidental_rate_per_setting=acc
+        )
+        self.assert_matches_reference(table)
+
+    @staticmethod
+    def assert_matches_reference(table: CountsTable):
+        fit = mle_reconstruct(table)
+        reference = mle_reconstruct_fd_reference(table)
+        nll_fit = poisson_nll(fit.matrix, table)
+        nll_reference = poisson_nll(reference.matrix, table)
+        assert nll_fit <= nll_reference + 1e-9 * abs(nll_reference)
+        assert np.abs(fit.matrix - reference.matrix).max() < 1e-5
 
 
 class TestSerialization:
