@@ -262,7 +262,7 @@ def _nll_and_gradient(counts: CountsTable):
 
         w = np.where(live, n_hat * (1.0 - observed / mu), 0.0)
         g = w @ ops
-        g[_T_DIAG] -= w @ probs  # the diagonal of the flattened 4x4 matrix
+        g[_T_DIAG] -= w @ probs  # G' = G - Tr(G rho) I on the flattened diagonal
         k = (T @ g.reshape(4, 4)).reshape(16) * (2.0 / norm)
         grad = np.empty(16)
         grad[:4] = k[_T_DIAG].real
