@@ -48,13 +48,13 @@ class ChannelConfig:
     eve_length_ba_m: float = 0.0
     group_index: float = DEFAULT_GROUP_INDEX
 
-    def validate(self, field_prefix: str = "channel"):
+    def __post_init__(self):
         for name in ("base_length_m", "eve_length_ab_m", "eve_length_ba_m"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
-                raise ConfigError(f"{field_prefix}.{name} must be finite and >= 0")
+                raise ConfigError(f"{name} must be finite and >= 0")
         if not math.isfinite(self.group_index) or self.group_index <= 1.0:
-            raise ConfigError(f"{field_prefix}.group_index must be finite and > 1")
+            raise ConfigError("group_index must be finite and > 1")
 
     def length_m(self, direction: Direction) -> float:
         extra = self.eve_length_ab_m if direction is Direction.A_TO_B else self.eve_length_ba_m
@@ -85,8 +85,6 @@ def apply_channel(
     events, and the result is re-sorted because a delay that drops at a
     segment boundary can swap neighbouring events.
     """
-    for _, cfg in schedule:
-        cfg.validate()
     delays = np.array([cfg.delay_rounded_ps(direction) for _, cfg in schedule], dtype=np.int64)
     starts = np.array([start for start, _ in schedule[1:]], dtype=np.int64)
     segment = np.searchsorted(starts, stream.timestamps_ps, side="right")
@@ -102,5 +100,4 @@ def predicted_offset_error_ps(cfg: ChannelConfig) -> float:
     half the difference of the one-way delays; this is the oracle the
     end-to-end tests compare measured shifts against.
     """
-    cfg.validate()
     return (cfg.eve_length_ab_m - cfg.eve_length_ba_m) * cfg.group_index / (2.0 * C_M_PER_PS)

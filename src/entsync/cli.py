@@ -107,7 +107,6 @@ def _cmd_predict(args) -> int:
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
     cfg = parse_config(ChannelConfig, payload.get("channel", payload), "channel")
-    cfg.validate()
     print(
         json.dumps(
             {

@@ -97,17 +97,17 @@ class SyncAnalysisParams:
     # the peak.
     centroid_halfwidth_bins: int = 47
 
-    def validate(self, field_prefix: str = "analysis"):
+    def __post_init__(self):
         if self.tau_max_ps <= self.tau_min_ps:
-            raise ConfigError(f"{field_prefix}.tau_max_ps must exceed tau_min_ps")
+            raise ConfigError("tau_max_ps must exceed tau_min_ps")
         if self.bin_width_ps < 1:
-            raise ConfigError(f"{field_prefix}.bin_width_ps must be >= 1")
+            raise ConfigError("bin_width_ps must be >= 1")
         if self.min_separation_ps < 0:
-            raise ConfigError(f"{field_prefix}.min_separation_ps must be >= 0")
+            raise ConfigError("min_separation_ps must be >= 0")
         if not math.isfinite(self.threshold_sigma) or self.threshold_sigma < 0:
-            raise ConfigError(f"{field_prefix}.threshold_sigma must be finite and >= 0")
+            raise ConfigError("threshold_sigma must be finite and >= 0")
         if self.centroid_halfwidth_bins < 1:
-            raise ConfigError(f"{field_prefix}.centroid_halfwidth_bins must be >= 1")
+            raise ConfigError("centroid_halfwidth_bins must be >= 1")
 
 
 def compute_g2(

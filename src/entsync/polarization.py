@@ -67,10 +67,9 @@ class JonesState:
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """Two-photon amplitudes, first-party (x) second-party ordering, norm 1."""
+    """Two-photon amplitudes in the HV basis, first-party (x) second-party ordering, norm 1."""
 
     amplitudes: np.ndarray
-    basis: str = BASIS_HV
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(4)
@@ -81,8 +80,6 @@ class TwoQubitState:
         object.__setattr__(self, "amplitudes", amps)
 
     def overlap(self, other: "TwoQubitState") -> complex:
-        if self.basis != other.basis:
-            raise ConfigError("two-qubit overlap requires matching bases")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
@@ -100,7 +97,7 @@ def apply_to_second(state: TwoQubitState, unitary_hv: np.ndarray) -> TwoQubitSta
     """Apply a single-photon unitary (HV basis) to the second photon only."""
     amps = state.amplitudes.reshape(2, 2)
     out = np.einsum("ij,aj->ai", unitary_hv, amps).reshape(4)
-    return TwoQubitState(out, state.basis)
+    return TwoQubitState(out)
 
 
 @dataclass(frozen=True)
@@ -112,15 +109,15 @@ class FaradayParams:
     length_d_m: float = 0.01
     rotation_VBd_rad: float = -math.pi
 
-    def validate(self, field_prefix: str = "faraday"):
+    def __post_init__(self):
         if not math.isfinite(self.wavelength_nm) or self.wavelength_nm <= 0:
-            raise ConfigError(f"{field_prefix}.wavelength_nm must be > 0")
+            raise ConfigError("wavelength_nm must be > 0")
         if not math.isfinite(self.n0) or self.n0 <= 1.0:
-            raise ConfigError(f"{field_prefix}.n0 must be > 1")
+            raise ConfigError("n0 must be > 1")
         if not math.isfinite(self.length_d_m) or self.length_d_m <= 0:
-            raise ConfigError(f"{field_prefix}.length_d_m must be > 0")
+            raise ConfigError("length_d_m must be > 0")
         if not math.isfinite(self.rotation_VBd_rad):
-            raise ConfigError(f"{field_prefix}.rotation_VBd_rad must be finite")
+            raise ConfigError("rotation_VBd_rad must be finite")
 
     @property
     def wavenumber_rad_per_m(self) -> float:
@@ -178,7 +175,6 @@ def geometric_phase(theta_rad: float) -> float:
 
 def dynamic_phase(p: FaradayParams, theta_rad: float) -> float:
     """Propagation phase through the full rotator: k*n0*d + VBd*cos(theta)."""
-    p.validate()
     return p.phase_kn0d_rad + p.rotation_VBd_rad * math.cos(theta_rad)
 
 
@@ -188,7 +184,6 @@ def faraday_propagate(psi: JonesState, z_m: float, p: FaradayParams) -> JonesSta
     The circular components accumulate exp(i*k*n_R*z) and exp(i*k*n_L*z);
     a linearly polarized input rotates by VB*z in the polarization plane.
     """
-    p.validate()
     if not 0.0 <= z_m <= p.length_d_m + 1e-15:
         raise ConfigError("z_m must be within [0, length_d_m]")
     # Factor the common propagation phase out before exponentiating: at
@@ -207,7 +202,6 @@ def circulator_unitary(p: FaradayParams) -> np.ndarray:
     At VBd = -pi both circular components acquire the same factor
     -exp(i*k*n0*d), so the matrix is a global phase times the identity.
     """
-    p.validate()
     common = cmath.exp(1j * p.phase_kn0d_rad)
     split = cmath.exp(1j * p.rotation_VBd_rad)
     return common * np.diag([split, split.conjugate()])

@@ -25,7 +25,3 @@ def child_seed(seed: int, *indices: int) -> int:
     """Derive a stable integer seed from a root seed and component indices."""
     ss = np.random.SeedSequence([int(seed), *[int(i) for i in indices]])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def child_rng(seed: int, *indices: int) -> np.random.Generator:
-    return np.random.default_rng(child_seed(seed, *indices))

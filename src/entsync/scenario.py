@@ -100,31 +100,23 @@ class TimingScenario:
     block_s: float = 40.0
     analysis: SyncAnalysisParams = SyncAnalysisParams()
 
-    def validate(self):
+    def __post_init__(self):
         if not math.isfinite(self.duration_s) or self.duration_s <= 0:
             raise ConfigError("duration_s must be finite and > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.block_s <= 0:
             raise ConfigError("block_s must be > 0")
-        self.alice_source.validate("alice_source")
-        self.bob_source.validate("bob_source")
-        self.alice_clock.validate("alice_clock")
-        self.bob_clock.validate("bob_clock")
-        self.channel.validate("channel")
-        self.analysis.validate("analysis")
         previous = 0.0
         for i, entry in enumerate(self.schedule):
             if not 0.0 < entry.time_s < self.duration_s:
                 raise ConfigError(f"schedule[{i}].time_s must lie inside (0, duration_s)")
             if entry.time_s <= previous:
                 raise ConfigError(f"schedule[{i}].time_s must be strictly increasing")
-            entry.channel.validate(f"schedule[{i}].channel")
             previous = entry.time_s
-        for key, det in self.detectors.items():
+        for key in self.detectors:
             if key not in DETECTOR_KEYS:
                 raise ConfigError(f"detectors.{key} is not one of {DETECTOR_KEYS}")
-            det.validate(f"detectors.{key}")
 
     def detector(self, key: str) -> DetectorModel:
         return self.detectors.get(key, DetectorModel())
@@ -151,8 +143,9 @@ def parse_config(cls, data, path: str = ""):
     number, ``int`` an integer (integer-valued floats included), a nested
     dataclass an object, ``tuple[X, ...]`` a list and ``dict[str, X]`` an
     object of X. A field is required exactly when the dataclass gives it no
-    default, and keys that are not fields are rejected. Errors name the field
-    by its path, e.g. ``schedule[1].channel.base_length_m``.
+    default, and keys that are not fields are rejected. The dataclass checks
+    its own values when built; errors name the field by its path, e.g.
+    ``schedule[1].channel.base_length_m``.
     """
     if not isinstance(data, dict):
         if not path:
@@ -171,7 +164,10 @@ def parse_config(cls, data, path: str = ""):
             values[f.name] = _field_value(hints[f.name], data[f.name], prefix + f.name)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"missing field {prefix}{f.name}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _field_value(hint, value, path: str):
@@ -199,9 +195,7 @@ def _field_value(hint, value, path: str):
 
 
 def timing_scenario_from_dict(d: dict) -> TimingScenario:
-    sc = parse_config(TimingScenario, d)
-    sc.validate()
-    return sc
+    return parse_config(TimingScenario, d)
 
 
 def timing_scenario_to_dict(sc: TimingScenario) -> dict:
@@ -218,7 +212,6 @@ def load_timing_scenario(path) -> TimingScenario:
 
 def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
     """Produce the two parties' detection records for a timing scenario."""
-    sc.validate()
     a_local, a_remote = generate_pairs(
         sc.alice_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.ALICE_SOURCE)
     )
@@ -264,7 +257,6 @@ def analyze_blocks(
     analyzed. With ``out_dir`` each block's histogram is written there as
     ``g2_block_NNN.csv``.
     """
-    params.validate()
     if block_s <= 0:
         raise ConfigError("block_s must be > 0")
     block_ps = int(round(block_s * PS_PER_S))
@@ -431,14 +423,13 @@ class TomoScenario:
     depolarization: float = 0.0
     reps: int = 100
 
-    def validate(self):
+    def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.attack not in ("none", "full", "naive"):
             raise ConfigError("attack must be one of 'none', 'full', 'naive'")
         if self.attack == "naive" and not 0.0 <= self.theta_rad <= math.pi:
             raise ConfigError("theta_rad must be in [0, pi] for the naive attack")
-        self.faraday.validate("faraday")
         if self.counts_per_setting <= 0:
             raise ConfigError("counts_per_setting must be > 0")
         if self.accidentals_per_setting < 0:
@@ -455,9 +446,7 @@ def tomo_scenario_from_dict(d: dict) -> TomoScenario:
         d = dict(d)
         if d.pop("state", "psi_minus") != "psi_minus":
             raise ConfigError("state must be 'psi_minus'")
-    sc = parse_config(TomoScenario, d)
-    sc.validate()
-    return sc
+    return parse_config(TomoScenario, d)
 
 
 def tomo_scenario_to_dict(sc: TomoScenario) -> dict:

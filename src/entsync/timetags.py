@@ -79,13 +79,13 @@ class PairSourceModel:
     emission_jitter_sigma_ps: float = 0.0
     heralding_efficiency: float = 1.0
 
-    def validate(self, field_prefix: str = "source"):
+    def __post_init__(self):
         if not math.isfinite(self.pair_rate_hz) or self.pair_rate_hz < 0:
-            raise ConfigError(f"{field_prefix}.pair_rate_hz must be finite and >= 0")
+            raise ConfigError("pair_rate_hz must be finite and >= 0")
         if not math.isfinite(self.emission_jitter_sigma_ps) or self.emission_jitter_sigma_ps < 0:
-            raise ConfigError(f"{field_prefix}.emission_jitter_sigma_ps must be finite and >= 0")
+            raise ConfigError("emission_jitter_sigma_ps must be finite and >= 0")
         if not 0.0 <= self.heralding_efficiency <= 1.0:
-            raise ConfigError(f"{field_prefix}.heralding_efficiency must be in [0, 1]")
+            raise ConfigError("heralding_efficiency must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,15 @@ class DetectorModel:
     dark_rate_hz: float = 0.0
     dead_time_ps: int = 0
 
-    def validate(self, field_prefix: str = "detector"):
+    def __post_init__(self):
         if not math.isfinite(self.jitter_sigma_ps) or self.jitter_sigma_ps < 0:
-            raise ConfigError(f"{field_prefix}.jitter_sigma_ps must be finite and >= 0")
+            raise ConfigError("jitter_sigma_ps must be finite and >= 0")
         if not 0.0 <= self.efficiency <= 1.0:
-            raise ConfigError(f"{field_prefix}.efficiency must be in [0, 1]")
+            raise ConfigError("efficiency must be in [0, 1]")
         if not math.isfinite(self.dark_rate_hz) or self.dark_rate_hz < 0:
-            raise ConfigError(f"{field_prefix}.dark_rate_hz must be finite and >= 0")
+            raise ConfigError("dark_rate_hz must be finite and >= 0")
         if self.dead_time_ps < 0:
-            raise ConfigError(f"{field_prefix}.dead_time_ps must be >= 0")
+            raise ConfigError("dead_time_ps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,11 @@ class ClockModel:
     offset_ps: int = 0
     drift_ppb: float = 0.0
 
-    def validate(self, field_prefix: str = "clock"):
+    def __post_init__(self):
         if not math.isfinite(self.drift_ppb):
-            raise ConfigError(f"{field_prefix}.drift_ppb must be finite")
+            raise ConfigError("drift_ppb must be finite")
         if abs(int(self.offset_ps)) >= MAX_TIMESTAMP_PS:
-            raise ConfigError(f"{field_prefix}.offset_ps magnitude must be < 2**62")
+            raise ConfigError("offset_ps magnitude must be < 2**62")
 
 
 def _poisson_arrivals_ps(rng: np.random.Generator, rate_hz: float, duration_ps: float) -> np.ndarray:
@@ -151,7 +151,6 @@ def generate_pairs(
     the common emission time plus independent Gaussian jitter. Each arm is
     thinned independently by the heralding efficiency. Deterministic per seed.
     """
-    source.validate()
     if not math.isfinite(duration_s) or duration_s <= 0:
         raise ConfigError("duration_s must be finite and > 0")
     rng = np.random.default_rng(seed)
@@ -210,7 +209,6 @@ def apply_detector(
     before dead-time filtering: dead time acts on the physical detector, not
     per event origin. Every output event carries this detector's channel label.
     """
-    det.validate()
     if not math.isfinite(duration_s) or duration_s < 0:
         raise ConfigError("duration_s must be finite and >= 0")
     rng = np.random.default_rng(seed)
@@ -239,7 +237,6 @@ def apply_clock(stream: TimeTagStream, clock: ClockModel) -> TimeTagStream:
     reading = round(t * (1 + drift_ppb * 1e-9)) + offset_ps. With zero drift
     the mapping is an exact integer translation.
     """
-    clock.validate()
     ts = stream.timestamps_ps
     offset = np.int64(clock.offset_ps)
     if clock.drift_ppb == 0.0:

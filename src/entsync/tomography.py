@@ -31,10 +31,6 @@ _PROJECTOR_VECTORS = {
     "R": np.array([_SQ2, -_SQ2 * 1j], dtype=np.complex128),
 }
 
-# Complementary projector pairs; each (a-pair, b-pair) group of four settings
-# captures every photon, so its count sum estimates the per-setting total.
-_BASIS_PAIRS = (("H", "V"), ("D", "A"), ("L", "R"))
-
 
 def projector_state(label: str) -> JonesState:
     """Unit Jones vector for one analyzer setting (HV basis)."""
@@ -116,11 +112,6 @@ class CountsTable:
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 
-    def count(self, alice: str, bob: str) -> int:
-        ia = PROJECTOR_LABELS.index(alice)
-        ib = PROJECTOR_LABELS.index(bob)
-        return int(self.counts[6 * ia + ib])
-
 
 def expected_counts(
     rho: DensityMatrix | np.ndarray, n_per_setting: float, accidentals: float = 0.0
@@ -149,13 +140,11 @@ def sample_counts(
 
 
 def _estimate_n_per_setting(table: CountsTable) -> float:
-    acc = table.accidental_rate_per_setting
-    sums = []
-    for a_pair in _BASIS_PAIRS:
-        for b_pair in _BASIS_PAIRS:
-            total = sum(table.count(a, b) for a in a_pair for b in b_pair)
-            sums.append(total - 4.0 * acc)
-    return max(float(np.mean(sums)), 1.0)
+    # HVDALR pairs complementary projectors (H/V, D/A, L/R), so each group of
+    # four settings over one pair per party captures every photon and its
+    # count sum estimates the per-setting total.
+    sums = table.counts.reshape(3, 2, 3, 2).sum(axis=(1, 3))
+    return max(float(np.mean(sums - 4.0 * table.accidental_rate_per_setting)), 1.0)
 
 
 # Flat positions in the lower-triangular factor T of the 16 real parameters:

@@ -14,6 +14,7 @@ from entsync.tomography import (
     _params_from_rho,
     _rho_from_params,
     expected_counts,
+    setting_labels,
 )
 
 
@@ -74,6 +75,19 @@ def tags_csv_reference(stream) -> bytes:
     lines = ["timestamp_ps,channel"]
     lines.extend(f"{int(t)},{int(c)}" for t, c in zip(stream.timestamps_ps, stream.channels))
     return ("\n".join(lines) + "\n").encode()
+
+
+def n_per_setting_reference(counts) -> float:
+    """Mean count sum over the nine (first-pair, second-pair) groups of complementary
+    projectors H/V, D/A, L/R, less the accidentals, floored at 1."""
+    pairs = (("H", "V"), ("D", "A"), ("L", "R"))
+    index = {(a, b): i for i, (a, b) in enumerate(setting_labels())}
+    sums = []
+    for a_pair in pairs:
+        for b_pair in pairs:
+            total = sum(int(counts.counts[index[a, b]]) for a in a_pair for b in b_pair)
+            sums.append(total - 4.0 * counts.accidental_rate_per_setting)
+    return max(float(np.mean(sums)), 1.0)
 
 
 def poisson_nll(rho, counts) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -5,10 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from entsync import scenario
+from entsync.channel import ChannelConfig
 from entsync.cli import main as cli_main
 from entsync.correlation import SyncAnalysisParams
 from entsync.errors import ConfigError
+from entsync.polarization import FaradayParams
 from entsync.scenario import (
+    TimingScenario,
+    TomoScenario,
     analyze_files,
     load_timing_scenario,
     load_tomo_scenario,
@@ -19,7 +25,13 @@ from entsync.scenario import (
     tomo_scenario_from_dict,
     tomo_scenario_to_dict,
 )
-from entsync.timetags import read_tags_binary, write_tags_csv
+from entsync.timetags import (
+    ClockModel,
+    DetectorModel,
+    PairSourceModel,
+    read_tags_binary,
+    write_tags_csv,
+)
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -122,6 +134,23 @@ class TestConfigValidation:
             ("schedule", [{"time_s": 5.0}], r"missing field schedule\[0\]\.channel"),
             ("schedule", [7], r"field schedule\[0\] must be an object"),
             ("alice_source", 5, r"field alice_source must be an object"),
+            # Value checks run when each nested model is built.
+            (
+                "detectors",
+                {"bob_remote": {"efficiency": 1.5}},
+                r"detectors\.bob_remote\.efficiency must be in \[0, 1\]",
+            ),
+            (
+                "schedule",
+                [{"time_s": 5.0, "channel": {"base_length_m": -1.0}}],
+                r"schedule\[0\]\.channel\.base_length_m must be finite and >= 0",
+            ),
+            ("analysis", {"bin_width_ps": 0}, r"analysis\.bin_width_ps must be >= 1"),
+            (
+                "alice_clock",
+                {"offset_ps": 2**62},
+                r"alice_clock\.offset_ps magnitude must be < 2\*\*62",
+            ),
         ],
     )
     def test_field_error_names_path(self, key, value, message):
@@ -129,6 +158,50 @@ class TestConfigValidation:
         cfg[key] = value
         with pytest.raises(ConfigError, match=f"^{message}$"):
             timing_scenario_from_dict(cfg)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PairSourceModel(-1.0), "pair_rate_hz must be finite and >= 0"),
+            (lambda: DetectorModel(efficiency=1.5), r"efficiency must be in \[0, 1\]"),
+            (lambda: ClockModel(drift_ppb=math.nan), "drift_ppb must be finite"),
+            (lambda: ChannelConfig(group_index=1.0), "group_index must be finite and > 1"),
+            (lambda: SyncAnalysisParams(bin_width_ps=0), "bin_width_ps must be >= 1"),
+            (lambda: FaradayParams(n0=1.0), "n0 must be > 1"),
+            (
+                lambda: TimingScenario(
+                    0.0, 1, PairSourceModel(1.0), PairSourceModel(1.0), ChannelConfig()
+                ),
+                "duration_s must be finite and > 0",
+            ),
+            (lambda: TomoScenario(seed=1, reps=1), "reps must be >= 2"),
+            (
+                lambda: dataclasses.replace(
+                    TimingScenario(
+                        10.0, 1, PairSourceModel(1.0), PairSourceModel(1.0), ChannelConfig()
+                    ),
+                    seed=-1,
+                ),
+                "seed must be >= 0",
+            ),
+            (lambda: dataclasses.replace(TomoScenario(seed=1), seed=-1), "seed must be >= 0"),
+        ],
+        ids=[
+            "PairSourceModel",
+            "DetectorModel",
+            "ClockModel",
+            "ChannelConfig",
+            "SyncAnalysisParams",
+            "FaradayParams",
+            "TimingScenario",
+            "TomoScenario",
+            "replace_TimingScenario",
+            "replace_TomoScenario",
+        ],
+    )
+    def test_model_checks_itself_when_built(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build()
 
     def test_integer_valued_float_accepted_for_int_field(self):
         cfg = self.base_config()
@@ -341,6 +414,22 @@ class TestCliErrors:
             cli_main(argv + ["--threads", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    def test_bad_analysis_flag_rejected_before_reading(self, tmp_path, capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(scenario, "read_tags", lambda path: read.append(path))
+        code = cli_main(
+            [
+                "analyze",
+                "--alice", str(tmp_path / "missing.tt"),
+                "--bob", str(tmp_path / "missing.tt"),
+                "--out", str(tmp_path / "o"),
+                "--bin-width-ps", "0",
+            ]
+        )
+        assert code == 1
+        assert read == []
+        assert "config error: bin_width_ps must be >= 1" in capsys.readouterr().err
 
 
 class TestPredict:

@@ -81,20 +81,22 @@ class TestGeneratePairs:
         assert abs(len(local) - expected) < 5.0 * np.sqrt(expected)
         assert abs(len(remote) - expected) < 5.0 * np.sqrt(expected)
 
+    # ``source`` holds PairSourceModel's arguments: an invalid model raises
+    # as soon as it is built, so it is built inside pytest.raises.
     @pytest.mark.parametrize(
         "source,duration",
         [
-            (PairSourceModel(-1.0), 1.0),
-            (PairSourceModel(float("nan")), 1.0),
-            (PairSourceModel(100.0, -5.0), 1.0),
-            (PairSourceModel(100.0, 0.0, 1.5), 1.0),
-            (PairSourceModel(100.0), 0.0),
-            (PairSourceModel(100.0), float("inf")),
+            ((-1.0,), 1.0),
+            ((float("nan"),), 1.0),
+            ((100.0, -5.0), 1.0),
+            ((100.0, 0.0, 1.5), 1.0),
+            ((100.0,), 0.0),
+            ((100.0,), float("inf")),
         ],
     )
     def test_invalid_configuration_raises(self, source, duration):
         with pytest.raises(ConfigError):
-            generate_pairs(source, duration, 0)
+            generate_pairs(PairSourceModel(*source), duration, 0)
 
     @given(
         rate=st.floats(min_value=0.0, max_value=5000.0),

@@ -28,6 +28,7 @@ from entsync.tomography import _estimate_n_per_setting, _nll_and_gradient, _rho_
 
 from oracles import (
     mle_reconstruct_fd_reference,
+    n_per_setting_reference,
     poisson_nll,
     random_density_matrix,
     random_pure_state,
@@ -179,6 +180,15 @@ def gradient_error(table: CountsTable, t: np.ndarray) -> float:
     _, grad = objective(t)
     reference = central_differences(objective, t)
     return float(np.abs(grad - reference).max() / np.abs(reference).max())
+
+
+class TestNPerSetting:
+    @pytest.mark.parametrize("accidentals", [0.0, 20.0, 1e6])
+    def test_matches_group_loop(self, accidentals):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            table = CountsTable(rng.integers(0, 10**6, 36), accidentals)
+            assert _estimate_n_per_setting(table) == n_per_setting_reference(table)
 
 
 class TestLikelihoodGradient:
