@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, signal
 
 from .errors import ConfigError, PeaksNotFoundError
 from .timetags import (
@@ -28,6 +27,12 @@ from .timetags import (
 
 def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
     return tau_min_ps + (np.arange(n_bins) + 0.5) * bin_width_ps
+
+
+def _histogram_window(tau_min_ps: int, tau_max_ps: int, bin_width_ps: int) -> tuple[int, int]:
+    """Bin count and exclusive upper edge: whole bins from tau_min_ps past tau_max_ps."""
+    n_bins = int(math.ceil((tau_max_ps - tau_min_ps) / bin_width_ps))
+    return n_bins, tau_min_ps + n_bins * bin_width_ps
 
 
 @dataclass(frozen=True)
@@ -131,8 +136,7 @@ def compute_g2(
         raise ConfigError("bin_width_ps must be >= 1")
     tau_min_ps = int(tau_min_ps)
     bin_width_ps = int(bin_width_ps)
-    n_bins = int(math.ceil((tau_max_ps - tau_min_ps) / bin_width_ps))
-    hi_edge = tau_min_ps + n_bins * bin_width_ps
+    n_bins, hi_edge = _histogram_window(tau_min_ps, tau_max_ps, bin_width_ps)
 
     at = a.timestamps_ps
     bt = b.timestamps_ps
@@ -221,11 +225,30 @@ def _refine_centroid(
     return centroid, sigma, height
 
 
+def _local_maxima_above(x: np.ndarray, threshold: float) -> np.ndarray:
+    """Ascending indices of the local maxima of ``x`` that exceed ``threshold``.
+
+    A peak has a strict rise before it and a strict fall after it; a plateau
+    counts once, at its midpoint rounded down; an edge bin is never a peak.
+    Only the bins above the threshold and their neighbours are scanned.
+    """
+    above = x > threshold
+    idx = np.flatnonzero(above | np.r_[above[1:], False] | np.r_[False, above[:-1]])
+    # +1 rise, -1 fall, 0 flat. A step across unscanned bins never completes a
+    # peak: the scanned run before it ends in a fall, the run after it starts with a rise.
+    steps = np.sign(np.diff(x[idx]))
+    turns = np.flatnonzero(steps)
+    kinds = steps[turns]
+    # A rise whose next non-flat step is a fall brackets one plateau.
+    peaks = np.flatnonzero((kinds[:-1] > 0) & (kinds[1:] < 0))
+    return (idx[turns[peaks] + 1] + idx[turns[peaks + 1]]) // 2
+
+
 def find_two_peaks(
     hist: G2Histogram,
     min_separation_ps: int,
     threshold_sigma: float,
-    centroid_halfwidth_bins: int = 5,
+    centroid_halfwidth_bins: int,
 ) -> PeakPair:
     """Locate the two coincidence peaks of a correlation histogram.
 
@@ -240,8 +263,7 @@ def find_two_peaks(
     med, sigma_bg = _background_stats(counts)
     threshold = med + threshold_sigma * sigma_bg
 
-    candidates, _ = signal.find_peaks(counts.astype(np.float64))
-    candidates = candidates[counts[candidates] > threshold]
+    candidates = _local_maxima_above(counts, threshold)
     if candidates.size < 2:
         raise PeaksNotFoundError(
             f"peaks not found: {candidates.size} qualifying maxima "
@@ -292,8 +314,7 @@ def analyze_block(
     """
     t0 = block_index * block_ps
     t1 = (block_index + 1) * block_ps
-    n_bins = int(math.ceil((params.tau_max_ps - params.tau_min_ps) / params.bin_width_ps))
-    hi_edge = params.tau_min_ps + n_bins * params.bin_width_ps
+    _, hi_edge = _histogram_window(params.tau_min_ps, params.tau_max_ps, params.bin_width_ps)
     a_blk = a.window(t0, t1)
     b_blk = b.window(t0 + params.tau_min_ps, t1 + hi_edge)
     hist = compute_g2(
@@ -331,35 +352,6 @@ def complete_blocks(a: TimeTagStream, b: TimeTagStream, block_ps: int) -> int:
         return 0
     tolerance = max(1, block_ps // 1000)
     return int((last + tolerance) // block_ps)
-
-
-def fit_peak_gaussian(hist: G2Histogram, tau_guess_ps: float, halfwidth_ps: float) -> dict:
-    """Least-squares Gaussian fit around one peak; reports FWHM."""
-    centers = hist.bin_centers_ps()
-    mask = np.abs(centers - tau_guess_ps) <= halfwidth_ps
-    x = centers[mask]
-    y = hist.counts[mask].astype(np.float64)
-    if x.size < 5 or y.max() <= 0:
-        raise ValueError("not enough data around tau_guess_ps for a fit")
-
-    def model(t, amp, mu, sigma, base):
-        return amp * np.exp(-0.5 * ((t - mu) / sigma) ** 2) + base
-
-    amp0 = float(y.max() - np.median(y))
-    mu0 = float(x[np.argmax(y)])
-    sigma0 = max(halfwidth_ps / 4.0, hist.bin_width_ps)
-    popt, _ = optimize.curve_fit(
-        model, x, y, p0=[amp0, mu0, sigma0, float(np.median(y))], maxfev=10_000
-    )
-    amp, mu, sigma, base = popt
-    sigma = abs(float(sigma))
-    return {
-        "amplitude": float(amp),
-        "center_ps": float(mu),
-        "sigma_ps": sigma,
-        "fwhm_ps": 2.0 * math.sqrt(2.0 * math.log(2.0)) * sigma,
-        "baseline": float(base),
-    }
 
 
 @functools.lru_cache(maxsize=4)

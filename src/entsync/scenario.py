@@ -105,8 +105,8 @@ class TimingScenario:
             raise ConfigError("duration_s must be finite and > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.block_s <= 0:
-            raise ConfigError("block_s must be > 0")
+        if not math.isfinite(self.block_s) or self.block_s <= 0:
+            raise ConfigError("block_s must be finite and > 0")
         previous = 0.0
         for i, entry in enumerate(self.schedule):
             if not 0.0 < entry.time_s < self.duration_s:
@@ -257,8 +257,8 @@ def analyze_blocks(
     analyzed. With ``out_dir`` each block's histogram is written there as
     ``g2_block_NNN.csv``.
     """
-    if block_s <= 0:
-        raise ConfigError("block_s must be > 0")
+    if not math.isfinite(block_s) or block_s <= 0:
+        raise ConfigError("block_s must be finite and > 0")
     block_ps = int(round(block_s * PS_PER_S))
     if n_blocks is None:
         n_blocks = complete_blocks(alice, bob, block_ps)
@@ -430,10 +430,10 @@ class TomoScenario:
             raise ConfigError("attack must be one of 'none', 'full', 'naive'")
         if self.attack == "naive" and not 0.0 <= self.theta_rad <= math.pi:
             raise ConfigError("theta_rad must be in [0, pi] for the naive attack")
-        if self.counts_per_setting <= 0:
-            raise ConfigError("counts_per_setting must be > 0")
-        if self.accidentals_per_setting < 0:
-            raise ConfigError("accidentals_per_setting must be >= 0")
+        if not math.isfinite(self.counts_per_setting) or self.counts_per_setting <= 0:
+            raise ConfigError("counts_per_setting must be finite and > 0")
+        if not math.isfinite(self.accidentals_per_setting) or self.accidentals_per_setting < 0:
+            raise ConfigError("accidentals_per_setting must be finite and >= 0")
         if not 0.0 <= self.depolarization <= 1.0:
             raise ConfigError("depolarization must be in [0, 1]")
         if self.reps < 2:

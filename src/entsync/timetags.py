@@ -36,10 +36,11 @@ class TimeTagStream:
         ch = np.ascontiguousarray(self.channels, dtype=np.uint32)
         if ts.shape != ch.shape or ts.ndim != 1:
             raise ValueError("timestamps and channels must be 1-d arrays of equal length")
+        # Bound first, so that the int64 differences below cannot wrap.
+        if ts.size and max(-int(ts.min()), int(ts.max())) >= MAX_TIMESTAMP_PS:
+            raise OverflowError("timestamp magnitude exceeds 2**62 ps")
         if ts.size and np.any(np.diff(ts) < 0):
             raise StreamFormatError("stream is not sorted by timestamp")
-        if ts.size and int(np.abs(ts).max()) >= MAX_TIMESTAMP_PS:
-            raise OverflowError("timestamp magnitude exceeds 2**62 ps")
         ts.flags.writeable = False
         ch.flags.writeable = False
         object.__setattr__(self, "timestamps_ps", ts)
@@ -246,8 +247,7 @@ def apply_clock(stream: TimeTagStream, clock: ClockModel) -> TimeTagStream:
         if np.any(np.abs(scaled) >= float(MAX_TIMESTAMP_PS)):
             raise OverflowError("clock transform overflows the 2**62 ps timestamp bound")
         out = scaled.astype(np.int64) + offset
-    if out.size and int(np.abs(out).max()) >= MAX_TIMESTAMP_PS:
-        raise OverflowError("clock transform overflows the 2**62 ps timestamp bound")
+    # Both terms are below 2**62, so the sum cannot wrap; TimeTagStream checks the bound.
     return TimeTagStream(out, stream.channels)
 
 
@@ -281,7 +281,15 @@ def read_tags_binary(path) -> TimeTagStream:
         offset = len(payload) - len(payload) % RECORD_DTYPE.itemsize
         raise StreamFormatError(f"truncated record at byte offset {offset} in {path}")
     rec = np.frombuffer(payload, dtype=RECORD_DTYPE)
-    return TimeTagStream(rec["timestamp_ps"].copy(), rec["channel"].copy())
+    return _stream_from_file(path, rec["timestamp_ps"].copy(), rec["channel"].copy())
+
+
+def _stream_from_file(path, timestamps, channels) -> TimeTagStream:
+    """A tag file's stream; an out-of-range value is a format error naming the file."""
+    try:
+        return TimeTagStream(np.asarray(timestamps, np.int64), np.asarray(channels, np.uint32))
+    except OverflowError as exc:
+        raise StreamFormatError(f"out-of-range value in {path}: {exc}") from None
 
 
 def join_text_columns(*columns: np.ndarray) -> bytes:
@@ -334,9 +342,7 @@ def read_tags_csv(path) -> TimeTagStream:
                 ch.append(int(parts[1]))
             except (IndexError, ValueError):
                 raise StreamFormatError(f"malformed record at line {lineno} in {path}: {line!r}")
-    return TimeTagStream(
-        np.asarray(ts, dtype=np.int64), np.asarray(ch, dtype=np.uint32)
-    )
+    return _stream_from_file(path, ts, ch)
 
 
 def read_tags(path) -> TimeTagStream:

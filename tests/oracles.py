@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, signal
 
 from entsync.errors import ReconstructionError
 from entsync.tomography import (
@@ -31,6 +31,41 @@ def g2_bruteforce(
         if np.any(sel):
             np.add.at(counts, (diffs[sel] - tau_min_ps) // bin_width_ps, 1)
     return counts
+
+
+def local_maxima_reference(x: np.ndarray, threshold: float) -> np.ndarray:
+    """scipy's local maxima of x, kept where x exceeds threshold."""
+    candidates, _ = signal.find_peaks(np.asarray(x, dtype=np.float64))
+    return candidates[x[candidates] > threshold]
+
+
+def fit_peak_gaussian(hist, tau_guess_ps: float, halfwidth_ps: float) -> dict:
+    """Least-squares Gaussian fit to a G2Histogram around one peak; reports FWHM."""
+    centers = hist.bin_centers_ps()
+    mask = np.abs(centers - tau_guess_ps) <= halfwidth_ps
+    x = centers[mask]
+    y = hist.counts[mask].astype(np.float64)
+    if x.size < 5 or y.max() <= 0:
+        raise ValueError("not enough data around tau_guess_ps for a fit")
+
+    def model(t, amp, mu, sigma, base):
+        return amp * np.exp(-0.5 * ((t - mu) / sigma) ** 2) + base
+
+    amp0 = float(y.max() - np.median(y))
+    mu0 = float(x[np.argmax(y)])
+    sigma0 = max(halfwidth_ps / 4.0, hist.bin_width_ps)
+    popt, _ = optimize.curve_fit(
+        model, x, y, p0=[amp0, mu0, sigma0, float(np.median(y))], maxfev=10_000
+    )
+    amp, mu, sigma, base = popt
+    sigma = abs(float(sigma))
+    return {
+        "amplitude": float(amp),
+        "center_ps": float(mu),
+        "sigma_ps": sigma,
+        "fwhm_ps": 2.0 * math.sqrt(2.0 * math.log(2.0)) * sigma,
+        "baseline": float(base),
+    }
 
 
 def random_pure_state(rng: np.random.Generator) -> np.ndarray:

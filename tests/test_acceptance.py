@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from entsync.correlation import compute_g2, find_two_peaks, fit_peak_gaussian
+from entsync.correlation import compute_g2, find_two_peaks
 from entsync.polarization import (
     FaradayParams,
     apply_attack_full,
@@ -23,7 +23,7 @@ from entsync.scenario import load_timing_scenario, run_scenario, run_tomo_scenar
 from entsync.timetags import TimeTagStream
 from entsync.tomography import CountsTable, DensityMatrix, expected_counts, fidelity, mle_reconstruct
 
-from oracles import g2_bruteforce, random_density_matrix, random_pure_state
+from oracles import fit_peak_gaussian, g2_bruteforce, random_density_matrix, random_pure_state
 
 HALF_TURN = FaradayParams()
 

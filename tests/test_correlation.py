@@ -1,26 +1,37 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entsync
 from entsync.channel import ChannelConfig
 from entsync.correlation import (
     G2Histogram,
     _center_column,
+    _local_maxima_above,
     PeakPair,
     SyncAnalysisParams,
     compute_g2,
     estimate_sync,
     estimates_to_json,
     find_two_peaks,
-    fit_peak_gaussian,
     write_histogram_csv,
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
 from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream
 
-from oracles import g2_bruteforce, histogram_csv_reference
+from oracles import (
+    fit_peak_gaussian,
+    g2_bruteforce,
+    histogram_csv_reference,
+    local_maxima_reference,
+)
 
 PARAMS = SyncAnalysisParams()
 
@@ -115,6 +126,39 @@ class TestComputeG2:
         assert hist.n_a == 3 and hist.n_b == 2
 
 
+def test_timing_layers_import_without_scipy():
+    code = (
+        "import sys, entsync.timetags, entsync.channel, entsync.correlation; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(entsync.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+class TestLocalMaxima:
+    @given(
+        counts=st.lists(st.integers(min_value=0, max_value=4), max_size=60),
+        threshold=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0]),
+    )
+    # Plateaus at both edges and in the middle.
+    @example(counts=[3, 3, 1, 4, 4, 4, 2, 5, 5], threshold=0.0)
+    @example(counts=[2, 2, 2, 2, 2], threshold=0.0)
+    @example(counts=[], threshold=0.0)
+    @example(counts=[3], threshold=0.0)
+    @example(counts=[1, 3], threshold=0.0)
+    @example(counts=[3, 1], threshold=0.0)
+    # The threshold equals the middle plateau's value, so only the last peak counts.
+    @example(counts=[0, 2, 2, 0, 3, 0], threshold=2.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_find_peaks_above_threshold(self, counts, threshold):
+        x = np.asarray(counts, dtype=np.int64)
+        found = _local_maxima_above(x, threshold)
+        assert np.array_equal(found, local_maxima_reference(x, threshold))
+
+
 class TestFindTwoPeaks:
     def synthetic_histogram(self, seed=29, amp_hi=4000.0, amp_lo=3000.0, background=5.0):
         centers = np.arange(125_000) * 16 - 1_000_000 + 8.0
@@ -150,14 +194,14 @@ class TestFindTwoPeaks:
         counts = np.random.default_rng(17).poisson(100.0, 2000).astype(np.int64)
         hist = G2Histogram(0, 16, counts, counts / 100.0, 1000, 1000, 10**9)
         with pytest.raises(PeaksNotFoundError) as err:
-            find_two_peaks(hist, 5000, 5.0)
+            find_two_peaks(hist, 5000, 5.0, 47)
         assert err.value.summary["n_bins"] == 2000
 
     def test_sparse_background_not_found(self):
         counts = np.random.default_rng(23).poisson(0.1, 125_000).astype(np.int64)
         hist = G2Histogram(0, 16, counts, counts / 0.1, 100, 100, 10**9)
         with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, 5000, 5.0)
+            find_two_peaks(hist, 5000, 5.0, 47)
 
     def test_single_peak_not_found(self):
         counts = np.zeros(10_000, dtype=np.int64)
@@ -165,7 +209,7 @@ class TestFindTwoPeaks:
         counts[4980:5021] = profile.astype(np.int64)
         hist = G2Histogram(-80_000, 16, counts, counts.astype(float), 1000, 1000, 10**9)
         with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, 5000, 5.0)
+            find_two_peaks(hist, 5000, 5.0, 47)
 
     def test_min_separation_suppresses_sibling_maxima(self):
         hist = self.synthetic_histogram()
@@ -175,7 +219,7 @@ class TestFindTwoPeaks:
     def test_empty_histogram(self):
         hist = G2Histogram(0, 16, np.zeros(0, dtype=np.int64), np.zeros(0), 0, 0, 0)
         with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, 5000, 5.0)
+            find_two_peaks(hist, 5000, 5.0, 47)
 
 
 class TestEstimateSync:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,8 @@ class TestConfigValidation:
                 {"offset_ps": 2**62},
                 r"alice_clock\.offset_ps magnitude must be < 2\*\*62",
             ),
+            ("block_s", math.nan, r"block_s must be finite and > 0"),
+            ("block_s", math.inf, r"block_s must be finite and > 0"),
         ],
     )
     def test_field_error_names_path(self, key, value, message):
@@ -215,6 +218,10 @@ class TestConfigValidation:
             tomo_scenario_from_dict({"seed": 1, "state": "phi_plus"})
         with pytest.raises(ConfigError, match=r"^unknown field faraday\.n$"):
             tomo_scenario_from_dict({"seed": 1, "faraday": {"n": 1.6}})
+        for key, rule in (("counts_per_setting", "> 0"), ("accidentals_per_setting", ">= 0")):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigError, match=f"^{key} must be finite and {rule}$"):
+                    tomo_scenario_from_dict({"seed": 1, key: value})
 
 
 class TestRunScenario:
@@ -311,6 +318,21 @@ class TestAnalyze:
         )
         assert code == 3
         assert "byte offset" in capsys.readouterr().err
+
+    def test_out_of_range_timestamp_exits_3(self, smoke_run, tmp_path, capsys):
+        out, _ = smoke_run
+        broken = tmp_path / "broken.tt"
+        broken.write_bytes((out / "alice.tt").read_bytes() + struct.pack("<qII", 2**62, 0, 0))
+        code = cli_main(
+            [
+                "analyze",
+                "--alice", str(broken),
+                "--bob", str(out / "bob.tt"),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert f"i/o error: out-of-range value in {broken}" in capsys.readouterr().err
 
     def test_cli_analyze_matches_api(self, smoke_run, tmp_path):
         out, _ = smoke_run
@@ -414,6 +436,31 @@ class TestCliErrors:
             cli_main(argv + ["--threads", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_1(self, smoke_run, scenario_dir, tmp_path, capsys, value):
+        out, _ = smoke_run
+        timing = json.loads((scenario_dir / "smoke.json").read_text())
+        timing["block_s"] = float(value)
+        tomo = {"seed": 1, "counts_per_setting": float(value)}
+        runs = [
+            (
+                ["simulate", "--config", str(write_json(tmp_path / "timing.json", timing))],
+                "block_s must be finite and > 0",
+            ),
+            (
+                ["analyze", "--alice", str(out / "alice.tt"), "--bob", str(out / "bob.tt"),
+                 "--block-s", value],
+                "block_s must be finite and > 0",
+            ),
+            (
+                ["tomo", "--config", str(write_json(tmp_path / "tomo.json", tomo))],
+                "counts_per_setting must be finite and > 0",
+            ),
+        ]
+        for argv, message in runs:
+            assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 1
+            assert f"config error: {message}" in capsys.readouterr().err
 
     def test_bad_analysis_flag_rejected_before_reading(self, tmp_path, capsys, monkeypatch):
         read = []

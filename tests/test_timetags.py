@@ -9,6 +9,7 @@ from entsync.timetags import (
     CH_ALICE_REMOTE,
     CH_BOB_LOCAL,
     CH_BOB_REMOTE,
+    RECORD_DTYPE,
     ClockModel,
     DetectorModel,
     PairSourceModel,
@@ -231,6 +232,22 @@ class TestFileFormats:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(StreamFormatError, match="byte offset 32"):
             read_tags_binary(path)
+
+    @pytest.mark.parametrize("timestamp", [2**62, 2**63 - 1, -(2**62), -(2**63)])
+    def test_out_of_range_binary_timestamp_names_file(self, tmp_path, timestamp):
+        rec = np.zeros(2, dtype=RECORD_DTYPE)
+        rec["timestamp_ps"] = timestamp
+        path = tmp_path / "tags.tt"
+        path.write_bytes(rec.tobytes())
+        with pytest.raises(StreamFormatError, match=r"^out-of-range value in .*tags\.tt: "):
+            read_tags_binary(path)
+
+    @pytest.mark.parametrize("row", [f"{2**62},0", f"{2**63},0", f"{-(2**63) - 1},0", "5,-1"])
+    def test_out_of_range_csv_value_names_file(self, tmp_path, row):
+        path = tmp_path / "tags.csv"
+        path.write_text(f"timestamp_ps,channel\n{row}\n")
+        with pytest.raises(StreamFormatError, match=r"^out-of-range value in .*tags\.csv: "):
+            read_tags_csv(path)
 
     def test_csv_roundtrip(self, tmp_path):
         s = TimeTagStream(
