@@ -5,13 +5,15 @@ Exit codes: 0 success, 1 configuration error, 2 analysis failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import typing
 
 from .channel import ChannelConfig, Direction, predicted_offset_error_ps
 from .correlation import SyncAnalysisParams
 from .errors import ConfigError, PeaksNotFoundError, ReconstructionError, StreamFormatError
-from .scenario import analyze_files, parse_config, run_scenario, run_tomo_scenario
+from .scenario import TimingScenario, analyze_files, parse_config, run_scenario, run_tomo_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,17 +36,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--alice", required=True, help="First party's tag file (.tt or .csv).")
     ana.add_argument("--bob", required=True, help="Second party's tag file (.tt or .csv).")
     ana.add_argument("--out", required=True)
-    defaults = SyncAnalysisParams()
-    ana.add_argument("--block-s", type=float, default=40.0)
+    ana.add_argument("--block-s", type=float, default=TimingScenario.block_s)
     ana.add_argument("--n-blocks", type=int, default=None)
-    ana.add_argument("--tau-min-ps", type=int, default=defaults.tau_min_ps)
-    ana.add_argument("--tau-max-ps", type=int, default=defaults.tau_max_ps)
-    ana.add_argument("--bin-width-ps", type=int, default=defaults.bin_width_ps)
-    ana.add_argument("--min-separation-ps", type=int, default=defaults.min_separation_ps)
-    ana.add_argument("--threshold-sigma", type=float, default=defaults.threshold_sigma)
-    ana.add_argument(
-        "--centroid-halfwidth-bins", type=int, default=defaults.centroid_halfwidth_bins
-    )
+    hints = typing.get_type_hints(SyncAnalysisParams)
+    for f in dataclasses.fields(SyncAnalysisParams):
+        ana.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default)
 
     tomo = sub.add_parser("tomo", help="Run a tomography comparison scenario.")
     tomo.add_argument("--config", required=True)
@@ -72,12 +68,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     params = SyncAnalysisParams(
-        tau_min_ps=args.tau_min_ps,
-        tau_max_ps=args.tau_max_ps,
-        bin_width_ps=args.bin_width_ps,
-        min_separation_ps=args.min_separation_ps,
-        threshold_sigma=args.threshold_sigma,
-        centroid_halfwidth_bins=args.centroid_halfwidth_bins,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(SyncAnalysisParams)}
     )
     estimates = analyze_files(
         args.alice,

@@ -18,9 +18,4 @@ class PeaksNotFoundError(RuntimeError):
 
 
 class ReconstructionError(RuntimeError):
-    """Density-matrix search did not converge; carries the best candidate."""
-
-    def __init__(self, message: str, best_rho=None, objective: float | None = None):
-        super().__init__(message)
-        self.best_rho = best_rho
-        self.objective = objective
+    """Density-matrix search did not converge."""

@@ -286,17 +286,3 @@ def phase_decomposition(
         )
     return decomp
 
-
-def state_to_json(amplitudes: np.ndarray, basis: str) -> dict:
-    """Serialize a state vector or unitary as nested [re, im] pairs."""
-    arr = np.asarray(amplitudes, dtype=np.complex128)
-    return {
-        "basis": basis,
-        "shape": list(arr.shape),
-        "data": [[float(z.real), float(z.imag)] for z in arr.reshape(-1)],
-    }
-
-
-def state_from_json(payload: dict) -> np.ndarray:
-    data = np.array([complex(re, im) for re, im in payload["data"]])
-    return data.reshape(payload["shape"])

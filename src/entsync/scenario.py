@@ -39,6 +39,7 @@ from .timetags import (
     CH_ALICE_REMOTE,
     CH_BOB_LOCAL,
     CH_BOB_REMOTE,
+    MAX_TIMESTAMP_PS,
     PS_PER_S,
     ClockModel,
     DetectorModel,
@@ -65,19 +66,25 @@ from .tomography import (
     write_counts_csv,
 )
 
-DETECTOR_KEYS = ("alice_local", "alice_remote", "bob_local", "bob_remote")
-_DETECTOR_CHANNELS = {
-    "alice_local": CH_ALICE_LOCAL,
-    "alice_remote": CH_ALICE_REMOTE,
-    "bob_local": CH_BOB_LOCAL,
-    "bob_remote": CH_BOB_REMOTE,
+# Detector key -> (channel label, random stream index).
+_DETECTORS = {
+    "alice_local": (CH_ALICE_LOCAL, rngmod.DET_ALICE_LOCAL),
+    "alice_remote": (CH_ALICE_REMOTE, rngmod.DET_ALICE_REMOTE),
+    "bob_local": (CH_BOB_LOCAL, rngmod.DET_BOB_LOCAL),
+    "bob_remote": (CH_BOB_REMOTE, rngmod.DET_BOB_REMOTE),
 }
-_DETECTOR_SEEDS = {
-    "alice_local": rngmod.DET_ALICE_LOCAL,
-    "alice_remote": rngmod.DET_ALICE_REMOTE,
-    "bob_local": rngmod.DET_BOB_LOCAL,
-    "bob_remote": rngmod.DET_BOB_REMOTE,
-}
+DETECTOR_KEYS = tuple(_DETECTORS)
+
+
+def _block_ps(block_s: float) -> int:
+    """An analysis block's length in integer ps, which must lie in [1, 2**62)."""
+    if not math.isfinite(block_s) or block_s <= 0:
+        raise ConfigError("block_s must be finite and > 0")
+    scaled = block_s * PS_PER_S
+    block_ps = round(scaled) if scaled < MAX_TIMESTAMP_PS else MAX_TIMESTAMP_PS
+    if not 1 <= block_ps < MAX_TIMESTAMP_PS:
+        raise ConfigError("block_s must round to at least 1 ps and less than 2**62 ps")
+    return block_ps
 
 
 @dataclass(frozen=True)
@@ -105,8 +112,7 @@ class TimingScenario:
             raise ConfigError("duration_s must be finite and > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not math.isfinite(self.block_s) or self.block_s <= 0:
-            raise ConfigError("block_s must be finite and > 0")
+        _block_ps(self.block_s)
         previous = 0.0
         for i, entry in enumerate(self.schedule):
             if not 0.0 < entry.time_s < self.duration_s:
@@ -198,10 +204,6 @@ def timing_scenario_from_dict(d: dict) -> TimingScenario:
     return parse_config(TimingScenario, d)
 
 
-def timing_scenario_to_dict(sc: TimingScenario) -> dict:
-    return dataclasses.asdict(sc)
-
-
 def load_timing_scenario(path) -> TimingScenario:
     with open(path, "r", encoding="utf-8") as fh:
         return timing_scenario_from_dict(json.load(fh))
@@ -219,27 +221,22 @@ def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
         sc.bob_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.BOB_SOURCE)
     )
     schedule = [(int(round(start * PS_PER_S)), cfg) for start, _, cfg in sc.channel_segments()]
-    arrivals = {
-        "alice_local": a_local,
-        "bob_remote": apply_channel(a_remote, Direction.A_TO_B, schedule),
-        "bob_local": b_local,
-        "alice_remote": apply_channel(b_remote, Direction.B_TO_A, schedule),
-    }
-    detected = {}
-    for key, stream in arrivals.items():
-        detected[key] = apply_detector(
-            stream,
-            sc.detector(key),
-            _DETECTOR_CHANNELS[key],
-            sc.duration_s,
-            rngmod.child_seed(sc.seed, _DETECTOR_SEEDS[key]),
-        )
-    alice = apply_clock(
-        merge_streams(detected["alice_local"], detected["alice_remote"]), sc.alice_clock
+
+    def detect(key: str, stream: TimeTagStream) -> TimeTagStream:
+        channel, stream_index = _DETECTORS[key]
+        seed = rngmod.child_seed(sc.seed, stream_index)
+        return apply_detector(stream, sc.detector(key), channel, sc.duration_s, seed)
+
+    # Detect all four streams before merging any: dropping them sooner slowed a
+    # following fig3 analyze in the same interpreter by ~15% (heap layout).
+    alice_local, alice_remote, bob_local, bob_remote = (
+        detect("alice_local", a_local),
+        detect("alice_remote", apply_channel(b_remote, Direction.B_TO_A, schedule)),
+        detect("bob_local", b_local),
+        detect("bob_remote", apply_channel(a_remote, Direction.A_TO_B, schedule)),
     )
-    bob = apply_clock(
-        merge_streams(detected["bob_local"], detected["bob_remote"]), sc.bob_clock
-    )
+    alice = apply_clock(merge_streams(alice_local, alice_remote), sc.alice_clock)
+    bob = apply_clock(merge_streams(bob_local, bob_remote), sc.bob_clock)
     return alice, bob
 
 
@@ -257,9 +254,7 @@ def analyze_blocks(
     analyzed. With ``out_dir`` each block's histogram is written there as
     ``g2_block_NNN.csv``.
     """
-    if not math.isfinite(block_s) or block_s <= 0:
-        raise ConfigError("block_s must be finite and > 0")
-    block_ps = int(round(block_s * PS_PER_S))
+    block_ps = _block_ps(block_s)
     if n_blocks is None:
         n_blocks = complete_blocks(alice, bob, block_ps)
     if out_dir is not None:
@@ -285,14 +280,18 @@ def _group_stats(values: list[float], sigmas: list[float]) -> tuple[float, float
 
 
 def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> dict:
-    by_index = {e.block_index: e for e in estimates}
+    def within(lo_s: float, hi_s: float) -> list[SyncEstimate]:
+        """Estimates whose block lies inside [lo_s, hi_s], to 1e-9 s."""
+        return [
+            e
+            for e in estimates
+            if e.block_index * sc.block_s >= lo_s - 1e-9
+            and (e.block_index + 1) * sc.block_s <= hi_s + 1e-9
+        ]
+
     segments_out = []
     for start_s, end_s, cfg in sc.channel_segments():
-        members = [
-            e
-            for k, e in sorted(by_index.items())
-            if k * sc.block_s >= start_s - 1e-9 and (k + 1) * sc.block_s <= end_s + 1e-9
-        ]
+        members = within(start_s, end_s)
         seg = {
             "start_s": start_s,
             "end_s": end_s,
@@ -326,11 +325,8 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
     measured_shift = None
     shift_sigma = None
     if change_times:
-        first_change, last_change = change_times[0], change_times[-1]
-        before = [
-            e for k, e in sorted(by_index.items()) if (k + 1) * sc.block_s <= first_change + 1e-9
-        ]
-        after = [e for k, e in sorted(by_index.items()) if k * sc.block_s >= last_change - 1e-9]
+        before = within(-math.inf, change_times[0])
+        after = within(change_times[-1], math.inf)
         if before and after:
             mean_b, sem_b = _group_stats(
                 [e.delta_ps for e in before], [e.delta_sigma_ps for e in before]
@@ -476,37 +472,25 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     target = DensityMatrix.from_pure(bell_psi_minus().amplitudes)
-    rho_before = depolarize(target, sc.depolarization)
-    rho_after = depolarize(
-        DensityMatrix.from_pure(attacked_state(sc).amplitudes), sc.depolarization
-    )
+    states = {"before": target, "after": DensityMatrix.from_pure(attacked_state(sc).amplitudes)}
+    acc = sc.accidentals_per_setting
+    counts, rho_hat = {}, {}
+    for which, stream in (("before", rngmod.TOMO_BEFORE), ("after", rngmod.TOMO_AFTER)):
+        rho = depolarize(states[which], sc.depolarization)
+        seed = rngmod.child_seed(sc.seed, stream)
+        counts[which] = sample_counts(expected_counts(rho, sc.counts_per_setting, acc), seed, acc)
+        write_counts_csv(counts[which], out / f"counts_{which}.csv")
+        rho_hat[which] = mle_reconstruct(counts[which])
+        _write_json(density_to_json(rho_hat[which]), out / f"rho_{which}.json")
 
-    counts_before = sample_counts(
-        expected_counts(rho_before, sc.counts_per_setting, sc.accidentals_per_setting),
-        rngmod.child_seed(sc.seed, rngmod.TOMO_BEFORE),
-        sc.accidentals_per_setting,
-    )
-    counts_after = sample_counts(
-        expected_counts(rho_after, sc.counts_per_setting, sc.accidentals_per_setting),
-        rngmod.child_seed(sc.seed, rngmod.TOMO_AFTER),
-        sc.accidentals_per_setting,
-    )
-    write_counts_csv(counts_before, out / "counts_before.csv")
-    write_counts_csv(counts_after, out / "counts_after.csv")
-
-    rho_hat_before = mle_reconstruct(counts_before)
-    rho_hat_after = mle_reconstruct(counts_after)
-    _write_json(density_to_json(rho_hat_before), out / "rho_before.json")
-    _write_json(density_to_json(rho_hat_after), out / "rho_after.json")
-
-    distribution = monte_carlo_fidelity(counts_before, counts_after, sc.reps, sc.seed)
+    distribution = monte_carlo_fidelity(counts["before"], counts["after"], sc.reps, sc.seed)
     _write_json(distribution.to_json(), out / "fidelity_distribution.json")
 
     summary = {
         "config": tomo_scenario_to_dict(sc),
-        "fidelity_before_vs_target": fidelity(rho_hat_before, target),
-        "fidelity_after_vs_target": fidelity(rho_hat_after, target),
-        "fidelity_before_vs_after": fidelity(rho_hat_before, rho_hat_after),
+        "fidelity_before_vs_target": fidelity(rho_hat["before"], target),
+        "fidelity_after_vs_target": fidelity(rho_hat["after"], target),
+        "fidelity_before_vs_after": fidelity(rho_hat["before"], rho_hat["after"]),
         "fidelity_mc_mean": distribution.mean,
         "fidelity_mc_ci95_low": distribution.ci95_low,
         "fidelity_mc_ci95_high": distribution.ci95_high,

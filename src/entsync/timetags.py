@@ -285,11 +285,13 @@ def read_tags_binary(path) -> TimeTagStream:
 
 
 def _stream_from_file(path, timestamps, channels) -> TimeTagStream:
-    """A tag file's stream; an out-of-range value is a format error naming the file."""
+    """A tag file's stream; an out-of-range or unsorted value is a format error naming the file."""
     try:
         return TimeTagStream(np.asarray(timestamps, np.int64), np.asarray(channels, np.uint32))
     except OverflowError as exc:
         raise StreamFormatError(f"out-of-range value in {path}: {exc}") from None
+    except StreamFormatError as exc:
+        raise StreamFormatError(f"{exc} in {path}") from None
 
 
 def join_text_columns(*columns: np.ndarray) -> bytes:

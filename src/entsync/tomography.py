@@ -15,8 +15,8 @@ import numpy as np
 from scipy import optimize
 
 from . import rng as rngmod
-from .errors import ConfigError, ReconstructionError, StreamFormatError
-from .polarization import BASIS_HV, JonesState
+from .errors import ConfigError, ReconstructionError
+from .polarization import BASIS_HV
 from .timetags import atomic_write_bytes
 
 PROJECTOR_LABELS = "HVDALR"
@@ -30,13 +30,6 @@ _PROJECTOR_VECTORS = {
     "L": np.array([_SQ2, _SQ2 * 1j], dtype=np.complex128),
     "R": np.array([_SQ2, -_SQ2 * 1j], dtype=np.complex128),
 }
-
-
-def projector_state(label: str) -> JonesState:
-    """Unit Jones vector for one analyzer setting (HV basis)."""
-    if label not in _PROJECTOR_VECTORS:
-        raise ConfigError(f"unknown projector label {label!r}; use one of {PROJECTOR_LABELS}")
-    return JonesState(_PROJECTOR_VECTORS[label], BASIS_HV)
 
 
 def setting_labels() -> list[tuple[str, str]]:
@@ -262,7 +255,11 @@ def _nll_and_gradient(counts: CountsTable):
     return objective
 
 
-def mle_reconstruct(counts: CountsTable, max_evals: int = 100_000) -> DensityMatrix:
+# L-BFGS-B's cap on iterations and on likelihood evaluations per search.
+_EVAL_LIMIT = 100_000
+
+
+def mle_reconstruct(counts: CountsTable) -> DensityMatrix:
     """Density matrix maximizing the Poisson likelihood of the 36 counts.
 
     The per-setting total is estimated from the complementary basis-pair sums,
@@ -274,23 +271,19 @@ def mle_reconstruct(counts: CountsTable, max_evals: int = 100_000) -> DensityMat
         raise ReconstructionError("all counts are zero; nothing to reconstruct")
     t0 = _params_from_rho(_linear_inversion(counts, _estimate_n_per_setting(counts)))
     objective = _nll_and_gradient(counts)
-    options = {"maxfun": max_evals, "maxiter": max_evals, "ftol": 1e-12, "gtol": 1e-10}
+    options = {"maxfun": _EVAL_LIMIT, "maxiter": _EVAL_LIMIT, "ftol": 1e-12, "gtol": 1e-10}
     result = optimize.minimize(objective, t0, jac=True, method="L-BFGS-B", options=options)
     if not result.success:
         # One restart from the best point recovers most line-search stalls.
         result = optimize.minimize(
             objective, result.x, jac=True, method="L-BFGS-B", options=options
         )
+    if not result.success:
+        raise ReconstructionError(f"likelihood search did not converge: {result.message}")
     rho = _rho_from_params(result.x)
     # Scrub parameterization round-off before the strict type checks.
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    if not result.success:
-        raise ReconstructionError(
-            f"likelihood search did not converge: {result.message}",
-            best_rho=rho,
-            objective=float(result.fun),
-        )
     return DensityMatrix(rho)
 
 
@@ -361,21 +354,16 @@ def monte_carlo_fidelity(
 
     samples = []
     for r in range(reps):
-        s1 = rngmod.child_seed(seed, rngmod.TOMO_MONTE_CARLO, r, 0)
-        s2 = rngmod.child_seed(seed, rngmod.TOMO_MONTE_CARLO, r, 1)
-        resampled_before = sample_counts(
-            counts_before.counts.astype(np.float64),
-            s1,
-            counts_before.accidental_rate_per_setting,
-        )
-        resampled_after = sample_counts(
-            counts_after.counts.astype(np.float64),
-            s2,
-            counts_after.accidental_rate_per_setting,
-        )
+        resampled = [
+            sample_counts(
+                table.counts.astype(np.float64),
+                rngmod.child_seed(seed, rngmod.TOMO_MONTE_CARLO, r, i),
+                table.accidental_rate_per_setting,
+            )
+            for i, table in enumerate((counts_before, counts_after))
+        ]
         try:
-            rho_b = mle_reconstruct(resampled_before)
-            rho_a = mle_reconstruct(resampled_after)
+            rho_b, rho_a = [mle_reconstruct(table) for table in resampled]
         except ReconstructionError:
             continue
         samples.append(fidelity(rho_b, rho_a))
@@ -397,31 +385,6 @@ def write_counts_csv(table: CountsTable, path):
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
-def read_counts_csv(path) -> CountsTable:
-    values: dict[tuple[str, str], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().replace(" ", "")
-        if header != "alice,bob,counts":
-            raise StreamFormatError(f"bad counts header at line 1 in {path}: {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                a, b, c = parts[0], parts[1], int(parts[2])
-            except (IndexError, ValueError):
-                raise StreamFormatError(f"malformed row at line {lineno} in {path}: {line!r}")
-            if a not in PROJECTOR_LABELS or b not in PROJECTOR_LABELS:
-                raise StreamFormatError(f"unknown labels at line {lineno} in {path}: {line!r}")
-            values[(a, b)] = c
-    missing = [lbl for lbl in setting_labels() if lbl not in values]
-    if missing:
-        raise StreamFormatError(f"counts file {path} is missing {len(missing)} settings")
-    counts = np.array([values[lbl] for lbl in setting_labels()], dtype=np.int64)
-    return CountsTable(counts)
-
-
 def density_to_json(rho: DensityMatrix) -> dict:
     return {
         "basis": BASIS_HV,
@@ -430,8 +393,3 @@ def density_to_json(rho: DensityMatrix) -> dict:
         ],
     }
 
-
-def density_from_json(payload: dict) -> DensityMatrix:
-    rows = payload["matrix"]
-    m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    return DensityMatrix(m)

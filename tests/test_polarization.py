@@ -24,8 +24,6 @@ from entsync.polarization import (
     phase_decomposition,
     poincare_state,
     state_fidelity,
-    state_from_json,
-    state_to_json,
     to_poincare,
 )
 
@@ -256,16 +254,3 @@ class TestPhaseDecomposition:
             perp = orthogonal_state(theta)
             assert abs(psi.overlap(perp)) < 1e-12
 
-
-class TestSerialization:
-    def test_state_json_roundtrip(self):
-        amps = bell_psi_minus().amplitudes
-        payload = state_to_json(amps, BASIS_HV)
-        assert payload["basis"] == BASIS_HV
-        back = state_from_json(payload)
-        assert np.allclose(back, amps, atol=0)
-
-    def test_unitary_json_roundtrip(self):
-        u = circulator_unitary(HALF_TURN)
-        back = state_from_json(state_to_json(u, BASIS_RL))
-        assert np.allclose(back, u, atol=0)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from entsync import scenario
+from entsync import cli, scenario
 from entsync.channel import ChannelConfig
 from entsync.cli import main as cli_main
 from entsync.correlation import SyncAnalysisParams
@@ -22,7 +22,6 @@ from entsync.scenario import (
     run_scenario,
     run_tomo_scenario,
     timing_scenario_from_dict,
-    timing_scenario_to_dict,
     tomo_scenario_from_dict,
     tomo_scenario_to_dict,
 )
@@ -33,6 +32,9 @@ from entsync.timetags import (
     read_tags_binary,
     write_tags_csv,
 )
+
+
+BLOCK_PS_RANGE = r"block_s must round to at least 1 ps and less than 2\*\*62 ps"
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -59,7 +61,7 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c", "fig3", "smoke"])
     def test_timing_config_roundtrip(self, scenario_dir, name):
         sc = load_timing_scenario(scenario_dir / f"{name}.json")
-        assert timing_scenario_from_dict(timing_scenario_to_dict(sc)) == sc
+        assert timing_scenario_from_dict(dataclasses.asdict(sc)) == sc
 
     @pytest.mark.parametrize("name", ["tomo_none", "tomo_full", "tomo_naive"])
     def test_tomo_config_roundtrip(self, scenario_dir, name):
@@ -154,6 +156,9 @@ class TestConfigValidation:
             ),
             ("block_s", math.nan, r"block_s must be finite and > 0"),
             ("block_s", math.inf, r"block_s must be finite and > 0"),
+            # Blocks that round to 0 ps or overflow integer ps.
+            ("block_s", 1e-300, BLOCK_PS_RANGE),
+            ("block_s", 1e300, BLOCK_PS_RANGE),
         ],
     )
     def test_field_error_names_path(self, key, value, message):
@@ -334,6 +339,26 @@ class TestAnalyze:
         assert code == 3
         assert f"i/o error: out-of-range value in {broken}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("suffix", [".csv", ".tt"])
+    def test_unsorted_tag_file_exits_3(self, smoke_run, tmp_path, capsys, suffix):
+        out, _ = smoke_run
+        unsorted = tmp_path / f"unsorted{suffix}"
+        if suffix == ".csv":
+            unsorted.write_text("timestamp_ps,channel\n10,0\n5,0\n")
+        else:
+            unsorted.write_bytes(struct.pack("<qII", 10, 0, 0) + struct.pack("<qII", 5, 0, 0))
+        code = cli_main(
+            [
+                "analyze",
+                "--alice", str(unsorted),
+                "--bob", str(out / "bob.tt"),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"i/o error: stream is not sorted by timestamp in {unsorted}" in err
+
     def test_cli_analyze_matches_api(self, smoke_run, tmp_path):
         out, _ = smoke_run
         cli_out = tmp_path / "cli"
@@ -461,6 +486,51 @@ class TestCliErrors:
         for argv, message in runs:
             assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 1
             assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["1e-300", "1e300"])
+    def test_block_outside_integer_ps_exits_1(
+        self, smoke_run, scenario_dir, tmp_path, capsys, value
+    ):
+        out, _ = smoke_run
+        timing = json.loads((scenario_dir / "smoke.json").read_text())
+        timing["block_s"] = float(value)
+        runs = [
+            ["simulate", "--config", str(write_json(tmp_path / "timing.json", timing))],
+            ["analyze", "--alice", str(out / "alice.tt"), "--bob", str(out / "bob.tt"),
+             "--block-s", value],
+        ]
+        for argv in runs:
+            assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert "config error: block_s must round to at least 1 ps" in err
+
+    def test_analyze_flags_cover_analysis_params(self, tmp_path, monkeypatch):
+        received = []
+
+        def fake_analyze_files(alice, bob, out, params, block_s, n_blocks=None):
+            received.append((params, block_s))
+            return []
+
+        monkeypatch.setattr(cli, "analyze_files", fake_analyze_files)
+        argv = ["analyze", "--alice", "a.tt", "--bob", "b.tt", "--out", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert received.pop() == (SyncAnalysisParams(), TimingScenario.block_s)
+
+        flags = {
+            "--tau-min-ps": ("tau_min_ps", -400_000),
+            "--tau-max-ps": ("tau_max_ps", 300_000),
+            "--bin-width-ps": ("bin_width_ps", 8),
+            "--min-separation-ps": ("min_separation_ps", 2_500),
+            "--threshold-sigma": ("threshold_sigma", 3.5),
+            "--centroid-halfwidth-bins": ("centroid_halfwidth_bins", 11),
+        }
+        defaults = {f.name: f.default for f in dataclasses.fields(SyncAnalysisParams)}
+        assert {name for name, _ in flags.values()} == set(defaults)
+        for flag, (name, value) in flags.items():
+            assert value != defaults[name]
+            assert cli_main(argv + [flag, str(value)]) == 0
+            params, _ = received.pop()
+            assert params == SyncAnalysisParams(**{name: value})
 
     def test_bad_analysis_flag_rejected_before_reading(self, tmp_path, capsys, monkeypatch):
         read = []
