@@ -29,23 +29,26 @@ def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarr
     return tau_min_ps + (np.arange(n_bins) + 0.5) * bin_width_ps
 
 
-def _histogram_window(tau_min_ps: int, tau_max_ps: int, bin_width_ps: int) -> tuple[int, int]:
-    """Bin count and exclusive upper edge: whole bins from tau_min_ps past tau_max_ps."""
-    n_bins = int(math.ceil((tau_max_ps - tau_min_ps) / bin_width_ps))
-    return n_bins, tau_min_ps + n_bins * bin_width_ps
-
-
 @dataclass(frozen=True)
 class G2Histogram:
-    """Binned pair-difference counts plus accidental-rate normalization."""
+    """Binned pair-difference counts plus the singles that normalise them."""
 
     tau_min_ps: int
     bin_width_ps: int
     counts: np.ndarray
-    normalized: np.ndarray
     n_a: int
     n_b: int
     duration_ps: int
+
+    @property
+    def accidentals_per_bin(self) -> float:
+        """Mean count per bin of two independent Poisson streams; g2 = counts / this.
+
+        0.0 when the histogram has no duration.
+        """
+        if self.duration_ps <= 0:
+            return 0.0
+        return self.n_a * self.n_b * self.bin_width_ps / self.duration_ps
 
     @property
     def n_bins(self) -> int:
@@ -115,28 +118,25 @@ class SyncAnalysisParams:
             raise ConfigError("centroid_halfwidth_bins must be >= 1")
 
 
+def _histogram_window(params: SyncAnalysisParams) -> tuple[int, int]:
+    """Bin count and exclusive upper edge: whole bins from tau_min_ps past tau_max_ps."""
+    n_bins = math.ceil((params.tau_max_ps - params.tau_min_ps) / params.bin_width_ps)
+    return n_bins, params.tau_min_ps + n_bins * params.bin_width_ps
+
+
 def compute_g2(
-    a: TimeTagStream,
-    b: TimeTagStream,
-    tau_min_ps: int,
-    tau_max_ps: int,
-    bin_width_ps: int,
-    duration_ps: Optional[int] = None,
+    a: TimeTagStream, b: TimeTagStream, params: SyncAnalysisParams, duration_ps: int
 ) -> G2Histogram:
     """Exact pair-difference histogram over tau = t_b - t_a.
 
     A sorted two-sided sweep finds, for every event in `a`, the slice of `b`
-    inside the window; cost is O(|a| + |b| + matches). Normalization divides
-    each bin by the accidental rate n_a * n_b * bin_width / duration, so a
-    pair of independent Poisson streams averages to 1.
+    inside the window; cost is O(|a| + |b| + matches). ``duration_ps`` is the
+    span both streams were recorded over, which fixes the accidental rate
+    the histogram is normalised by.
     """
-    if tau_max_ps <= tau_min_ps:
-        raise ConfigError("tau_max_ps must exceed tau_min_ps")
-    if bin_width_ps < 1:
-        raise ConfigError("bin_width_ps must be >= 1")
-    tau_min_ps = int(tau_min_ps)
-    bin_width_ps = int(bin_width_ps)
-    n_bins, hi_edge = _histogram_window(tau_min_ps, tau_max_ps, bin_width_ps)
+    tau_min_ps = params.tau_min_ps
+    bin_width_ps = params.bin_width_ps
+    n_bins, hi_edge = _histogram_window(params)
 
     at = a.timestamps_ps
     bt = b.timestamps_ps
@@ -153,29 +153,7 @@ def compute_g2(
         counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
     else:
         counts = np.zeros(n_bins, dtype=np.int64)
-
-    if duration_ps is None:
-        spans = [int(t[-1] - t[0]) for t in (at, bt) if t.size >= 2]
-        duration_ps = max(spans) if spans else 0
-    duration_ps = int(duration_ps)
-
-    acc_per_bin = 0.0
-    if duration_ps > 0:
-        acc_per_bin = at.size * bt.size * bin_width_ps / duration_ps
-    if acc_per_bin > 0:
-        normalized = counts / acc_per_bin
-    else:
-        normalized = np.zeros(n_bins, dtype=np.float64)
-
-    return G2Histogram(
-        tau_min_ps=tau_min_ps,
-        bin_width_ps=bin_width_ps,
-        counts=counts,
-        normalized=normalized,
-        n_a=int(at.size),
-        n_b=int(bt.size),
-        duration_ps=duration_ps,
-    )
+    return G2Histogram(tau_min_ps, bin_width_ps, counts, at.size, bt.size, duration_ps)
 
 
 def _background_stats(counts: np.ndarray) -> tuple[float, float]:
@@ -194,7 +172,8 @@ def _refine_centroid(
     """Background-subtracted intensity centroid around a peak bin.
 
     The window re-centers on the running centroid until stable, which removes
-    the jitter of the starting maximum bin.
+    the jitter of the starting maximum bin. The height is the final window's
+    largest count in g2 units.
     """
     centers = hist.bin_centers_ps()
     n = hist.n_bins
@@ -202,7 +181,7 @@ def _refine_centroid(
     visited = set()
     centroid = float(centers[cur])
     sigma = float(hist.bin_width_ps)
-    height = 0.0
+    peak = 0
     for _ in range(25):
         lo = max(0, cur - halfwidth_bins)
         hi = min(n, cur + halfwidth_bins + 1)
@@ -215,14 +194,15 @@ def _refine_centroid(
         centroid = float(np.dot(w, tau) / wsum)
         var = float(np.dot(w, (tau - centroid) ** 2) / wsum)
         sigma = math.sqrt(max(var, hist.bin_width_ps**2 / 12.0) / wsum)
-        height = float(hist.normalized[lo:hi].max())
+        peak = hist.counts[lo:hi].max()
         nxt = int((centroid - hist.tau_min_ps) // hist.bin_width_ps)
         nxt = min(max(nxt, 0), n - 1)
         if nxt == cur or nxt in visited:
             break
         visited.add(cur)
         cur = nxt
-    return centroid, sigma, height
+    acc = hist.accidentals_per_bin
+    return centroid, sigma, float(peak / acc) if acc > 0 else 0.0
 
 
 def _local_maxima_above(x: np.ndarray, threshold: float) -> np.ndarray:
@@ -244,24 +224,19 @@ def _local_maxima_above(x: np.ndarray, threshold: float) -> np.ndarray:
     return (idx[turns[peaks] + 1] + idx[turns[peaks + 1]]) // 2
 
 
-def find_two_peaks(
-    hist: G2Histogram,
-    min_separation_ps: int,
-    threshold_sigma: float,
-    centroid_halfwidth_bins: int,
-) -> PeakPair:
+def find_two_peaks(hist: G2Histogram, params: SyncAnalysisParams) -> PeakPair:
     """Locate the two coincidence peaks of a correlation histogram.
 
     Local maxima are ranked by height; the tallest and the tallest at least
-    min_separation_ps away are accepted if both clear the background by
-    threshold_sigma spreads. Positions are refined by an intensity-weighted
-    centroid; the later tau is the A-source peak.
+    ``params.min_separation_ps`` away are accepted if both clear the
+    background by ``params.threshold_sigma`` spreads. Positions are refined
+    by an intensity-weighted centroid; the later tau is the A-source peak.
     """
     if hist.n_bins == 0:
         raise PeaksNotFoundError("peaks not found: empty histogram", hist.summary())
     counts = hist.counts
     med, sigma_bg = _background_stats(counts)
-    threshold = med + threshold_sigma * sigma_bg
+    threshold = med + params.threshold_sigma * sigma_bg
 
     candidates = _local_maxima_above(counts, threshold)
     if candidates.size < 2:
@@ -274,7 +249,7 @@ def find_two_peaks(
     first = int(order[0])
     second = None
     for idx in order[1:]:
-        if abs(int(idx) - first) * hist.bin_width_ps >= min_separation_ps:
+        if abs(int(idx) - first) * hist.bin_width_ps >= params.min_separation_ps:
             second = int(idx)
             break
     if second is None:
@@ -283,10 +258,9 @@ def find_two_peaks(
             hist.summary(),
         )
 
-    refined = [
-        _refine_centroid(hist, b, centroid_halfwidth_bins, med) for b in (first, second)
-    ]
-    (tau1, s1, h1), (tau2, s2, h2) = refined
+    (tau1, s1, h1), (tau2, s2, h2) = (
+        _refine_centroid(hist, b, params.centroid_halfwidth_bins, med) for b in (first, second)
+    )
     if tau1 >= tau2:
         return PeakPair(tau1, tau2, s1, s2, h1, h2)
     return PeakPair(tau2, tau1, s2, s1, h2, h1)
@@ -313,26 +287,12 @@ def analyze_block(
     slice is widened by the correlation window so boundary pairs survive.
     """
     t0 = block_index * block_ps
-    t1 = (block_index + 1) * block_ps
-    _, hi_edge = _histogram_window(params.tau_min_ps, params.tau_max_ps, params.bin_width_ps)
-    a_blk = a.window(t0, t1)
+    t1 = t0 + block_ps
+    _, hi_edge = _histogram_window(params)
     b_blk = b.window(t0 + params.tau_min_ps, t1 + hi_edge)
-    hist = compute_g2(
-        a_blk,
-        b_blk,
-        params.tau_min_ps,
-        params.tau_max_ps,
-        params.bin_width_ps,
-        duration_ps=block_ps,
-    )
+    hist = compute_g2(a.window(t0, t1), b_blk, params, block_ps)
     try:
-        peaks = find_two_peaks(
-            hist,
-            params.min_separation_ps,
-            params.threshold_sigma,
-            params.centroid_halfwidth_bins,
-        )
-        return hist, estimate_sync(peaks, block_index=block_index)
+        return hist, estimate_sync(find_two_peaks(hist, params), block_index)
     except PeaksNotFoundError:
         return hist, None
 
@@ -364,11 +324,18 @@ def _center_column(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarra
 
 
 def write_histogram_csv(hist: G2Histogram, path):
-    """Write ``tau_ps,counts,g2`` rows: bin centre, raw count, normalised g2."""
+    """Write ``tau_ps,counts,g2`` rows: bin centre, raw count, normalised g2.
+
+    g2 is the count over the accidentals per bin, or 0 when there are none.
+    """
+    acc = hist.accidentals_per_bin
+
+    def count_and_g2(n: int) -> str:
+        return f"{n},{n / acc:.10g}\n" if acc > 0 else f"{n},0\n"
+
     rows = join_text_columns(
         _center_column(hist.tau_min_ps, hist.bin_width_ps, hist.n_bins),
-        format_each_distinct(hist.counts, lambda n: f"{int(n)},"),
-        format_each_distinct(hist.normalized, lambda g: f"{g:.10g}\n"),
+        format_each_distinct(hist.counts, count_and_g2),
     )
     atomic_write_bytes(path, b"tau_ps,counts,g2\n" + rows)
 

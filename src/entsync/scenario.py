@@ -200,13 +200,9 @@ def _field_value(hint, value, path: str):
     return value
 
 
-def timing_scenario_from_dict(d: dict) -> TimingScenario:
-    return parse_config(TimingScenario, d)
-
-
 def load_timing_scenario(path) -> TimingScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return timing_scenario_from_dict(json.load(fh))
+        return parse_config(TimingScenario, json.load(fh))
 
 
 # --- timing simulation ------------------------------------------------------
@@ -245,26 +241,24 @@ def analyze_blocks(
     bob: TimeTagStream,
     block_s: float,
     params: SyncAnalysisParams,
+    out_dir: Path,
     n_blocks: int | None = None,
-    out_dir: Path | None = None,
 ) -> list[SyncEstimate]:
     """Analyze consecutive blocks of two records; failed blocks are index gaps.
 
+    Each block's histogram is written to ``out_dir`` as ``g2_block_NNN.csv``.
     Without ``n_blocks`` only the blocks the recorded data covers are
-    analyzed. With ``out_dir`` each block's histogram is written there as
-    ``g2_block_NNN.csv``.
+    analyzed.
     """
     block_ps = _block_ps(block_s)
     if n_blocks is None:
         n_blocks = complete_blocks(alice, bob, block_ps)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     estimates = []
     for k in range(n_blocks):
         hist, est = analyze_block(alice, bob, k, block_ps, params)
-        if out_dir is not None:
-            write_histogram_csv(hist, out_dir / f"g2_block_{k:03d}.csv")
+        write_histogram_csv(hist, out_dir / f"g2_block_{k:03d}.csv")
         if est is not None:
             estimates.append(est)
     return estimates
@@ -381,7 +375,7 @@ def run_scenario(
         write_tags_binary(alice, out / "alice.tt")
         write_tags_binary(bob, out / "bob.tt")
 
-    estimates = analyze_blocks(alice, bob, sc.block_s, sc.analysis, sc.n_blocks(), out)
+    estimates = analyze_blocks(alice, bob, sc.block_s, sc.analysis, out, sc.n_blocks())
     write_estimates_json(estimates, out / "estimates.json")
     summary = build_timing_summary(sc, estimates)
     _write_json(summary, out / "summary.json")
@@ -400,7 +394,7 @@ def analyze_files(
     alice = read_tags(alice_path)
     bob = read_tags(bob_path)
     out = Path(out_dir)
-    estimates = analyze_blocks(alice, bob, block_s, params, n_blocks, out)
+    estimates = analyze_blocks(alice, bob, block_s, params, out, n_blocks)
     write_estimates_json(estimates, out / "estimates.json")
     return estimates
 
@@ -408,9 +402,15 @@ def analyze_files(
 # --- tomography scenario ----------------------------------------------------
 
 
+# Largest mean count per setting: numpy's Poisson draw refuses means above ~9.2e18.
+_MAX_MEAN_COUNT = 1e18
+
+
 @dataclass(frozen=True)
 class TomoScenario:
     seed: int
+    # The source state is fixed; a config may only name it.
+    state: str = "psi_minus"
     attack: str = "none"
     theta_rad: float = 0.0
     faraday: FaradayParams = FaradayParams()
@@ -420,6 +420,8 @@ class TomoScenario:
     reps: int = 100
 
     def __post_init__(self):
+        if self.state != "psi_minus":
+            raise ConfigError("state must be 'psi_minus'")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.attack not in ("none", "full", "naive"):
@@ -430,28 +432,17 @@ class TomoScenario:
             raise ConfigError("counts_per_setting must be finite and > 0")
         if not math.isfinite(self.accidentals_per_setting) or self.accidentals_per_setting < 0:
             raise ConfigError("accidentals_per_setting must be finite and >= 0")
+        if self.counts_per_setting + self.accidentals_per_setting > _MAX_MEAN_COUNT:
+            raise ConfigError("counts_per_setting + accidentals_per_setting must be <= 1e18")
         if not 0.0 <= self.depolarization <= 1.0:
             raise ConfigError("depolarization must be in [0, 1]")
         if self.reps < 2:
             raise ConfigError("reps must be >= 2")
 
 
-def tomo_scenario_from_dict(d: dict) -> TomoScenario:
-    # The source state is fixed, so a config may only name it.
-    if isinstance(d, dict):
-        d = dict(d)
-        if d.pop("state", "psi_minus") != "psi_minus":
-            raise ConfigError("state must be 'psi_minus'")
-    return parse_config(TomoScenario, d)
-
-
-def tomo_scenario_to_dict(sc: TomoScenario) -> dict:
-    return {**dataclasses.asdict(sc), "state": "psi_minus"}
-
-
 def load_tomo_scenario(path) -> TomoScenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return tomo_scenario_from_dict(json.load(fh))
+        return parse_config(TomoScenario, json.load(fh))
 
 
 def attacked_state(sc: TomoScenario) -> TwoQubitState:
@@ -487,7 +478,7 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
     _write_json(distribution.to_json(), out / "fidelity_distribution.json")
 
     summary = {
-        "config": tomo_scenario_to_dict(sc),
+        "config": dataclasses.asdict(sc),
         "fidelity_before_vs_target": fidelity(rho_hat["before"], target),
         "fidelity_after_vs_target": fidelity(rho_hat["after"], target),
         "fidelity_before_vs_after": fidelity(rho_hat["before"], rho_hat["after"]),

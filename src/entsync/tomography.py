@@ -58,8 +58,15 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128).reshape(4, 4)
-        validate_density(m)
+        # A copy, so that the caller's array cannot change the checked matrix.
+        m = np.array(self.matrix, dtype=np.complex128).reshape(4, 4)
+        if float(np.abs(m - m.conj().T).max()) > 1e-10:
+            raise ConfigError("rho is not Hermitian within 1e-10")
+        trace = np.trace(m)
+        if abs(float(trace.real) - 1.0) > 1e-10 or abs(float(trace.imag)) > 1e-10:
+            raise ConfigError("rho trace differs from 1 by more than 1e-10")
+        if float(np.linalg.eigvalsh(m).min()) < -1e-10:
+            raise ConfigError("rho has an eigenvalue below -1e-10")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -68,18 +75,6 @@ class DensityMatrix:
         v = np.asarray(amplitudes, dtype=np.complex128).reshape(4)
         v = v / np.linalg.norm(v)
         return DensityMatrix(np.outer(v, v.conj()))
-
-
-def validate_density(matrix: np.ndarray, name: str = "rho"):
-    m = np.asarray(matrix, dtype=np.complex128)
-    if m.shape != (4, 4):
-        raise ConfigError(f"{name} must be 4x4")
-    if float(np.abs(m - m.conj().T).max()) > 1e-10:
-        raise ConfigError(f"{name} is not Hermitian within 1e-10")
-    if abs(float(np.trace(m).real) - 1.0) > 1e-10 or abs(float(np.trace(m).imag)) > 1e-10:
-        raise ConfigError(f"{name} trace differs from 1 by more than 1e-10")
-    if float(np.linalg.eigvalsh(m).min()) < -1e-10:
-        raise ConfigError(f"{name} has an eigenvalue below -1e-10")
 
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
@@ -107,15 +102,14 @@ class CountsTable:
 
 
 def expected_counts(
-    rho: DensityMatrix | np.ndarray, n_per_setting: float, accidentals: float = 0.0
+    rho: DensityMatrix, n_per_setting: float, accidentals: float = 0.0
 ) -> np.ndarray:
     """Mean counts per setting: n * <P_a x P_b> + accidentals."""
     if n_per_setting <= 0:
         raise ConfigError("n_per_setting must be > 0")
     if accidentals < 0:
         raise ConfigError("accidentals must be >= 0")
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    probs = (_SETTING_TRACE @ m.reshape(16)).real
+    probs = (_SETTING_TRACE @ rho.matrix.reshape(16)).real
     return n_per_setting * np.clip(probs, 0.0, None) + accidentals
 
 
@@ -300,11 +294,7 @@ def fidelity(rho: DensityMatrix, rho0: DensityMatrix) -> float:
     has the same value but does not take square roots of noisy near-zero
     eigenvalues, keeping the result symmetric to machine precision.
     """
-    a = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    b = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    validate_density(a, "rho")
-    validate_density(b, "rho0")
-    singulars = np.linalg.svd(_sqrt_psd(a) @ _sqrt_psd(b), compute_uv=False)
+    singulars = np.linalg.svd(_sqrt_psd(rho.matrix) @ _sqrt_psd(rho0.matrix), compute_uv=False)
     return float(singulars.sum() ** 2)
 
 

@@ -95,12 +95,16 @@ def dead_time_keep_reference(timestamps: np.ndarray, dead_time_ps: int) -> np.nd
 
 
 def histogram_csv_reference(hist) -> bytes:
-    """Row-by-row text of a G2Histogram's CSV; the vectorised writer must match it."""
+    """Row-by-row text of a G2Histogram's CSV; the vectorised writer must match it.
+
+    g2 is the count over the accidentals per bin, and 0 when there are none.
+    """
     centers = hist.bin_centers_ps()
+    acc = hist.accidentals_per_bin
     lines = ["tau_ps,counts,g2"]
     lines.extend(
-        f"{c:.10g},{int(n)},{g:.10g}"
-        for c, n, g in zip(centers, hist.counts, hist.normalized)
+        f"{c:.10g},{int(n)},{n / acc if acc > 0 else 0.0:.10g}"
+        for c, n in zip(centers, hist.counts)
     )
     return ("\n".join(lines) + "\n").encode()
 
@@ -141,7 +145,7 @@ def mle_reconstruct_fd_reference(counts, max_evals: int = 100_000):
     must reach at least this likelihood and the same density matrix.
     """
     def negative_log_likelihood(t):
-        return poisson_nll(_rho_from_params(t), counts)
+        return poisson_nll(DensityMatrix(_rho_from_params(t)), counts)
 
     t0 = _params_from_rho(_linear_inversion(counts, _estimate_n_per_setting(counts)))
     options = {"maxfun": max_evals, "maxiter": max_evals, "ftol": 1e-12, "gtol": 1e-10}

@@ -36,6 +36,12 @@ from oracles import (
 PARAMS = SyncAnalysisParams()
 
 
+def window(tau_min_ps, tau_max_ps, bin_width_ps):
+    return SyncAnalysisParams(
+        tau_min_ps=tau_min_ps, tau_max_ps=tau_max_ps, bin_width_ps=bin_width_ps
+    )
+
+
 def make_stream(timestamps):
     return TimeTagStream.from_timestamps(np.asarray(timestamps, dtype=np.int64))
 
@@ -55,7 +61,7 @@ def small_scenario(**overrides):
 
 class TestComputeG2:
     def test_single_pair_lands_in_expected_bin(self):
-        hist = compute_g2(make_stream([0]), make_stream([100]), 0, 200, 16)
+        hist = compute_g2(make_stream([0]), make_stream([100]), window(0, 200, 16), 1_000)
         assert hist.n_bins == 13  # ceil(200 / 16)
         assert hist.counts.sum() == 1
         assert hist.counts[100 // 16] == 1
@@ -63,23 +69,24 @@ class TestComputeG2:
     def test_counts_cover_whole_bins_past_tau_max(self):
         # The last bin extends to tau_min + n_bins * width even when tau_max
         # is not a multiple of the bin width.
-        hist = compute_g2(make_stream([0]), make_stream([205]), 0, 200, 16)
+        hist = compute_g2(make_stream([0]), make_stream([205]), window(0, 200, 16), 1_000)
         assert hist.counts[12] == 1
 
     def test_window_is_half_open(self):
-        hist = compute_g2(make_stream([0]), make_stream([-1, 0, 31, 32]), 0, 32, 16)
+        hist = compute_g2(make_stream([0]), make_stream([-1, 0, 31, 32]), window(0, 32, 16), 100)
         assert list(hist.counts) == [1, 1]
 
     def test_empty_stream_gives_zero_counts(self):
-        hist = compute_g2(make_stream([]), make_stream([1, 2]), 0, 100, 10)
+        hist = compute_g2(make_stream([]), make_stream([1, 2]), window(0, 100, 10), 100)
         assert hist.counts.sum() == 0
-        assert np.all(hist.normalized == 0.0)
+        assert hist.n_a == 0 and hist.accidentals_per_bin == 0.0
 
     def test_invalid_window_rejected(self):
+        # compute_g2 takes its window from SyncAnalysisParams, which rejects these.
         with pytest.raises(ConfigError):
-            compute_g2(make_stream([0]), make_stream([0]), 10, 10, 16)
+            window(10, 10, 16)
         with pytest.raises(ConfigError):
-            compute_g2(make_stream([0]), make_stream([0]), 0, 10, 0)
+            window(0, 10, 0)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -93,7 +100,7 @@ class TestComputeG2:
         a = make_stream(np.sort(rng.integers(-50_000, 50_000, n_a)))
         b = make_stream(np.sort(rng.integers(-50_000, 50_000, n_b)))
         tau_min, tau_max = -4096, 4096
-        hist = compute_g2(a, b, tau_min, tau_max, bin_width)
+        hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 100_000)
         reference = g2_bruteforce(a.timestamps_ps, b.timestamps_ps, tau_min, tau_max, bin_width)
         assert np.array_equal(hist.counts, reference)
 
@@ -102,17 +109,18 @@ class TestComputeG2:
         n = 1_000_000  # 100 kHz for 10 s
         a = make_stream(np.rint(np.sort(rng.random(n)) * 1e13))
         b = make_stream(np.rint(np.sort(rng.random(n)) * 1e13))
-        hist = compute_g2(a, b, -1_000_000, 1_000_000, 16)
+        hist = compute_g2(a, b, PARAMS, 10**13)
         total = hist.counts.sum()
-        assert abs(hist.normalized.mean() - 1.0) < 3.0 / np.sqrt(total)
+        g2 = hist.counts / hist.accidentals_per_bin
+        assert abs(g2.mean() - 1.0) < 3.0 / np.sqrt(total)
 
     def test_exchange_antisymmetry_bin_reversal(self):
         rng = np.random.default_rng(3)
         a = make_stream(np.sort(rng.integers(0, 100_000, 400)))
         b = make_stream(np.sort(rng.integers(0, 100_000, 400)))
         half_span = 512
-        ab = compute_g2(a, b, -half_span, half_span, 1)
-        ba = compute_g2(b, a, -half_span, half_span, 1)
+        ab = compute_g2(a, b, window(-half_span, half_span, 1), 100_000)
+        ba = compute_g2(b, a, window(-half_span, half_span, 1), 100_000)
         # tau = -half_span maps to +half_span, outside the window, so compare
         # interior bins only.
         assert np.array_equal(ab.counts[1:], ba.counts[1:][::-1])
@@ -120,10 +128,9 @@ class TestComputeG2:
     def test_normalization_formula(self):
         a = make_stream([0, 500, 900])
         b = make_stream([100, 450])
-        hist = compute_g2(a, b, -1000, 1000, 50, duration_ps=10_000)
-        acc = 3 * 2 * 50 / 10_000
-        assert np.allclose(hist.normalized, hist.counts / acc)
-        assert hist.n_a == 3 and hist.n_b == 2
+        hist = compute_g2(a, b, window(-1000, 1000, 50), 10_000)
+        assert hist.accidentals_per_bin == 3 * 2 * 50 / 10_000
+        assert hist.n_a == 3 and hist.n_b == 2 and hist.duration_ps == 10_000
 
 
 def test_timing_layers_import_without_scipy():
@@ -168,58 +175,58 @@ class TestFindTwoPeaks:
             + amp_lo * np.exp(-0.5 * ((centers + 20_000) / 212.0) ** 2)
         )
         counts = np.random.default_rng(seed).poisson(expected).astype(np.int64)
+        # n_a * n_b * 16 ps / duration_ps = background, so g2 = counts / background.
         return G2Histogram(
             tau_min_ps=-1_000_000,
             bin_width_ps=16,
             counts=counts,
-            normalized=counts / background,
             n_a=10**6,
             n_b=10**6,
-            duration_ps=10**12,
+            duration_ps=round(16 * 10**12 / background),
         )
 
     def test_centroids_recover_injected_positions(self):
         hist = self.synthetic_histogram()
-        peaks = find_two_peaks(hist, 5000, 5.0, centroid_halfwidth_bins=47)
+        peaks = find_two_peaks(hist, PARAMS)
         assert abs(peaks.tau_ab_ps - 30_000.0) < 3.0 * peaks.sigma_ab_ps
         assert abs(peaks.tau_ba_ps + 20_000.0) < 3.0 * peaks.sigma_ba_ps
         assert peaks.height_ab > peaks.height_ba > 100.0
 
     def test_later_peak_is_always_tau_ab(self):
         hist = self.synthetic_histogram(amp_hi=2000.0, amp_lo=6000.0)
-        peaks = find_two_peaks(hist, 5000, 5.0, 47)
+        peaks = find_two_peaks(hist, PARAMS)
         assert peaks.tau_ab_ps > peaks.tau_ba_ps
 
     def test_flat_background_not_found(self):
         counts = np.random.default_rng(17).poisson(100.0, 2000).astype(np.int64)
-        hist = G2Histogram(0, 16, counts, counts / 100.0, 1000, 1000, 10**9)
+        hist = G2Histogram(0, 16, counts, 1000, 1000, 10**9)
         with pytest.raises(PeaksNotFoundError) as err:
-            find_two_peaks(hist, 5000, 5.0, 47)
+            find_two_peaks(hist, PARAMS)
         assert err.value.summary["n_bins"] == 2000
 
     def test_sparse_background_not_found(self):
         counts = np.random.default_rng(23).poisson(0.1, 125_000).astype(np.int64)
-        hist = G2Histogram(0, 16, counts, counts / 0.1, 100, 100, 10**9)
+        hist = G2Histogram(0, 16, counts, 100, 100, 10**9)
         with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, 5000, 5.0, 47)
+            find_two_peaks(hist, PARAMS)
 
     def test_single_peak_not_found(self):
         counts = np.zeros(10_000, dtype=np.int64)
         profile = np.rint(1000 * np.exp(-0.5 * (np.arange(-20, 21) / 13.0) ** 2))
         counts[4980:5021] = profile.astype(np.int64)
-        hist = G2Histogram(-80_000, 16, counts, counts.astype(float), 1000, 1000, 10**9)
+        hist = G2Histogram(-80_000, 16, counts, 1000, 1000, 10**9)
         with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, 5000, 5.0, 47)
+            find_two_peaks(hist, PARAMS)
 
     def test_min_separation_suppresses_sibling_maxima(self):
         hist = self.synthetic_histogram()
         with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, 200_000, 5.0, 47)
+            find_two_peaks(hist, SyncAnalysisParams(min_separation_ps=200_000))
 
     def test_empty_histogram(self):
-        hist = G2Histogram(0, 16, np.zeros(0, dtype=np.int64), np.zeros(0), 0, 0, 0)
+        hist = G2Histogram(0, 16, np.zeros(0, dtype=np.int64), 0, 0, 0)
         with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, 5000, 5.0, 47)
+            find_two_peaks(hist, PARAMS)
 
 
 class TestEstimateSync:
@@ -250,32 +257,29 @@ class TestPipeline:
             bob_source=PairSourceModel(200.0, sigma_photon),
         )
         alice, bob = simulate_timing(sc)
-        hist = compute_g2(alice, bob, -1_000_000, 1_000_000, 16, duration_ps=120 * 10**12)
-        peaks = find_two_peaks(hist, 5000, 5.0, 47)
+        hist = compute_g2(alice, bob, PARAMS, 120 * 10**12)
+        peaks = find_two_peaks(hist, PARAMS)
         for tau in (peaks.tau_ab_ps, peaks.tau_ba_ps):
             fit = fit_peak_gaussian(hist, tau, 1500.0)
             assert abs(fit["fwhm_ps"] - 500.0) < 50.0
 
     def test_translation_equivariance(self, streams):
         alice, bob = streams
-        base = find_two_peaks(
-            compute_g2(alice, bob, -1_000_000, 1_000_000, 16), 5000, 5.0, 47
-        )
+        duration_ps = 80 * 10**12
+        base = find_two_peaks(compute_g2(alice, bob, PARAMS, duration_ps), PARAMS)
         shift = 16 * 200
         shifted_bob = TimeTagStream(bob.timestamps_ps + shift, bob.channels)
-        moved = find_two_peaks(
-            compute_g2(alice, shifted_bob, -1_000_000, 1_000_000, 16), 5000, 5.0, 47
-        )
+        moved = find_two_peaks(compute_g2(alice, shifted_bob, PARAMS, duration_ps), PARAMS)
         assert moved.tau_ab_ps - base.tau_ab_ps == pytest.approx(shift, abs=1e-6)
         assert moved.tau_ba_ps - base.tau_ba_ps == pytest.approx(shift, abs=1e-6)
         d0, d1 = estimate_sync(base), estimate_sync(moved)
         assert d1.delta_ps - d0.delta_ps == pytest.approx(shift, abs=1e-6)
         assert d1.round_trip_ps == pytest.approx(d0.round_trip_ps, abs=1e-6)
 
-    def test_block_analysis_five_minute_run(self):
+    def test_block_analysis_five_minute_run(self, tmp_path):
         sc = small_scenario(duration_s=300.0, seed=11)
         alice, bob = simulate_timing(sc)
-        estimates = analyze_blocks(alice, bob, 40.0, PARAMS)
+        estimates = analyze_blocks(alice, bob, 40.0, PARAMS, tmp_path)
         assert len(estimates) == 7
         assert [e.block_index for e in estimates] == list(range(7))
         deltas = [e.delta_ps for e in estimates]
@@ -285,7 +289,7 @@ class TestPipeline:
                 gap = abs(deltas[i] - deltas[j])
                 assert gap < 3.0 * float(np.hypot(sigmas[i], sigmas[j]))
 
-    def test_symmetric_extension_moves_round_trip_only(self):
+    def test_symmetric_extension_moves_round_trip_only(self, tmp_path):
         base = ChannelConfig(base_length_m=1.9, eve_length_ab_m=1.0, eve_length_ba_m=1.0)
         extended = ChannelConfig(base_length_m=1.9, eve_length_ab_m=6.0, eve_length_ba_m=6.0)
         sc = small_scenario(
@@ -295,7 +299,7 @@ class TestPipeline:
             schedule=(ScheduleEntry(80.0, extended),),
         )
         alice, bob = simulate_timing(sc)
-        estimates = analyze_blocks(alice, bob, 80.0, PARAMS)
+        estimates = analyze_blocks(alice, bob, 80.0, PARAMS, tmp_path)
         assert len(estimates) == 2
         first, second = estimates
         expected_rt_change = 2.0 * 5.0 * 1.5134 / 0.000299792458
@@ -303,14 +307,14 @@ class TestPipeline:
         combined = 3.0 * float(np.hypot(first.delta_sigma_ps, second.delta_sigma_ps))
         assert abs(second.delta_ps - first.delta_ps) < combined
 
-    def test_slow_clock_drift_walks_the_offset(self):
+    def test_slow_clock_drift_walks_the_offset(self, tmp_path):
         sc = small_scenario(
             duration_s=120.0,
             seed=17,
             bob_clock=ClockModel(offset_ps=0, drift_ppb=0.002),
         )
         alice, bob = simulate_timing(sc)
-        estimates = analyze_blocks(alice, bob, 40.0, PARAMS)
+        estimates = analyze_blocks(alice, bob, 40.0, PARAMS, tmp_path)
         assert len(estimates) == 3
         # 0.002 ppb over a 40 s block centre spacing is an 80 ps step.
         for first, second in zip(estimates, estimates[1:]):
@@ -318,7 +322,7 @@ class TestPipeline:
             bound = 3.0 * float(np.hypot(first.delta_sigma_ps, second.delta_sigma_ps))
             assert abs(step - 80.0) < bound
 
-    def test_fast_clock_drift_smears_peaks_away(self):
+    def test_fast_clock_drift_smears_peaks_away(self, tmp_path):
         # 100 ppb drags the correlation peak across 4 us within one block;
         # no localized peak survives, so every block is a gap.
         sc = small_scenario(
@@ -327,20 +331,20 @@ class TestPipeline:
             bob_clock=ClockModel(offset_ps=0, drift_ppb=100.0),
         )
         alice, bob = simulate_timing(sc)
-        assert analyze_blocks(alice, bob, 40.0, PARAMS) == []
+        assert analyze_blocks(alice, bob, 40.0, PARAMS, tmp_path) == []
 
-    def test_empty_streams_give_empty_result(self):
+    def test_empty_streams_give_empty_result(self, tmp_path):
         empty = TimeTagStream.empty()
-        assert analyze_blocks(empty, empty, 40.0, PARAMS) == []
+        assert analyze_blocks(empty, empty, 40.0, PARAMS, tmp_path) == []
 
-    def test_zero_rate_gives_gaps_not_errors(self):
+    def test_zero_rate_gives_gaps_not_errors(self, tmp_path):
         sc = small_scenario(
             alice_source=PairSourceModel(0.0), bob_source=PairSourceModel(0.0)
         )
         alice, bob = simulate_timing(sc)
-        assert analyze_blocks(alice, bob, 40.0, PARAMS, n_blocks=2) == []
+        assert analyze_blocks(alice, bob, 40.0, PARAMS, tmp_path, n_blocks=2) == []
 
-    def test_gap_blocks_skipped_but_indices_kept(self, streams):
+    def test_gap_blocks_skipped_but_indices_kept(self, streams, tmp_path):
         alice, bob = streams
         # Silence the middle block by splicing the two halves apart in time.
         hole = np.concatenate(
@@ -357,13 +361,13 @@ class TestPipeline:
             ]
         )
         bob_holed = TimeTagStream.from_timestamps(hole_b)
-        estimates = analyze_blocks(alice_holed, bob_holed, 40.0, PARAMS, n_blocks=3)
+        estimates = analyze_blocks(alice_holed, bob_holed, 40.0, PARAMS, tmp_path, n_blocks=3)
         assert [e.block_index for e in estimates] == [0, 2]
 
 
 class TestExports:
     def test_histogram_csv_roundtrip(self, tmp_path):
-        hist = compute_g2(make_stream([0, 50]), make_stream([10, 60]), 0, 100, 10)
+        hist = compute_g2(make_stream([0, 50]), make_stream([10, 60]), window(0, 100, 10), 100)
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
         lines = path.read_text().strip().splitlines()
@@ -372,7 +376,7 @@ class TestExports:
         taus, counts, g2s = zip(*(line.split(",") for line in lines[1:]))
         assert [int(c) for c in counts] == hist.counts.tolist()
         assert np.allclose([float(t) for t in taus], hist.bin_centers_ps())
-        assert np.allclose([float(g) for g in g2s], hist.normalized)
+        assert np.allclose([float(g) for g in g2s], hist.counts / hist.accidentals_per_bin)
 
     @pytest.mark.parametrize(
         "case",
@@ -381,33 +385,34 @@ class TestExports:
     def test_histogram_csv_bytes_match_row_loop(self, case, tmp_path):
         a = make_stream([0, 37, 50, 900, 901])
         b = make_stream([10, 11, 60, 880, 2_000])
+        span_ps = 1_990  # the longer stream's first-to-last span
         expected_text = b""
         if case == "odd_bin_width":
-            hist = compute_g2(a, b, -1_001, 1_000, 7)
+            hist = compute_g2(a, b, window(-1_001, 1_000, 7), span_ps)
             expected_text = b"\n-997.5,"
         elif case == "exponent_centres":
             shift = 3 * 10**10
             far_b = make_stream(b.timestamps_ps + shift)
-            hist = compute_g2(a, far_b, shift - 5_000, shift + 5_000, 3)
+            hist = compute_g2(a, far_b, window(shift - 5_000, shift + 5_000, 3), span_ps)
             expected_text = b"\n2.9999995e+10,"
         elif case == "zero_duration":
-            hist = compute_g2(a, b, -100, 100, 4, duration_ps=0)
-            assert hist.counts.any() and not hist.normalized.any()
+            hist = compute_g2(a, b, window(-100, 100, 4), 0)
+            assert hist.counts.any() and hist.accidentals_per_bin == 0.0
+            expected_text = b",1,0\n"
         elif case == "hand_built":
-            # g2 is not a function of counts, and -0.0 keeps its sign.
-            normalized = np.array([-0.0, 0.0, 1.0 / 3.0, -0.0, 1e-300, np.inf, 7e22, 1.5])
+            # 3000 x 4000 singles over 10 ps bins in 4000 ps: 3e4 accidentals per
+            # bin, so a single count prints its g2 in exponent form.
             hist = G2Histogram(
                 tau_min_ps=-40,
                 bin_width_ps=10,
                 counts=np.array([0, 0, 5, 5, 1, 0, 12345678901, 2]),
-                normalized=normalized,
-                n_a=3,
-                n_b=4,
-                duration_ps=1,
+                n_a=3_000,
+                n_b=4_000,
+                duration_ps=4_000,
             )
-            expected_text = b"\n-35,0,-0\n"
+            expected_text = b"\n5,1,3.333333333e-05\n15,0,0\n25,12345678901,411522.63\n"
         else:
-            hist = G2Histogram(0, 16, np.zeros(0, np.int64), np.zeros(0), 0, 0, 10)
+            hist = G2Histogram(0, 16, np.zeros(0, np.int64), 0, 0, 10)
             expected_text = b"tau_ps,counts,g2\n"
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)

@@ -19,11 +19,9 @@ from entsync.scenario import (
     analyze_files,
     load_timing_scenario,
     load_tomo_scenario,
+    parse_config,
     run_scenario,
     run_tomo_scenario,
-    timing_scenario_from_dict,
-    tomo_scenario_from_dict,
-    tomo_scenario_to_dict,
 )
 from entsync.timetags import (
     ClockModel,
@@ -35,6 +33,7 @@ from entsync.timetags import (
 
 
 BLOCK_PS_RANGE = r"block_s must round to at least 1 ps and less than 2\*\*62 ps"
+TOMO_MEAN_LIMIT = r"counts_per_setting \+ accidentals_per_setting must be <= 1e18"
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -61,12 +60,12 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("name", ["fig2a", "fig2b", "fig2c", "fig3", "smoke"])
     def test_timing_config_roundtrip(self, scenario_dir, name):
         sc = load_timing_scenario(scenario_dir / f"{name}.json")
-        assert timing_scenario_from_dict(dataclasses.asdict(sc)) == sc
+        assert parse_config(TimingScenario, dataclasses.asdict(sc)) == sc
 
     @pytest.mark.parametrize("name", ["tomo_none", "tomo_full", "tomo_naive"])
     def test_tomo_config_roundtrip(self, scenario_dir, name):
         sc = load_tomo_scenario(scenario_dir / f"{name}.json")
-        assert tomo_scenario_from_dict(tomo_scenario_to_dict(sc)) == sc
+        assert parse_config(TomoScenario, dataclasses.asdict(sc)) == sc
 
 
 class TestConfigValidation:
@@ -80,20 +79,20 @@ class TestConfigValidation:
         }
 
     def test_minimal_config_accepted(self):
-        sc = timing_scenario_from_dict(self.base_config())
+        sc = parse_config(TimingScenario, self.base_config())
         assert sc.channel.group_index == pytest.approx(1.5134)
 
     def test_bad_group_index_names_field(self):
         cfg = self.base_config()
         cfg["channel"]["group_index"] = 0.5
         with pytest.raises(ConfigError, match="channel.group_index"):
-            timing_scenario_from_dict(cfg)
+            parse_config(TimingScenario, cfg)
 
     def test_missing_source_names_field(self):
         cfg = self.base_config()
         del cfg["bob_source"]
         with pytest.raises(ConfigError, match="bob_source"):
-            timing_scenario_from_dict(cfg)
+            parse_config(TimingScenario, cfg)
 
     def test_schedule_must_increase(self):
         cfg = self.base_config()
@@ -102,25 +101,25 @@ class TestConfigValidation:
             {"time_s": 5.0, "channel": {"base_length_m": 2.0}},
         ]
         with pytest.raises(ConfigError, match=r"schedule\[1\].time_s"):
-            timing_scenario_from_dict(cfg)
+            parse_config(TimingScenario, cfg)
 
     def test_schedule_inside_duration(self):
         cfg = self.base_config()
         cfg["schedule"] = [{"time_s": 20.0, "channel": {"base_length_m": 1.0}}]
         with pytest.raises(ConfigError, match=r"schedule\[0\].time_s"):
-            timing_scenario_from_dict(cfg)
+            parse_config(TimingScenario, cfg)
 
     def test_unknown_detector_key(self):
         cfg = self.base_config()
         cfg["detectors"] = {"charlie": {}}
         with pytest.raises(ConfigError, match="detectors.charlie"):
-            timing_scenario_from_dict(cfg)
+            parse_config(TimingScenario, cfg)
 
     def test_non_numeric_field(self):
         cfg = self.base_config()
         cfg["alice_source"]["pair_rate_hz"] = "fast"
         with pytest.raises(ConfigError, match="alice_source.pair_rate_hz"):
-            timing_scenario_from_dict(cfg)
+            parse_config(TimingScenario, cfg)
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -165,7 +164,7 @@ class TestConfigValidation:
         cfg = self.base_config()
         cfg[key] = value
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            timing_scenario_from_dict(cfg)
+            parse_config(TimingScenario, cfg)
 
     @pytest.mark.parametrize(
         "build, message",
@@ -214,19 +213,24 @@ class TestConfigValidation:
     def test_integer_valued_float_accepted_for_int_field(self):
         cfg = self.base_config()
         cfg["seed"] = 3.0
-        sc = timing_scenario_from_dict(cfg)
+        sc = parse_config(TimingScenario, cfg)
         assert sc.seed == 3 and isinstance(sc.seed, int)
 
     def test_tomo_fields_checked(self):
-        assert tomo_scenario_from_dict({"seed": 1, "state": "psi_minus"}).seed == 1
+        assert parse_config(TomoScenario, {"seed": 1, "state": "psi_minus"}).seed == 1
         with pytest.raises(ConfigError, match="state must be 'psi_minus'"):
-            tomo_scenario_from_dict({"seed": 1, "state": "phi_plus"})
+            parse_config(TomoScenario, {"seed": 1, "state": "phi_plus"})
         with pytest.raises(ConfigError, match=r"^unknown field faraday\.n$"):
-            tomo_scenario_from_dict({"seed": 1, "faraday": {"n": 1.6}})
+            parse_config(TomoScenario, {"seed": 1, "faraday": {"n": 1.6}})
         for key, rule in (("counts_per_setting", "> 0"), ("accidentals_per_setting", ">= 0")):
             for value in (math.nan, math.inf):
                 with pytest.raises(ConfigError, match=f"^{key} must be finite and {rule}$"):
-                    tomo_scenario_from_dict({"seed": 1, key: value})
+                    parse_config(TomoScenario, {"seed": 1, key: value})
+            # 1e300 is above the 1e18 cap; a sum of exactly 1e18 is accepted.
+            with pytest.raises(ConfigError, match=f"^{TOMO_MEAN_LIMIT}$"):
+                parse_config(TomoScenario, {"seed": 1, key: 1e300})
+        limit = {"counts_per_setting": 0.5e18, "accidentals_per_setting": 0.5e18}
+        assert parse_config(TomoScenario, {"seed": 1, **limit}).counts_per_setting == 0.5e18
 
 
 class TestRunScenario:
@@ -503,6 +507,13 @@ class TestCliErrors:
             assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert "config error: block_s must round to at least 1 ps" in err
+
+    @pytest.mark.parametrize("key", ["counts_per_setting", "accidentals_per_setting"])
+    def test_tomo_mean_count_above_limit_exits_1(self, tmp_path, capsys, key):
+        config = write_json(tmp_path / "tomo.json", {"seed": 1, key: 1e300})
+        assert cli_main(["tomo", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: counts_per_setting + accidentals_per_setting must be <= 1e18" in err
 
     def test_analyze_flags_cover_analysis_params(self, tmp_path, monkeypatch):
         received = []

@@ -217,7 +217,7 @@ class TestLikelihoodGradient:
         t = np.zeros(16)
         t[3] = 1e-6
         t[10:14] = [8.0, 4.0, 6.0, -5.0]
-        mu = expected_counts(_rho_from_params(t), _estimate_n_per_setting(table))
+        mu = expected_counts(DensityMatrix(_rho_from_params(t)), _estimate_n_per_setting(table))
         clipped = [setting_labels()[s] for s in np.flatnonzero(mu < 1e-10)]
         assert clipped == [("V", b) for b in PROJECTOR_LABELS]
         assert gradient_error(table, t) < 1e-6
@@ -246,17 +246,23 @@ class TestFidelity:
             assert -1e-12 <= f_ab <= 1.0 + 1e-10
 
     def test_invalid_matrix_rejected(self):
-        good = np.eye(4) / 4.0
-        with pytest.raises(ConfigError):
-            fidelity(DensityMatrix(good), np.eye(4))  # trace 4
-        bad_herm = good.astype(complex).copy()
+        # fidelity takes DensityMatrix only, which checks its matrix when built.
+        with pytest.raises(ConfigError, match="trace differs from 1"):
+            DensityMatrix(np.eye(4))  # trace 4
+        bad_herm = np.eye(4, dtype=complex) / 4.0
         bad_herm[0, 1] = 0.1j
-        with pytest.raises(ConfigError):
-            fidelity(bad_herm, good)
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            DensityMatrix(bad_herm)
 
     def test_density_matrix_validation(self):
         with pytest.raises(ConfigError):
             DensityMatrix(np.diag([0.7, 0.5, -0.1, -0.1]))
+
+    def test_density_matrix_keeps_its_checked_copy(self):
+        source = np.eye(4, dtype=np.complex128) / 4.0
+        rho = DensityMatrix(source)
+        source[0, 0] = 5.0
+        assert rho.matrix[0, 0] == 0.25
 
 
 class TestMonteCarlo:
@@ -338,8 +344,8 @@ class TestFiniteDifferenceReference:
     def assert_matches_reference(table: CountsTable):
         fit = mle_reconstruct(table)
         reference = mle_reconstruct_fd_reference(table)
-        nll_fit = poisson_nll(fit.matrix, table)
-        nll_reference = poisson_nll(reference.matrix, table)
+        nll_fit = poisson_nll(fit, table)
+        nll_reference = poisson_nll(reference, table)
         assert nll_fit <= nll_reference + 1e-9 * abs(nll_reference)
         assert np.abs(fit.matrix - reference.matrix).max() < 1e-5
 
