@@ -60,6 +60,43 @@ DETECTOR_DIGESTS = {
     "summary.json": "b0801c9d01622febb81ad75728c5d755ff14cc279c52c73c5e50eb763b863ff9",
 }
 
+# A staged attack recorded as CSV: the A-to-B path drops by 399 m between two
+# remote-arm events 1.42 us apart, so the event sent first arrives second and
+# the channel must re-sort. Heralding below 1 and a drifting clock exercise the
+# thinning and the float branch of the clock model.
+SCHEDULED_SOURCE = {
+    "pair_rate_hz": 20000.0,
+    "emission_jitter_sigma_ps": 150.0,
+    "heralding_efficiency": 0.8,
+}
+SCHEDULED_CONFIG = {
+    "duration_s": 4.0,
+    "seed": 23,
+    "block_s": 1.0,
+    "alice_source": SCHEDULED_SOURCE,
+    "bob_source": SCHEDULED_SOURCE,
+    "bob_clock": {"offset_ps": 137000, "drift_ppb": 0.02},
+    "channel": {"base_length_m": 1.9, "eve_length_ab_m": 400.0, "eve_length_ba_m": 1.0},
+    "schedule": [
+        {
+            "time_s": 2.006517,
+            "channel": {"base_length_m": 1.9, "eve_length_ab_m": 1.0, "eve_length_ba_m": 1.0},
+        }
+    ],
+    "analysis": {"tau_min_ps": -200000, "tau_max_ps": 2400000, "bin_width_ps": 256},
+}
+
+SCHEDULED_DIGESTS = {
+    "alice.csv": "3d55c5a7ce465a01ea639f6dc8907edd0ff18c1b4aeb4d5d19667bdbb1c22981",
+    "bob.csv": "b22e4a66f2bca354fff61d5144a0c9ac0526deb9fa02ca6192c5d5719417d841",
+    "estimates.json": "4743c771c5dc554f2e66e4579cb815b1000af3d43654a6d03bb2bedfff99cdd6",
+    "g2_block_000.csv": "47174b4fb6b579348d42aec5123109331d63835378002e614bb5ecb8203b0979",
+    "g2_block_001.csv": "2ed0b1cc184368dd171fa104d810b6e5b87eb3c5871510ba8106b6cd8d12140a",
+    "g2_block_002.csv": "9def5004d9cc3889327d9b106347d34eecd7615555c6fe52b1159d2b624278fb",
+    "g2_block_003.csv": "04c8695db8f407db6b76269fbc6924753a7ed817b1b074f686f93d9c35e82c81",
+    "summary.json": "b292cbb38d7b3cc2e8f8d0a06e76fc61e8ed84e198f2173716aaa635ba29ea23",
+}
+
 SMALL_TOMO_CONFIG = {"seed": 42, "attack": "none", "counts_per_setting": 2000.0, "reps": 4}
 
 SMALL_TOMO_DIGESTS = {
@@ -104,6 +141,13 @@ def test_detector_scenario_artifacts_match_golden(tmp_path):
     config.write_text(json.dumps(DETECTOR_CONFIG))
     run_scenario(config, tmp_path / "run")
     assert dir_digest(tmp_path / "run") == DETECTOR_DIGESTS
+
+
+def test_scheduled_csv_scenario_artifacts_match_golden(tmp_path):
+    config = tmp_path / "scheduled.json"
+    config.write_text(json.dumps(SCHEDULED_CONFIG))
+    run_scenario(config, tmp_path / "run", tag_format="csv")
+    assert dir_digest(tmp_path / "run") == SCHEDULED_DIGESTS
 
 
 def test_small_tomo_artifacts_match_golden(tmp_path):
