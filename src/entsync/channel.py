@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .timetags import TimeTagStream
+from .timetags import MAX_TIMESTAMP_PS, check_timestamp_range
 
 # Vacuum speed of light in metres per picosecond.
 C_M_PER_PS = 0.000299792458
@@ -55,6 +55,9 @@ class ChannelConfig:
                 raise ConfigError(f"{name} must be finite and >= 0")
         if not math.isfinite(self.group_index) or self.group_index <= 1.0:
             raise ConfigError("group_index must be finite and > 1")
+        for direction in Direction:
+            if not self.delay_ps(direction) < MAX_TIMESTAMP_PS:
+                raise ConfigError(f"{direction.value} delay must be < 2**62 ps")
 
     def length_m(self, direction: Direction) -> float:
         extra = self.eve_length_ab_m if direction is Direction.A_TO_B else self.eve_length_ba_m
@@ -73,24 +76,22 @@ class ChannelConfig:
 
 
 def apply_channel(
-    stream: TimeTagStream,
+    timestamps: np.ndarray,
     direction: Direction,
     schedule: Sequence[tuple[int, ChannelConfig]],
-) -> TimeTagStream:
-    """Delay each event by the one-way delay of the channel active at its time.
+) -> np.ndarray:
+    """Delay each send time by the one-way delay of the channel active then.
 
     ``schedule`` lists ``(start_ps, config)`` segments in increasing start
     order; the first segment also covers everything before its start, so a
-    fixed channel is ``[(0, config)]``. Channel labels travel with their
-    events, and the result is re-sorted because a delay that drops at a
-    segment boundary can swap neighbouring events.
+    fixed channel is ``[(0, config)]``. The arrival times are re-sorted,
+    because a delay that drops at a segment boundary can swap neighbouring
+    events.
     """
     delays = np.array([cfg.delay_rounded_ps(direction) for _, cfg in schedule], dtype=np.int64)
     starts = np.array([start for start, _ in schedule[1:]], dtype=np.int64)
-    segment = np.searchsorted(starts, stream.timestamps_ps, side="right")
-    shifted = stream.timestamps_ps + delays[segment]
-    order = np.argsort(shifted, kind="stable")
-    return TimeTagStream(shifted[order], stream.channels[order])
+    segment = np.searchsorted(starts, timestamps, side="right")
+    return check_timestamp_range(np.sort(timestamps + delays[segment]))
 
 
 def predicted_offset_error_ps(cfg: ChannelConfig) -> float:

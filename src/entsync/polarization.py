@@ -49,7 +49,7 @@ class JonesState:
     basis: str = BASIS_HV
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(2)
+        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(2)
         if self.basis not in (BASIS_HV, BASIS_RL):
             raise ConfigError(f"basis must be {BASIS_HV!r} or {BASIS_RL!r}")
         norm = float(np.linalg.norm(amps))
@@ -72,7 +72,7 @@ class TwoQubitState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(4)
+        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(4)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-9:
             raise ConfigError(f"two-qubit state norm is {norm}, expected 1")

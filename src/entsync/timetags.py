@@ -24,6 +24,13 @@ CH_BOB_LOCAL = 2
 CH_BOB_REMOTE = 3
 
 
+def check_timestamp_range(timestamps: np.ndarray) -> np.ndarray:
+    """Return ``timestamps`` once every magnitude is checked to be below 2**62 ps."""
+    if timestamps.size and max(-int(timestamps.min()), int(timestamps.max())) >= MAX_TIMESTAMP_PS:
+        raise OverflowError("timestamp magnitude exceeds 2**62 ps")
+    return timestamps
+
+
 @dataclass(frozen=True)
 class TimeTagStream:
     """Sorted detection timestamps (integer ps) with per-event channel labels."""
@@ -37,8 +44,7 @@ class TimeTagStream:
         if ts.shape != ch.shape or ts.ndim != 1:
             raise ValueError("timestamps and channels must be 1-d arrays of equal length")
         # Bound first, so that the int64 differences below cannot wrap.
-        if ts.size and max(-int(ts.min()), int(ts.max())) >= MAX_TIMESTAMP_PS:
-            raise OverflowError("timestamp magnitude exceeds 2**62 ps")
+        check_timestamp_range(ts)
         if ts.size and np.any(np.diff(ts) < 0):
             raise StreamFormatError("stream is not sorted by timestamp")
         ts.flags.writeable = False
@@ -54,20 +60,11 @@ class TimeTagStream:
         lo, hi = np.searchsorted(self.timestamps_ps, [t0_ps, t1_ps])
         return TimeTagStream(self.timestamps_ps[lo:hi], self.channels[lo:hi])
 
-    @staticmethod
-    def empty() -> "TimeTagStream":
-        return TimeTagStream(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32))
 
-    @staticmethod
-    def from_timestamps(timestamps_ps: np.ndarray, channel: int = 0) -> "TimeTagStream":
-        ts = np.sort(np.asarray(timestamps_ps, dtype=np.int64))
-        return TimeTagStream(ts, np.full(ts.size, channel, dtype=np.uint32))
-
-
-def merge_streams(*streams: TimeTagStream) -> TimeTagStream:
-    """Merge sorted streams into one; ties are ordered by channel label."""
-    ts = np.concatenate([s.timestamps_ps for s in streams])
-    ch = np.concatenate([s.channels for s in streams])
+def merge_streams(*detections: tuple[np.ndarray, int]) -> TimeTagStream:
+    """A party's record from (timestamps, channel label) pairs; ties are ordered by label."""
+    ts = np.concatenate([t for t, _ in detections])
+    ch = np.concatenate([np.full(t.size, label, dtype=np.uint32) for t, label in detections])
     order = np.lexsort((ch, ts))
     return TimeTagStream(ts[order], ch[order])
 
@@ -144,13 +141,13 @@ def _poisson_arrivals_ps(rng: np.random.Generator, rate_hz: float, duration_ps: 
 
 def generate_pairs(
     source: PairSourceModel, duration_s: float, seed: int
-) -> tuple[TimeTagStream, TimeTagStream]:
-    """Simulate one pair source over [0, duration_s).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate one pair source over [0, duration_s): sorted local and remote times.
 
     Pair emission times follow a homogeneous Poisson process; each pair
-    contributes one event to the local stream and one to the remote stream at
-    the common emission time plus independent Gaussian jitter. Each arm is
-    thinned independently by the heralding efficiency. Deterministic per seed.
+    contributes one event to the local arm and one to the remote arm at the
+    common emission time plus independent Gaussian jitter. Each arm is thinned
+    independently by the heralding efficiency. Deterministic per seed.
     """
     if not math.isfinite(duration_s) or duration_s <= 0:
         raise ConfigError("duration_s must be finite and > 0")
@@ -159,19 +156,17 @@ def generate_pairs(
     n = emission.size
 
     sigma = source.emission_jitter_sigma_ps
+    local = remote = emission
     if sigma > 0:
         local = emission + np.rint(rng.normal(0.0, sigma, n)).astype(np.int64)
         remote = emission + np.rint(rng.normal(0.0, sigma, n)).astype(np.int64)
-    else:
-        local = emission.copy()
-        remote = emission.copy()
 
     eff = source.heralding_efficiency
     if eff < 1.0:
         local = local[rng.random(n) < eff]
         remote = remote[rng.random(n) < eff]
 
-    return TimeTagStream.from_timestamps(local), TimeTagStream.from_timestamps(remote)
+    return check_timestamp_range(np.sort(local)), check_timestamp_range(np.sort(remote))
 
 
 def _dead_time_filter(timestamps: np.ndarray, dead_time_ps: int) -> np.ndarray:
@@ -202,19 +197,20 @@ def _dead_time_filter(timestamps: np.ndarray, dead_time_ps: int) -> np.ndarray:
 
 
 def apply_detector(
-    stream: TimeTagStream, det: DetectorModel, channel: int, duration_s: float, seed: int
-) -> TimeTagStream:
-    """Pass a single-detector stream through efficiency, jitter, darks, dead time.
+    timestamps: np.ndarray, det: DetectorModel, duration_s: float, seed: int
+) -> np.ndarray:
+    """Sorted detection times of one detector, given its arrival times.
 
-    Dark counts are Poissonian over [0, duration_s) and merged with the signal
-    before dead-time filtering: dead time acts on the physical detector, not
-    per event origin. Every output event carries this detector's channel label.
+    Arrivals pass through efficiency, jitter, darks and dead time. Dark counts
+    are Poissonian over [0, duration_s) and merged with the signal before
+    dead-time filtering: dead time acts on the physical detector, not per
+    event origin.
     """
     if not math.isfinite(duration_s) or duration_s < 0:
         raise ConfigError("duration_s must be finite and >= 0")
     rng = np.random.default_rng(seed)
 
-    ts = stream.timestamps_ps
+    ts = timestamps
     if det.efficiency < 1.0:
         ts = ts[rng.random(ts.size) < det.efficiency]
     if det.jitter_sigma_ps > 0 and ts.size:
@@ -229,7 +225,7 @@ def apply_detector(
     if det.dead_time_ps > 0 and ts.size:
         ts = ts[_dead_time_filter(ts, det.dead_time_ps)]
 
-    return TimeTagStream(ts, np.full(ts.size, channel, dtype=np.uint32))
+    return check_timestamp_range(ts)
 
 
 def apply_clock(stream: TimeTagStream, clock: ClockModel) -> TimeTagStream:

@@ -92,7 +92,7 @@ class CountsTable:
     accidental_rate_per_setting: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64).reshape(36)
+        c = np.array(self.counts, dtype=np.int64).reshape(36)
         if np.any(c < 0):
             raise ConfigError("counts must be non-negative")
         if self.accidental_rate_per_setting < 0:

@@ -20,7 +20,7 @@ from entsync.polarization import (
     state_fidelity,
 )
 from entsync.scenario import load_timing_scenario, run_scenario, run_tomo_scenario, simulate_timing
-from entsync.timetags import TimeTagStream
+from entsync.timetags import merge_streams
 from entsync.tomography import CountsTable, DensityMatrix, expected_counts, fidelity, mle_reconstruct
 
 from oracles import fit_peak_gaussian, g2_bruteforce, random_density_matrix, random_pure_state
@@ -173,8 +173,8 @@ def test_criterion_7_g2_oracle_equivalence():
         n_a = int(rng.integers(0, 1001))
         n_b = int(rng.integers(1, 1001))
         span = int(rng.integers(10_000, 200_000))
-        a = TimeTagStream.from_timestamps(np.sort(rng.integers(-span, span, n_a)))
-        b = TimeTagStream.from_timestamps(np.sort(rng.integers(-span, span, n_b)))
+        a = merge_streams((np.sort(rng.integers(-span, span, n_a)), 0))
+        b = merge_streams((np.sort(rng.integers(-span, span, n_b)), 0))
         bin_width = int(rng.choice([1, 7, 16, 50]))
         tau_min = int(rng.integers(-5000, 0))
         tau_max = tau_min + int(rng.integers(100, 10_000))

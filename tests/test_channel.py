@@ -11,11 +11,11 @@ from entsync.channel import (
     propagation_delay_ps,
 )
 from entsync.errors import ConfigError
-from entsync.timetags import ClockModel, TimeTagStream, apply_clock
+from entsync.timetags import MAX_TIMESTAMP_PS, ClockModel, apply_clock, merge_streams
 
 
-def make_stream(timestamps):
-    return TimeTagStream.from_timestamps(np.asarray(timestamps, dtype=np.int64))
+def times(values):
+    return np.asarray(values, dtype=np.int64)
 
 
 class TestPropagationDelay:
@@ -42,24 +42,24 @@ class TestPropagationDelay:
 class TestApplyChannel:
     def test_zero_lengths_identity(self):
         cfg = ChannelConfig(0.0, 0.0, 0.0)
-        s = make_stream([0, 10, 20])
+        s = times([0, 10, 20])
         out = apply_channel(s, Direction.A_TO_B, [(0, cfg)])
-        assert np.array_equal(out.timestamps_ps, s.timestamps_ps)
+        assert np.array_equal(out, s)
 
     def test_direction_dependent_delay(self):
         cfg = ChannelConfig(base_length_m=0.0, eve_length_ab_m=10.0, eve_length_ba_m=0.0)
-        s = make_stream([0, 100])
+        s = times([0, 100])
         ab = apply_channel(s, Direction.A_TO_B, [(0, cfg)])
         ba = apply_channel(s, Direction.B_TO_A, [(0, cfg)])
-        extra = int(ab.timestamps_ps[0] - ba.timestamps_ps[0])
+        extra = int(ab[0] - ba[0])
         assert abs(extra - 50480) <= 10
-        assert np.array_equal(ab.timestamps_ps - extra, ba.timestamps_ps)
+        assert np.array_equal(ab - extra, ba)
 
     def test_every_event_shifts_identically(self):
         cfg = ChannelConfig(base_length_m=3.3, eve_length_ab_m=1.7)
-        s = make_stream([0, 7, 3000, 10**12])
+        s = times([0, 7, 3000, 10**12])
         out = apply_channel(s, Direction.A_TO_B, [(0, cfg)])
-        shifts = set((out.timestamps_ps - s.timestamps_ps).tolist())
+        shifts = set((out - s).tolist())
         assert len(shifts) == 1
 
     def test_round_trip_invariant_under_length_swap(self):
@@ -72,30 +72,43 @@ class TestApplyChannel:
         assert rt == rt_swapped
 
     def test_empty_stream_passes_through(self):
-        out = apply_channel(
-            TimeTagStream.empty(), Direction.B_TO_A, [(0, ChannelConfig(base_length_m=7.0))]
-        )
+        out = apply_channel(times([]), Direction.B_TO_A, [(0, ChannelConfig(base_length_m=7.0))])
         assert len(out) == 0
 
     def test_schedule_switches_delay_at_segment_start(self):
         short = ChannelConfig(base_length_m=1.0)
         long = ChannelConfig(base_length_m=3.0)
-        s = make_stream([0, 999, 1000, 5000])
+        s = times([0, 999, 1000, 5000])
         out = apply_channel(s, Direction.A_TO_B, [(0, short), (1000, long)])
         d_short = short.delay_rounded_ps(Direction.A_TO_B)
         d_long = long.delay_rounded_ps(Direction.A_TO_B)
         expected = [0 + d_short, 999 + d_short, 1000 + d_long, 5000 + d_long]
-        assert out.timestamps_ps.tolist() == expected
+        assert out.tolist() == expected
 
-    def test_delay_drop_keeps_stream_sorted_with_labels(self):
+    def test_delay_drop_keeps_stream_sorted(self):
         # A 10 m shorter path from t = 1000 ps overtakes events sent just before.
         long = ChannelConfig(base_length_m=10.0)
         short = ChannelConfig(base_length_m=0.0)
-        s = TimeTagStream(np.array([0, 900, 1000, 1100]), np.array([5, 6, 7, 8]))
+        s = times([0, 900, 1000, 1100])
         out = apply_channel(s, Direction.B_TO_A, [(0, long), (1000, short)])
         d_long = long.delay_rounded_ps(Direction.B_TO_A)
-        assert out.timestamps_ps.tolist() == [1000, 1100, d_long, 900 + d_long]
-        assert out.channels.tolist() == [7, 8, 5, 6]
+        assert out.tolist() == [1000, 1100, d_long, 900 + d_long]
+
+    def test_arrival_past_the_timestamp_range_overflows(self):
+        cfg = ChannelConfig(base_length_m=1.0)
+        with pytest.raises(OverflowError):
+            apply_channel(times([0, MAX_TIMESTAMP_PS - 10]), Direction.A_TO_B, [(0, cfg)])
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ({"base_length_m": 1e15}, "AtoB delay"),
+            ({"eve_length_ba_m": 1e20}, "BtoA delay"),
+        ],
+    )
+    def test_delay_must_fit_the_timestamp_range(self, lengths, message):
+        with pytest.raises(ConfigError, match=message):
+            ChannelConfig(**lengths)
 
 
 class TestPredictedOffsetError:
@@ -131,7 +144,10 @@ class TestPredictedOffsetError:
 def test_channel_commutes_with_clock_translation(offset, length):
     cfg = ChannelConfig(base_length_m=length, eve_length_ab_m=2.0)
     clock = ClockModel(offset_ps=offset)
-    s = make_stream([0, 17, 40_000])
-    one = apply_clock(apply_channel(s, Direction.A_TO_B, [(0, cfg)]), clock)
-    two = apply_channel(apply_clock(s, clock), Direction.A_TO_B, [(0, cfg)])
-    assert np.array_equal(one.timestamps_ps, two.timestamps_ps)
+    s = times([0, 17, 40_000])
+    schedule = [(0, cfg)]
+    one = apply_clock(merge_streams((apply_channel(s, Direction.A_TO_B, schedule), 0)), clock)
+    two = apply_channel(
+        apply_clock(merge_streams((s, 0)), clock).timestamps_ps, Direction.A_TO_B, schedule
+    )
+    assert np.array_equal(one.timestamps_ps, two)

@@ -24,7 +24,7 @@ from entsync.correlation import (
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
-from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream
+from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream, merge_streams
 
 from oracles import (
     fit_peak_gaussian,
@@ -43,7 +43,7 @@ def window(tau_min_ps, tau_max_ps, bin_width_ps):
 
 
 def make_stream(timestamps):
-    return TimeTagStream.from_timestamps(np.asarray(timestamps, dtype=np.int64))
+    return merge_streams((np.asarray(timestamps, dtype=np.int64), 0))
 
 
 def small_scenario(**overrides):
@@ -334,7 +334,7 @@ class TestPipeline:
         assert analyze_blocks(alice, bob, 40.0, PARAMS, tmp_path) == []
 
     def test_empty_streams_give_empty_result(self, tmp_path):
-        empty = TimeTagStream.empty()
+        empty = make_stream([])
         assert analyze_blocks(empty, empty, 40.0, PARAMS, tmp_path) == []
 
     def test_zero_rate_gives_gaps_not_errors(self, tmp_path):
@@ -353,14 +353,14 @@ class TestPipeline:
                 alice.timestamps_ps[alice.timestamps_ps >= 40 * 10**12] + 40 * 10**12,
             ]
         )
-        alice_holed = TimeTagStream.from_timestamps(hole)
+        alice_holed = make_stream(hole)
         hole_b = np.concatenate(
             [
                 bob.timestamps_ps[bob.timestamps_ps < 40 * 10**12],
                 bob.timestamps_ps[bob.timestamps_ps >= 40 * 10**12] + 40 * 10**12,
             ]
         )
-        bob_holed = TimeTagStream.from_timestamps(hole_b)
+        bob_holed = make_stream(hole_b)
         estimates = analyze_blocks(alice_holed, bob_holed, 40.0, PARAMS, tmp_path, n_blocks=3)
         assert [e.block_index for e in estimates] == [0, 2]
 

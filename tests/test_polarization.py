@@ -39,6 +39,12 @@ class TestJonesState:
         with pytest.raises(ConfigError):
             JonesState(np.array([1.0, 1.0]))
 
+    def test_keeps_its_checked_copy(self):
+        source = np.array([1.0, 0.0], dtype=np.complex128)
+        state = JonesState(source)
+        source[0] = 5.0
+        assert np.linalg.norm(state.amplitudes) == 1.0
+
     def test_basis_roundtrip_is_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -51,6 +57,14 @@ class TestJonesState:
         # |R> = (|H> - i|V>)/sqrt(2)
         r_in_hv = R.in_basis(BASIS_HV).amplitudes
         assert np.allclose(r_in_hv, np.array([1.0, -1.0j]) / math.sqrt(2.0), atol=1e-12)
+
+
+class TestTwoQubitState:
+    def test_keeps_its_checked_copy(self):
+        source = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128)
+        state = TwoQubitState(source)
+        source[1] = 5.0
+        assert np.linalg.norm(state.amplitudes) == 1.0
 
 
 class TestPoincare:

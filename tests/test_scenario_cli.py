@@ -5,6 +5,7 @@ import math
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entsync import cli, scenario
@@ -14,6 +15,7 @@ from entsync.correlation import SyncAnalysisParams
 from entsync.errors import ConfigError
 from entsync.polarization import FaradayParams
 from entsync.scenario import (
+    Detectors,
     TimingScenario,
     TomoScenario,
     analyze_files,
@@ -22,8 +24,13 @@ from entsync.scenario import (
     parse_config,
     run_scenario,
     run_tomo_scenario,
+    simulate_timing,
 )
 from entsync.timetags import (
+    CH_ALICE_LOCAL,
+    CH_ALICE_REMOTE,
+    CH_BOB_LOCAL,
+    CH_BOB_REMOTE,
     ClockModel,
     DetectorModel,
     PairSourceModel,
@@ -112,7 +119,7 @@ class TestConfigValidation:
     def test_unknown_detector_key(self):
         cfg = self.base_config()
         cfg["detectors"] = {"charlie": {}}
-        with pytest.raises(ConfigError, match="detectors.charlie"):
+        with pytest.raises(ConfigError, match=r"^unknown field detectors\.charlie$"):
             parse_config(TimingScenario, cfg)
 
     def test_non_numeric_field(self):
@@ -291,6 +298,24 @@ class TestRunScenario:
         assert code == 0
         assert json.loads((tmp_path / "out" / "estimates.json").read_text()) == []
 
+    def test_each_record_carries_its_own_two_labels(self):
+        # Blind detectors on one arm per party: those arms record darks alone.
+        blind = DetectorModel(efficiency=0.0, dark_rate_hz=5000.0)
+        sc = TimingScenario(
+            duration_s=1.0,
+            seed=7,
+            alice_source=PairSourceModel(1000.0),
+            bob_source=PairSourceModel(1000.0),
+            channel=ChannelConfig(base_length_m=1.0),
+            detectors=Detectors(alice_remote=blind, bob_local=blind),
+        )
+        alice, bob = simulate_timing(sc)
+        assert set(alice.channels.tolist()) == {CH_ALICE_LOCAL, CH_ALICE_REMOTE}
+        assert set(bob.channels.tolist()) == {CH_BOB_LOCAL, CH_BOB_REMOTE}
+        for record, channel in ((alice, CH_ALICE_REMOTE), (bob, CH_BOB_LOCAL)):
+            darks = int(np.count_nonzero(record.channels == channel))
+            assert abs(darks - 5000) < 5.0 * math.sqrt(5000)
+
 
 class TestAnalyze:
     def test_roundtrip_matches_inline_results(self, smoke_run, tmp_path):
@@ -398,9 +423,9 @@ class TestAnalyze:
         assert [e["block_index"] for e in payload] == [0]
 
     def test_empty_tag_files_give_empty_estimates(self, tmp_path):
-        from entsync.timetags import TimeTagStream, write_tags_binary
+        from entsync.timetags import merge_streams, write_tags_binary
 
-        empty = TimeTagStream.empty()
+        empty = merge_streams((np.empty(0, dtype=np.int64), 0))
         write_tags_binary(empty, tmp_path / "a.tt")
         write_tags_binary(empty, tmp_path / "b.tt")
         assert (tmp_path / "a.tt").stat().st_size == 0
@@ -507,6 +532,23 @@ class TestCliErrors:
             assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 1
             err = capsys.readouterr().err
             assert "config error: block_s must round to at least 1 ps" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            (None, "duration_s", 1e7, "duration_s must be < 2**62 ps"),
+            ("channel", "base_length_m", 1e15, "channel.AtoB delay must be < 2**62 ps"),
+            ("channel", "base_length_m", 1e20, "channel.AtoB delay must be < 2**62 ps"),
+        ],
+    )
+    def test_time_past_the_timestamp_range_exits_1(
+        self, scenario_dir, tmp_path, capsys, section, key, value, message
+    ):
+        timing = json.loads((scenario_dir / "smoke.json").read_text())
+        (timing[section] if section else timing)[key] = value
+        config = write_json(tmp_path / "timing.json", timing)
+        assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["counts_per_setting", "accidentals_per_setting"])
     def test_tomo_mean_count_above_limit_exits_1(self, tmp_path, capsys, key):

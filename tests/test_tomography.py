@@ -264,6 +264,12 @@ class TestFidelity:
         source[0, 0] = 5.0
         assert rho.matrix[0, 0] == 0.25
 
+    def test_counts_table_keeps_its_checked_copy(self):
+        source = np.full(36, 5, dtype=np.int64)
+        table = CountsTable(source)
+        source[0] = -7
+        assert table.counts[0] == 5
+
 
 class TestMonteCarlo:
     def test_noise_floor_near_unity(self):
