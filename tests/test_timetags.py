@@ -32,8 +32,8 @@ def times(values):
     return np.asarray(values, dtype=np.int64)
 
 
-def make_stream(timestamps, channel=0):
-    return merge_streams((times(timestamps), channel))
+def make_stream(timestamps):
+    return merge_streams((times(timestamps), 0))
 
 
 class TestTimeTagStream:
