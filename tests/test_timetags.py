@@ -173,6 +173,20 @@ class TestApplyDetector:
         keep = _dead_time_filter(ts, dead)
         assert np.array_equal(keep, dead_time_keep_reference(ts, dead))
 
+    def test_dark_counts_inherit_channel(self):
+        dark = DetectorModel(dark_rate_hz=5000.0)
+        out = apply_detector(times([500_000]), dark, 1.0, 7)
+        other = apply_detector(times([250_000]), DetectorModel(), 1.0, 8)
+        assert len(out) > 1
+        merged = merge_streams((out, 3), (other, 1))
+        assert np.array_equal(merged.timestamps_ps[merged.channels == 3], out)
+        assert np.array_equal(merged.timestamps_ps[merged.channels == 1], other)
+
+    def test_darks_on_empty_signal_carry_detector_channel(self):
+        out = apply_detector(times([]), DetectorModel(dark_rate_hz=5000.0), 1.0, 7)
+        assert len(out) > 1
+        assert set(merge_streams((out, 3)).channels.tolist()) == {3}
+
 
 class TestApplyClock:
     def test_zero_offset_zero_drift_is_identity(self):
