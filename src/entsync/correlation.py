@@ -17,12 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, PeaksNotFoundError
-from .timetags import (
-    TimeTagStream,
-    atomic_write_bytes,
-    format_each_distinct,
-    join_text_columns,
-)
+from .timetags import atomic_write_bytes, format_each_distinct, join_text_columns
 
 
 def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
@@ -125,21 +120,19 @@ def _histogram_window(params: SyncAnalysisParams) -> tuple[int, int]:
 
 
 def compute_g2(
-    a: TimeTagStream, b: TimeTagStream, params: SyncAnalysisParams, duration_ps: int
+    at: np.ndarray, bt: np.ndarray, params: SyncAnalysisParams, duration_ps: int
 ) -> G2Histogram:
-    """Exact pair-difference histogram over tau = t_b - t_a.
+    """Exact pair-difference histogram over tau = t_b - t_a of two sorted records.
 
-    A sorted two-sided sweep finds, for every event in `a`, the slice of `b`
+    A sorted two-sided sweep finds, for every event in `at`, the slice of `bt`
     inside the window; cost is O(|a| + |b| + matches). ``duration_ps`` is the
-    span both streams were recorded over, which fixes the accidental rate
-    the histogram is normalised by.
+    span both records were taken over, which fixes the accidental rate the
+    histogram is normalised by.
     """
     tau_min_ps = params.tau_min_ps
     bin_width_ps = params.bin_width_ps
     n_bins, hi_edge = _histogram_window(params)
 
-    at = a.timestamps_ps
-    bt = b.timestamps_ps
     if at.size and bt.size:
         lo = np.searchsorted(bt, at + tau_min_ps, side="left")
         hi = np.searchsorted(bt, at + hi_edge, side="left")
@@ -275,39 +268,37 @@ def estimate_sync(peaks: PeakPair, block_index: int = 0) -> SyncEstimate:
 
 
 def analyze_block(
-    a: TimeTagStream,
-    b: TimeTagStream,
+    a_ts: np.ndarray,
+    b_ts: np.ndarray,
     block_index: int,
     block_ps: int,
     params: SyncAnalysisParams,
 ) -> tuple[G2Histogram, Optional[SyncEstimate]]:
     """Histogram and estimate for one wall-clock block; None when peaks fail.
 
-    Blocks are defined on the first stream's timeline; the second stream's
+    Blocks are defined on the first record's timeline; the second record's
     slice is widened by the correlation window so boundary pairs survive.
     """
     t0 = block_index * block_ps
     t1 = t0 + block_ps
     _, hi_edge = _histogram_window(params)
-    b_blk = b.window(t0 + params.tau_min_ps, t1 + hi_edge)
-    hist = compute_g2(a.window(t0, t1), b_blk, params, block_ps)
+    a_lo, a_hi = np.searchsorted(a_ts, [t0, t1])
+    b_lo, b_hi = np.searchsorted(b_ts, [t0 + params.tau_min_ps, t1 + hi_edge])
+    hist = compute_g2(a_ts[a_lo:a_hi], b_ts[b_lo:b_hi], params, block_ps)
     try:
         return hist, estimate_sync(find_two_peaks(hist, params), block_index)
     except PeaksNotFoundError:
         return hist, None
 
 
-def complete_blocks(a: TimeTagStream, b: TimeTagStream, block_ps: int) -> int:
-    """Number of blocks covered by the recorded data.
+def complete_blocks(a_ts: np.ndarray, b_ts: np.ndarray, block_ps: int) -> int:
+    """Number of blocks covered by two sorted timestamp records.
 
     The last event of a Poisson recording sits about one mean gap before the
     nominal end, so a block counts as covered once data reaches within 0.1%
     of its end; trailing fractional blocks are dropped.
     """
-    last = max(
-        (int(t.timestamps_ps[-1]) for t in (a, b) if len(t)),
-        default=None,
-    )
+    last = max((int(ts[-1]) for ts in (a_ts, b_ts) if ts.size), default=None)
     if last is None:
         return 0
     tolerance = max(1, block_ps // 1000)

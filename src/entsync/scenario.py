@@ -252,13 +252,14 @@ def analyze_blocks(
     analyzed.
     """
     block_ps = _block_ps(block_s)
+    a_ts, b_ts = alice.timestamps_ps, bob.timestamps_ps
     if n_blocks is None:
-        n_blocks = complete_blocks(alice, bob, block_ps)
+        n_blocks = complete_blocks(a_ts, b_ts, block_ps)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     estimates = []
     for k in range(n_blocks):
-        hist, est = analyze_block(alice, bob, k, block_ps, params)
+        hist, est = analyze_block(a_ts, b_ts, k, block_ps, params)
         write_histogram_csv(hist, out_dir / f"g2_block_{k:03d}.csv")
         if est is not None:
             estimates.append(est)

@@ -55,11 +55,6 @@ class TimeTagStream:
     def __len__(self) -> int:
         return int(self.timestamps_ps.size)
 
-    def window(self, t0_ps: int, t1_ps: int) -> "TimeTagStream":
-        """Events with t0_ps <= t < t1_ps."""
-        lo, hi = np.searchsorted(self.timestamps_ps, [t0_ps, t1_ps])
-        return TimeTagStream(self.timestamps_ps[lo:hi], self.channels[lo:hi])
-
 
 def merge_streams(*detections: tuple[np.ndarray, int]) -> TimeTagStream:
     """A party's record from (timestamps, channel label) pairs; ties are ordered by label."""

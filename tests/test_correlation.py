@@ -16,6 +16,7 @@ from entsync.correlation import (
     _local_maxima_above,
     PeakPair,
     SyncAnalysisParams,
+    analyze_block,
     compute_g2,
     estimate_sync,
     estimates_to_json,
@@ -24,7 +25,7 @@ from entsync.correlation import (
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
-from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream, merge_streams
+from entsync.timetags import ClockModel, PairSourceModel, merge_streams
 
 from oracles import (
     fit_peak_gaussian,
@@ -42,8 +43,12 @@ def window(tau_min_ps, tau_max_ps, bin_width_ps):
     )
 
 
+def times(values):
+    return np.asarray(values, dtype=np.int64)
+
+
 def make_stream(timestamps):
-    return merge_streams((np.asarray(timestamps, dtype=np.int64), 0))
+    return merge_streams((times(timestamps), 0))
 
 
 def small_scenario(**overrides):
@@ -61,7 +66,7 @@ def small_scenario(**overrides):
 
 class TestComputeG2:
     def test_single_pair_lands_in_expected_bin(self):
-        hist = compute_g2(make_stream([0]), make_stream([100]), window(0, 200, 16), 1_000)
+        hist = compute_g2(times([0]), times([100]), window(0, 200, 16), 1_000)
         assert hist.n_bins == 13  # ceil(200 / 16)
         assert hist.counts.sum() == 1
         assert hist.counts[100 // 16] == 1
@@ -69,15 +74,15 @@ class TestComputeG2:
     def test_counts_cover_whole_bins_past_tau_max(self):
         # The last bin extends to tau_min + n_bins * width even when tau_max
         # is not a multiple of the bin width.
-        hist = compute_g2(make_stream([0]), make_stream([205]), window(0, 200, 16), 1_000)
+        hist = compute_g2(times([0]), times([205]), window(0, 200, 16), 1_000)
         assert hist.counts[12] == 1
 
     def test_window_is_half_open(self):
-        hist = compute_g2(make_stream([0]), make_stream([-1, 0, 31, 32]), window(0, 32, 16), 100)
+        hist = compute_g2(times([0]), times([-1, 0, 31, 32]), window(0, 32, 16), 100)
         assert list(hist.counts) == [1, 1]
 
     def test_empty_stream_gives_zero_counts(self):
-        hist = compute_g2(make_stream([]), make_stream([1, 2]), window(0, 100, 10), 100)
+        hist = compute_g2(times([]), times([1, 2]), window(0, 100, 10), 100)
         assert hist.counts.sum() == 0
         assert hist.n_a == 0 and hist.accidentals_per_bin == 0.0
 
@@ -97,18 +102,18 @@ class TestComputeG2:
     @settings(max_examples=40, deadline=None)
     def test_matches_bruteforce_reference(self, seed, n_a, n_b, bin_width):
         rng = np.random.default_rng(seed)
-        a = make_stream(np.sort(rng.integers(-50_000, 50_000, n_a)))
-        b = make_stream(np.sort(rng.integers(-50_000, 50_000, n_b)))
+        a = times(np.sort(rng.integers(-50_000, 50_000, n_a)))
+        b = times(np.sort(rng.integers(-50_000, 50_000, n_b)))
         tau_min, tau_max = -4096, 4096
         hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 100_000)
-        reference = g2_bruteforce(a.timestamps_ps, b.timestamps_ps, tau_min, tau_max, bin_width)
+        reference = g2_bruteforce(a, b, tau_min, tau_max, bin_width)
         assert np.array_equal(hist.counts, reference)
 
     def test_independent_poisson_streams_normalize_to_one(self):
         rng = np.random.default_rng(31)
         n = 1_000_000  # 100 kHz for 10 s
-        a = make_stream(np.rint(np.sort(rng.random(n)) * 1e13))
-        b = make_stream(np.rint(np.sort(rng.random(n)) * 1e13))
+        a = times(np.rint(np.sort(rng.random(n)) * 1e13))
+        b = times(np.rint(np.sort(rng.random(n)) * 1e13))
         hist = compute_g2(a, b, PARAMS, 10**13)
         total = hist.counts.sum()
         g2 = hist.counts / hist.accidentals_per_bin
@@ -116,8 +121,8 @@ class TestComputeG2:
 
     def test_exchange_antisymmetry_bin_reversal(self):
         rng = np.random.default_rng(3)
-        a = make_stream(np.sort(rng.integers(0, 100_000, 400)))
-        b = make_stream(np.sort(rng.integers(0, 100_000, 400)))
+        a = times(np.sort(rng.integers(0, 100_000, 400)))
+        b = times(np.sort(rng.integers(0, 100_000, 400)))
         half_span = 512
         ab = compute_g2(a, b, window(-half_span, half_span, 1), 100_000)
         ba = compute_g2(b, a, window(-half_span, half_span, 1), 100_000)
@@ -126,11 +131,28 @@ class TestComputeG2:
         assert np.array_equal(ab.counts[1:], ba.counts[1:][::-1])
 
     def test_normalization_formula(self):
-        a = make_stream([0, 500, 900])
-        b = make_stream([100, 450])
+        a = times([0, 500, 900])
+        b = times([100, 450])
         hist = compute_g2(a, b, window(-1000, 1000, 50), 10_000)
         assert hist.accidentals_per_bin == 3 * 2 * 50 / 10_000
         assert hist.n_a == 3 and hist.n_b == 2 and hist.duration_ps == 10_000
+
+
+class TestAnalyzeBlock:
+    def test_block_edges_are_half_open(self):
+        # Two 1000 ps blocks. The window's bins end at hi_edge = 300, past
+        # tau_max = 290; a's event at 1000 sits exactly on block 0's end.
+        params = window(-300, 290, 50)
+        a = times([0, 400, 999, 1000, 1700])
+        b = times([-301, -300, 100, 699, 700, 1000, 1250, 1298, 1299, 1300, 2200])
+        hists = [analyze_block(a, b, k, 1_000, params)[0] for k in (0, 1)]
+        # Block k keeps a in [t0, t1) and b in [t0 - 300, t1 + 300).
+        assert [h.n_a for h in hists] == [3, 2]
+        assert [h.n_b for h in hists] == [8, 7]
+        for k, hist in enumerate(hists):
+            a_blk = a[(a >= 1_000 * k) & (a < 1_000 * (k + 1))]
+            assert np.array_equal(hist.counts, g2_bruteforce(a_blk, b, -300, 290, 50))
+        assert np.array_equal(sum(h.counts for h in hists), g2_bruteforce(a, b, -300, 290, 50))
 
 
 def test_timing_layers_import_without_scipy():
@@ -257,19 +279,18 @@ class TestPipeline:
             bob_source=PairSourceModel(200.0, sigma_photon),
         )
         alice, bob = simulate_timing(sc)
-        hist = compute_g2(alice, bob, PARAMS, 120 * 10**12)
+        hist = compute_g2(alice.timestamps_ps, bob.timestamps_ps, PARAMS, 120 * 10**12)
         peaks = find_two_peaks(hist, PARAMS)
         for tau in (peaks.tau_ab_ps, peaks.tau_ba_ps):
             fit = fit_peak_gaussian(hist, tau, 1500.0)
             assert abs(fit["fwhm_ps"] - 500.0) < 50.0
 
     def test_translation_equivariance(self, streams):
-        alice, bob = streams
+        alice, bob = (s.timestamps_ps for s in streams)
         duration_ps = 80 * 10**12
         base = find_two_peaks(compute_g2(alice, bob, PARAMS, duration_ps), PARAMS)
         shift = 16 * 200
-        shifted_bob = TimeTagStream(bob.timestamps_ps + shift, bob.channels)
-        moved = find_two_peaks(compute_g2(alice, shifted_bob, PARAMS, duration_ps), PARAMS)
+        moved = find_two_peaks(compute_g2(alice, bob + shift, PARAMS, duration_ps), PARAMS)
         assert moved.tau_ab_ps - base.tau_ab_ps == pytest.approx(shift, abs=1e-6)
         assert moved.tau_ba_ps - base.tau_ba_ps == pytest.approx(shift, abs=1e-6)
         d0, d1 = estimate_sync(base), estimate_sync(moved)
@@ -367,7 +388,7 @@ class TestPipeline:
 
 class TestExports:
     def test_histogram_csv_roundtrip(self, tmp_path):
-        hist = compute_g2(make_stream([0, 50]), make_stream([10, 60]), window(0, 100, 10), 100)
+        hist = compute_g2(times([0, 50]), times([10, 60]), window(0, 100, 10), 100)
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
         lines = path.read_text().strip().splitlines()
@@ -383,8 +404,8 @@ class TestExports:
         ["odd_bin_width", "exponent_centres", "zero_duration", "hand_built", "zero_bins"],
     )
     def test_histogram_csv_bytes_match_row_loop(self, case, tmp_path):
-        a = make_stream([0, 37, 50, 900, 901])
-        b = make_stream([10, 11, 60, 880, 2_000])
+        a = times([0, 37, 50, 900, 901])
+        b = times([10, 11, 60, 880, 2_000])
         span_ps = 1_990  # the longer stream's first-to-last span
         expected_text = b""
         if case == "odd_bin_width":
@@ -392,7 +413,7 @@ class TestExports:
             expected_text = b"\n-997.5,"
         elif case == "exponent_centres":
             shift = 3 * 10**10
-            far_b = make_stream(b.timestamps_ps + shift)
+            far_b = b + shift
             hist = compute_g2(a, far_b, window(shift - 5_000, shift + 5_000, 3), span_ps)
             expected_text = b"\n2.9999995e+10,"
         elif case == "zero_duration":
