@@ -16,6 +16,10 @@ from .errors import ConfigError, StreamFormatError
 
 PS_PER_S = 1_000_000_000_000
 MAX_TIMESTAMP_PS = 1 << 62
+# Largest Gaussian timing spread: one second, 10**9 times that of a real
+# source or detector. A draw would have to reach 4.6e6 sigma to pass 2**62 ps,
+# so every jitter converts to int64 exactly and adding it cannot wrap.
+MAX_JITTER_SIGMA_PS = 1e12
 
 # Detection channel labels.
 CH_ALICE_LOCAL = 0
@@ -43,9 +47,8 @@ class TimeTagStream:
         ch = np.ascontiguousarray(self.channels, dtype=np.uint32)
         if ts.shape != ch.shape or ts.ndim != 1:
             raise ValueError("timestamps and channels must be 1-d arrays of equal length")
-        # Bound first, so that the int64 differences below cannot wrap.
         check_timestamp_range(ts)
-        if ts.size and np.any(np.diff(ts) < 0):
+        if np.any(ts[1:] < ts[:-1]):
             raise StreamFormatError("stream is not sorted by timestamp")
         ts.flags.writeable = False
         ch.flags.writeable = False
@@ -75,8 +78,8 @@ class PairSourceModel:
     def __post_init__(self):
         if not math.isfinite(self.pair_rate_hz) or self.pair_rate_hz < 0:
             raise ConfigError("pair_rate_hz must be finite and >= 0")
-        if not math.isfinite(self.emission_jitter_sigma_ps) or self.emission_jitter_sigma_ps < 0:
-            raise ConfigError("emission_jitter_sigma_ps must be finite and >= 0")
+        if not 0 <= self.emission_jitter_sigma_ps <= MAX_JITTER_SIGMA_PS:
+            raise ConfigError("emission_jitter_sigma_ps must be in [0, 1e12]")
         if not 0.0 <= self.heralding_efficiency <= 1.0:
             raise ConfigError("heralding_efficiency must be in [0, 1]")
 
@@ -91,8 +94,8 @@ class DetectorModel:
     dead_time_ps: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.jitter_sigma_ps) or self.jitter_sigma_ps < 0:
-            raise ConfigError("jitter_sigma_ps must be finite and >= 0")
+        if not 0 <= self.jitter_sigma_ps <= MAX_JITTER_SIGMA_PS:
+            raise ConfigError("jitter_sigma_ps must be in [0, 1e12]")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ConfigError("efficiency must be in [0, 1]")
         if not math.isfinite(self.dark_rate_hz) or self.dark_rate_hz < 0:
@@ -103,7 +106,11 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Local clock: reading = ideal * (1 + drift_ppb * 1e-9) + offset_ps."""
+    """Local clock: reading = ideal * (1 + drift_ppb * 1e-9) + offset_ps.
+
+    The clock must run forward (drift_ppb > -1e9), so readings keep the
+    order of the events.
+    """
 
     offset_ps: int = 0
     drift_ppb: float = 0.0
@@ -111,6 +118,8 @@ class ClockModel:
     def __post_init__(self):
         if not math.isfinite(self.drift_ppb):
             raise ConfigError("drift_ppb must be finite")
+        if self.drift_ppb <= -1e9:
+            raise ConfigError("drift_ppb must be > -1e9")
         if abs(int(self.offset_ps)) >= MAX_TIMESTAMP_PS:
             raise ConfigError("offset_ps magnitude must be < 2**62")
 

@@ -38,6 +38,10 @@ class TestPropagationDelay:
         with pytest.raises(ConfigError):
             propagation_delay_ps(1.0, 0.9)
 
+    def test_vacuum_channel_accepted(self):
+        cfg = ChannelConfig(base_length_m=1.0, group_index=1.0)
+        assert cfg.delay_ps(Direction.A_TO_B) == propagation_delay_ps(1.0, 1.0)
+
 
 class TestApplyChannel:
     def test_zero_lengths_identity(self):
@@ -104,6 +108,8 @@ class TestApplyChannel:
         [
             ({"base_length_m": 1e15}, "AtoB delay"),
             ({"eve_length_ba_m": 1e20}, "BtoA delay"),
+            # Each length is finite, their sum is not.
+            ({"base_length_m": 1e308, "eve_length_ab_m": 1e308}, "AtoB delay"),
         ],
     )
     def test_delay_must_fit_the_timestamp_range(self, lengths, message):

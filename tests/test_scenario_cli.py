@@ -165,6 +165,24 @@ class TestConfigValidation:
             # Blocks that round to 0 ps or overflow integer ps.
             ("block_s", 1e-300, BLOCK_PS_RANGE),
             ("block_s", 1e300, BLOCK_PS_RANGE),
+            # A clock that stops or runs backward would unsort its record.
+            ("bob_clock", {"drift_ppb": -1e9}, r"bob_clock\.drift_ppb must be > -1e9"),
+            (
+                "alice_source",
+                {"pair_rate_hz": 1.0, "emission_jitter_sigma_ps": 1e300},
+                r"alice_source\.emission_jitter_sigma_ps must be in \[0, 1e12\]",
+            ),
+            (
+                "detectors",
+                {"alice_local": {"jitter_sigma_ps": 1e300}},
+                r"detectors\.alice_local\.jitter_sigma_ps must be in \[0, 1e12\]",
+            ),
+            # Each length is finite, their sum is not.
+            (
+                "channel",
+                {"base_length_m": 1e308, "eve_length_ab_m": 1e308},
+                r"channel\.AtoB delay must be < 2\*\*62 ps",
+            ),
         ],
     )
     def test_field_error_names_path(self, key, value, message):
@@ -179,7 +197,7 @@ class TestConfigValidation:
             (lambda: PairSourceModel(-1.0), "pair_rate_hz must be finite and >= 0"),
             (lambda: DetectorModel(efficiency=1.5), r"efficiency must be in \[0, 1\]"),
             (lambda: ClockModel(drift_ppb=math.nan), "drift_ppb must be finite"),
-            (lambda: ChannelConfig(group_index=1.0), "group_index must be finite and > 1"),
+            (lambda: ChannelConfig(group_index=0.9), "group_index must be finite and >= 1"),
             (lambda: SyncAnalysisParams(bin_width_ps=0), "bin_width_ps must be >= 1"),
             (lambda: FaradayParams(n0=1.0), "n0 must be > 1"),
             (
@@ -546,6 +564,37 @@ class TestCliErrors:
     ):
         timing = json.loads((scenario_dir / "smoke.json").read_text())
         (timing[section] if section else timing)[key] = value
+        config = write_json(tmp_path / "timing.json", timing)
+        assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("bob_clock", {"drift_ppb": -2e9}, "bob_clock.drift_ppb must be > -1e9"),
+            (
+                "alice_source",
+                {"emission_jitter_sigma_ps": 1e300},
+                "alice_source.emission_jitter_sigma_ps must be in [0, 1e12]",
+            ),
+            (
+                "detectors",
+                {"alice_local": {"jitter_sigma_ps": 1e300}},
+                "detectors.alice_local.jitter_sigma_ps must be in [0, 1e12]",
+            ),
+            (
+                "channel",
+                {"base_length_m": 1e308, "eve_length_ab_m": 1e308},
+                "channel.AtoB delay must be < 2**62 ps",
+            ),
+        ],
+        ids=["backward_clock", "emission_jitter", "detector_jitter", "length_sum"],
+    )
+    def test_model_out_of_range_exits_1(
+        self, scenario_dir, tmp_path, capsys, section, values, message
+    ):
+        timing = json.loads((scenario_dir / "smoke.json").read_text())
+        timing[section].update(values)
         config = write_json(tmp_path / "timing.json", timing)
         assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert f"config error: {message}" in capsys.readouterr().err

@@ -45,6 +45,10 @@ class TestTimeTagStream:
         with pytest.raises(OverflowError):
             make_stream([1 << 62])
 
+    def test_range_is_checked_before_order(self):
+        with pytest.raises(OverflowError):
+            TimeTagStream(times([1 << 62, 0]), np.zeros(2, dtype=np.uint32))
+
     def test_merge_orders_ties_by_channel(self):
         merged = merge_streams((times([5, 10]), 1), (times([5, 7]), 0))
         assert list(merged.timestamps_ps) == [5, 5, 7, 10]
@@ -205,6 +209,11 @@ class TestApplyClock:
         s = make_stream([3, 14, 159, 2653])
         roundtrip = apply_clock(apply_clock(s, ClockModel(offset_ps=771)), ClockModel(offset_ps=-771))
         assert np.array_equal(roundtrip.timestamps_ps, s.timestamps_ps)
+
+    def test_slowest_forward_clock_keeps_order(self):
+        s = make_stream([0, 10**12, 10**12 + 1, 3 * 10**12])
+        out = apply_clock(s, ClockModel(drift_ppb=-1e9 + 1.0))
+        assert list(out.timestamps_ps) == [0, 1_000, 1_000, 3_000]
 
     def test_overflow_is_a_hard_error(self):
         s = make_stream([(1 << 62) - 500])
