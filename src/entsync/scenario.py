@@ -232,8 +232,8 @@ def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
         detect("bob_local", b_local),
         detect("bob_remote", apply_channel(a_remote, Direction.A_TO_B, schedule)),
     )
-    alice = apply_clock(merge_streams(alice_local, alice_remote), sc.alice_clock)
-    bob = apply_clock(merge_streams(bob_local, bob_remote), sc.bob_clock)
+    alice = apply_clock(*merge_streams(alice_local, alice_remote), sc.alice_clock)
+    bob = apply_clock(*merge_streams(bob_local, bob_remote), sc.bob_clock)
     return alice, bob
 
 
@@ -266,11 +266,13 @@ def analyze_blocks(
     return estimates
 
 
-def _group_stats(values: list[float], sigmas: list[float]) -> tuple[float, float]:
-    """Mean and a conservative standard error combining both error views."""
-    n = len(values)
+def _group_stats(estimates: list[SyncEstimate], round_trip: bool = False) -> tuple[float, float]:
+    """Mean offset, or round trip (at twice the offset's sigma), and a conservative error."""
+    n = len(estimates)
+    values = [e.round_trip_ps if round_trip else e.delta_ps for e in estimates]
+    scale = 2.0 if round_trip else 1.0
     mean = float(np.mean(values))
-    propagated = math.sqrt(sum(s * s for s in sigmas)) / n
+    propagated = math.sqrt(sum(s * s for s in (scale * e.delta_sigma_ps for e in estimates))) / n
     empirical = float(np.std(values, ddof=1)) / math.sqrt(n) if n >= 2 else 0.0
     return mean, max(propagated, empirical)
 
@@ -285,51 +287,34 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
             and (e.block_index + 1) * sc.block_s <= hi_s + 1e-9
         ]
 
+    segments = [(*seg, predicted_offset_error_ps(seg[2])) for seg in sc.channel_segments()]
     segments_out = []
-    for start_s, end_s, cfg in sc.channel_segments():
+    for start_s, end_s, cfg, predicted in segments:
         members = within(start_s, end_s)
         seg = {
             "start_s": start_s,
             "end_s": end_s,
             "channel": dataclasses.asdict(cfg),
-            "predicted_offset_error_ps": predicted_offset_error_ps(cfg),
+            "predicted_offset_error_ps": predicted,
             "n_blocks_used": len(members),
         }
         if members:
-            deltas = [e.delta_ps for e in members]
-            sigmas = [e.delta_sigma_ps for e in members]
-            rts = [e.round_trip_ps for e in members]
-            rt_sigmas = [2.0 * e.delta_sigma_ps for e in members]
-            seg["mean_delta_ps"], seg["sem_delta_ps"] = _group_stats(deltas, sigmas)
-            seg["mean_round_trip_ps"], seg["sem_round_trip_ps"] = _group_stats(rts, rt_sigmas)
+            seg["mean_delta_ps"], seg["sem_delta_ps"] = _group_stats(members)
+            seg["mean_round_trip_ps"], seg["sem_round_trip_ps"] = _group_stats(members, True)
         segments_out.append(seg)
 
-    initial = sc.channel
-    final = sc.schedule[-1].channel if sc.schedule else sc.channel
-    predicted_initial = predicted_offset_error_ps(initial)
-    predicted_final = predicted_offset_error_ps(final)
-
+    _, _, initial, predicted_initial = segments[0]
+    _, _, final, predicted_final = segments[-1]
     # Compare blocks before the first change of the predicted offset error
     # with blocks after the last such change.
-    change_times = []
-    prev = predicted_initial
-    for entry in sc.schedule:
-        cur = predicted_offset_error_ps(entry.channel)
-        if cur != prev:
-            change_times.append(entry.time_s)
-        prev = cur
+    change_times = [cur[0] for prev, cur in zip(segments, segments[1:]) if cur[3] != prev[3]]
     measured_shift = None
     shift_sigma = None
     if change_times:
         before = within(-math.inf, change_times[0])
         after = within(change_times[-1], math.inf)
         if before and after:
-            mean_b, sem_b = _group_stats(
-                [e.delta_ps for e in before], [e.delta_sigma_ps for e in before]
-            )
-            mean_a, sem_a = _group_stats(
-                [e.delta_ps for e in after], [e.delta_sigma_ps for e in after]
-            )
+            (mean_b, sem_b), (mean_a, sem_a) = _group_stats(before), _group_stats(after)
             measured_shift = mean_a - mean_b
             shift_sigma = math.hypot(sem_b, sem_a)
 

@@ -59,12 +59,12 @@ class TimeTagStream:
         return int(self.timestamps_ps.size)
 
 
-def merge_streams(*detections: tuple[np.ndarray, int]) -> TimeTagStream:
-    """A party's record from (timestamps, channel label) pairs; ties are ordered by label."""
+def merge_streams(*detections: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
+    """A party's sorted timestamps and labels from (timestamps, label) pairs; ties by label."""
     ts = np.concatenate([t for t, _ in detections])
     ch = np.concatenate([np.full(t.size, label, dtype=np.uint32) for t, label in detections])
     order = np.lexsort((ch, ts))
-    return TimeTagStream(ts[order], ch[order])
+    return ts[order], ch[order]
 
 
 @dataclass(frozen=True)
@@ -232,13 +232,13 @@ def apply_detector(
     return check_timestamp_range(ts)
 
 
-def apply_clock(stream: TimeTagStream, clock: ClockModel) -> TimeTagStream:
-    """Map ideal timestamps to this clock's readings.
+def apply_clock(ts: np.ndarray, channels: np.ndarray, clock: ClockModel) -> TimeTagStream:
+    """A party's record: its sorted ideal timestamps mapped to this clock's readings.
 
     reading = round(t * (1 + drift_ppb * 1e-9)) + offset_ps. With zero drift
-    the mapping is an exact integer translation.
+    the mapping is an exact integer translation. The record is built, and its
+    range and order checked, here.
     """
-    ts = stream.timestamps_ps
     offset = np.int64(clock.offset_ps)
     if clock.drift_ppb == 0.0:
         out = ts + offset
@@ -248,7 +248,7 @@ def apply_clock(stream: TimeTagStream, clock: ClockModel) -> TimeTagStream:
             raise OverflowError("clock transform overflows the 2**62 ps timestamp bound")
         out = scaled.astype(np.int64) + offset
     # Both terms are below 2**62, so the sum cannot wrap; TimeTagStream checks the bound.
-    return TimeTagStream(out, stream.channels)
+    return TimeTagStream(out, channels)
 
 
 # --- file formats --------------------------------------------------------

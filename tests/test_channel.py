@@ -152,8 +152,8 @@ def test_channel_commutes_with_clock_translation(offset, length):
     clock = ClockModel(offset_ps=offset)
     s = times([0, 17, 40_000])
     schedule = [(0, cfg)]
-    one = apply_clock(merge_streams((apply_channel(s, Direction.A_TO_B, schedule), 0)), clock)
+    one = apply_clock(*merge_streams((apply_channel(s, Direction.A_TO_B, schedule), 0)), clock)
     two = apply_channel(
-        apply_clock(merge_streams((s, 0)), clock).timestamps_ps, Direction.A_TO_B, schedule
+        apply_clock(*merge_streams((s, 0)), clock).timestamps_ps, Direction.A_TO_B, schedule
     )
     assert np.array_equal(one.timestamps_ps, two)

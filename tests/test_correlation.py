@@ -25,7 +25,7 @@ from entsync.correlation import (
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
-from entsync.timetags import ClockModel, PairSourceModel, merge_streams
+from entsync.timetags import ClockModel, PairSourceModel, apply_clock, merge_streams
 
 from oracles import (
     fit_peak_gaussian,
@@ -48,7 +48,7 @@ def times(values):
 
 
 def make_stream(timestamps):
-    return merge_streams((times(timestamps), 0))
+    return apply_clock(*merge_streams((times(timestamps), 0)), ClockModel())
 
 
 def small_scenario(**overrides):

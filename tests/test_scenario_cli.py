@@ -34,6 +34,7 @@ from entsync.timetags import (
     ClockModel,
     DetectorModel,
     PairSourceModel,
+    TimeTagStream,
     read_tags_binary,
     write_tags_csv,
 )
@@ -334,6 +335,15 @@ class TestRunScenario:
             darks = int(np.count_nonzero(record.channels == channel))
             assert abs(darks - 5000) < 5.0 * math.sqrt(5000)
 
+    def test_simulate_builds_each_record_once(self, scenario_dir, monkeypatch):
+        # One checked record per party: apply_clock builds it, nothing before it does.
+        built = []
+        check = TimeTagStream.__post_init__
+        monkeypatch.setattr(TimeTagStream, "__post_init__", lambda s: built.append(check(s)))
+        sc = dataclasses.replace(load_timing_scenario(scenario_dir / "smoke.json"), duration_s=2.0)
+        simulate_timing(sc)
+        assert len(built) == 2
+
 
 class TestAnalyze:
     def test_roundtrip_matches_inline_results(self, smoke_run, tmp_path):
@@ -441,9 +451,9 @@ class TestAnalyze:
         assert [e["block_index"] for e in payload] == [0]
 
     def test_empty_tag_files_give_empty_estimates(self, tmp_path):
-        from entsync.timetags import merge_streams, write_tags_binary
+        from entsync.timetags import apply_clock, merge_streams, write_tags_binary
 
-        empty = merge_streams((np.empty(0, dtype=np.int64), 0))
+        empty = apply_clock(*merge_streams((np.empty(0, dtype=np.int64), 0)), ClockModel())
         write_tags_binary(empty, tmp_path / "a.tt")
         write_tags_binary(empty, tmp_path / "b.tt")
         assert (tmp_path / "a.tt").stat().st_size == 0

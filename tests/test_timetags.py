@@ -32,8 +32,12 @@ def times(values):
     return np.asarray(values, dtype=np.int64)
 
 
-def make_stream(timestamps):
+def labelled(timestamps):
     return merge_streams((times(timestamps), 0))
+
+
+def make_stream(timestamps):
+    return apply_clock(*labelled(timestamps), ClockModel())
 
 
 class TestTimeTagStream:
@@ -50,9 +54,9 @@ class TestTimeTagStream:
             TimeTagStream(times([1 << 62, 0]), np.zeros(2, dtype=np.uint32))
 
     def test_merge_orders_ties_by_channel(self):
-        merged = merge_streams((times([5, 10]), 1), (times([5, 7]), 0))
-        assert list(merged.timestamps_ps) == [5, 5, 7, 10]
-        assert list(merged.channels) == [0, 1, 0, 1]
+        ts, ch = merge_streams((times([5, 10]), 1), (times([5, 7]), 0))
+        assert list(ts) == [5, 5, 7, 10]
+        assert list(ch) == [0, 1, 0, 1]
 
 
 class TestGeneratePairs:
@@ -178,47 +182,47 @@ class TestApplyDetector:
         out = apply_detector(times([500_000]), dark, 1.0, 7)
         other = apply_detector(times([250_000]), DetectorModel(), 1.0, 8)
         assert len(out) > 1
-        merged = merge_streams((out, 3), (other, 1))
-        assert np.array_equal(merged.timestamps_ps[merged.channels == 3], out)
-        assert np.array_equal(merged.timestamps_ps[merged.channels == 1], other)
+        ts, ch = merge_streams((out, 3), (other, 1))
+        assert np.array_equal(ts[ch == 3], out)
+        assert np.array_equal(ts[ch == 1], other)
 
     def test_darks_on_empty_signal_carry_detector_channel(self):
         out = apply_detector(times([]), DetectorModel(dark_rate_hz=5000.0), 1.0, 7)
         assert len(out) > 1
-        assert set(merge_streams((out, 3)).channels.tolist()) == {3}
+        _, ch = merge_streams((out, 3))
+        assert set(ch.tolist()) == {3}
 
 
 class TestApplyClock:
     def test_zero_offset_zero_drift_is_identity(self):
-        s = make_stream([0, 5, 10])
-        out = apply_clock(s, ClockModel())
-        assert np.array_equal(out.timestamps_ps, s.timestamps_ps)
+        ts, ch = labelled([0, 5, 10])
+        out = apply_clock(ts, ch, ClockModel())
+        assert np.array_equal(out.timestamps_ps, ts)
+        assert np.array_equal(out.channels, ch)
 
     def test_pure_translation(self):
-        s = make_stream([0, 5, 10])
-        out = apply_clock(s, ClockModel(offset_ps=1000))
+        out = apply_clock(*labelled([0, 5, 10]), ClockModel(offset_ps=1000))
         assert list(out.timestamps_ps) == [1000, 1005, 1010]
 
     def test_drift_arithmetic(self):
         # 1000 ppb = 1e-6 fractional: 1e12 ps maps to 1e12 + 1e6 plus offset.
-        s = make_stream([10**12])
-        out = apply_clock(s, ClockModel(offset_ps=250, drift_ppb=1000.0))
+        out = apply_clock(*labelled([10**12]), ClockModel(offset_ps=250, drift_ppb=1000.0))
         assert int(out.timestamps_ps[0]) == 10**12 + 10**6 + 250
 
     def test_apply_then_subtract_offset_is_identity(self):
-        s = make_stream([3, 14, 159, 2653])
-        roundtrip = apply_clock(apply_clock(s, ClockModel(offset_ps=771)), ClockModel(offset_ps=-771))
-        assert np.array_equal(roundtrip.timestamps_ps, s.timestamps_ps)
+        ts, ch = labelled([3, 14, 159, 2653])
+        once = apply_clock(ts, ch, ClockModel(offset_ps=771))
+        roundtrip = apply_clock(once.timestamps_ps, once.channels, ClockModel(offset_ps=-771))
+        assert np.array_equal(roundtrip.timestamps_ps, ts)
 
     def test_slowest_forward_clock_keeps_order(self):
-        s = make_stream([0, 10**12, 10**12 + 1, 3 * 10**12])
-        out = apply_clock(s, ClockModel(drift_ppb=-1e9 + 1.0))
+        ts, ch = labelled([0, 10**12, 10**12 + 1, 3 * 10**12])
+        out = apply_clock(ts, ch, ClockModel(drift_ppb=-1e9 + 1.0))
         assert list(out.timestamps_ps) == [0, 1_000, 1_000, 3_000]
 
     def test_overflow_is_a_hard_error(self):
-        s = make_stream([(1 << 62) - 500])
         with pytest.raises(OverflowError):
-            apply_clock(s, ClockModel(offset_ps=1000))
+            apply_clock(*labelled([(1 << 62) - 500]), ClockModel(offset_ps=1000))
 
 
 class TestFileFormats:
