@@ -133,19 +133,16 @@ def compute_g2(
     bin_width_ps = params.bin_width_ps
     n_bins, hi_edge = _histogram_window(params)
 
-    if at.size and bt.size:
-        lo = np.searchsorted(bt, at + tau_min_ps, side="left")
-        hi = np.searchsorted(bt, at + hi_edge, side="left")
-        per_event = hi - lo
-        total = int(per_event.sum())
-        a_idx = np.repeat(np.arange(at.size), per_event)
-        run_start = np.repeat(np.cumsum(per_event) - per_event, per_event)
-        b_idx = np.repeat(lo, per_event) + (np.arange(total) - run_start)
-        tau = bt[b_idx] - at[a_idx]
-        bins = (tau - tau_min_ps) // bin_width_ps
-        counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
-    else:
-        counts = np.zeros(n_bins, dtype=np.int64)
+    lo = np.searchsorted(bt, at + tau_min_ps, side="left")
+    hi = np.searchsorted(bt, at + hi_edge, side="left")
+    per_event = hi - lo
+    total = int(per_event.sum())
+    a_idx = np.repeat(np.arange(at.size), per_event)
+    run_start = np.repeat(np.cumsum(per_event) - per_event, per_event)
+    b_idx = np.repeat(lo, per_event) + (np.arange(total) - run_start)
+    tau = bt[b_idx] - at[a_idx]
+    bins = (tau - tau_min_ps) // bin_width_ps
+    counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
     return G2Histogram(tau_min_ps, bin_width_ps, counts, at.size, bt.size, duration_ps)
 
 

@@ -39,6 +39,7 @@ from .timetags import (
     CH_ALICE_REMOTE,
     CH_BOB_LOCAL,
     CH_BOB_REMOTE,
+    MAX_JITTER_SIGMA_PS,
     MAX_TIMESTAMP_PS,
     PS_PER_S,
     ClockModel,
@@ -75,6 +76,15 @@ _DETECTORS = {
 }
 
 
+# Most analysis blocks in one run: a day of one-second blocks. Each block
+# writes its own histogram file, so this also bounds the output directory.
+MAX_BLOCKS = 100_000
+# Room left for jitter on both sides of the ideal event times when a clock's
+# readings are checked: 64 times the largest jitter sigma allowed (1 s), which
+# no Gaussian draw of a source or detector jitter reaches.
+_JITTER_MARGIN_PS = 64 * int(MAX_JITTER_SIGMA_PS)
+
+
 def _block_ps(block_s: float) -> int:
     """An analysis block's length in integer ps, which must lie in [1, 2**62)."""
     if not math.isfinite(block_s) or block_s <= 0:
@@ -84,6 +94,23 @@ def _block_ps(block_s: float) -> int:
     if not 1 <= block_ps < MAX_TIMESTAMP_PS:
         raise ConfigError("block_s must round to at least 1 ps and less than 2**62 ps")
     return block_ps
+
+
+def _check_blocks(block_ps: int, n_blocks: int, params: SyncAnalysisParams):
+    """Each block must span the g2 window, and a run may have at most MAX_BLOCKS."""
+    window_ps = params.tau_max_ps - params.tau_min_ps
+    if block_ps < window_ps:
+        raise ConfigError(f"block_s must be at least the g2 window, {window_ps} ps")
+    if n_blocks > MAX_BLOCKS:
+        raise ConfigError(f"{n_blocks} blocks of block_s in this run; at most {MAX_BLOCKS} allowed")
+
+
+def _reads_in_range(clock: ClockModel, t_ps: int) -> bool:
+    """Whether apply_clock's reading of ideal time ``t_ps`` is below 2**62 ps in magnitude."""
+    scaled = t_ps * (1.0 + clock.drift_ppb * 1e-9)
+    if not abs(scaled) < MAX_TIMESTAMP_PS:
+        return False
+    return abs(round(scaled) + clock.offset_ps) < MAX_TIMESTAMP_PS
 
 
 @dataclass(frozen=True)
@@ -123,7 +150,7 @@ class TimingScenario:
             raise ConfigError("duration_s must be < 2**62 ps")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        _block_ps(self.block_s)
+        _check_blocks(_block_ps(self.block_s), self.n_blocks(), self.analysis)
         previous = 0.0
         for i, entry in enumerate(self.schedule):
             if not 0.0 < entry.time_s < self.duration_s:
@@ -131,6 +158,18 @@ class TimingScenario:
             if entry.time_s <= previous:
                 raise ConfigError(f"schedule[{i}].time_s must be strictly increasing")
             previous = entry.time_s
+        # A clock maps time forward, so the readings of the earliest and the
+        # latest event bound all of them.
+        latest_ps = round(self.duration_s * PS_PER_S) + max(
+            cfg.delay_rounded_ps(d) for _, _, cfg in self.channel_segments() for d in Direction
+        )
+        ends = (-_JITTER_MARGIN_PS, latest_ps + _JITTER_MARGIN_PS)
+        for name in ("alice_clock", "bob_clock"):
+            if not all(_reads_in_range(getattr(self, name), t_ps) for t_ps in ends):
+                raise ConfigError(
+                    f"{name} must read below 2**62 ps in magnitude from -64 s"
+                    " to duration_s + the longest delay + 64 s"
+                )
 
     def n_blocks(self) -> int:
         """Complete analysis blocks inside the configured duration."""
@@ -255,6 +294,7 @@ def analyze_blocks(
     a_ts, b_ts = alice.timestamps_ps, bob.timestamps_ps
     if n_blocks is None:
         n_blocks = complete_blocks(a_ts, b_ts, block_ps)
+    _check_blocks(block_ps, n_blocks, params)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     estimates = []

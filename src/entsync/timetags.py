@@ -259,8 +259,11 @@ def apply_clock(ts: np.ndarray, channels: np.ndarray, clock: ClockModel) -> Time
 RECORD_DTYPE = np.dtype([("timestamp_ps", "<i8"), ("channel", "<u4"), ("reserved", "<u4")])
 
 
-def atomic_write_bytes(path, payload: bytes):
-    """Write payload to path through a temporary file, so readers never see a partial file."""
+def atomic_write_bytes(path, payload):
+    """Write a bytes-like payload to path through a temporary file.
+
+    Readers never see a partial file; a contiguous array is written without a copy.
+    """
     tmp = str(path) + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(payload)
@@ -271,7 +274,7 @@ def write_tags_binary(stream: TimeTagStream, path):
     rec = np.zeros(len(stream), dtype=RECORD_DTYPE)
     rec["timestamp_ps"] = stream.timestamps_ps
     rec["channel"] = stream.channels
-    atomic_write_bytes(path, rec.tobytes())
+    atomic_write_bytes(path, rec)
 
 
 def read_tags_binary(path) -> TimeTagStream:

@@ -41,6 +41,11 @@ from entsync.timetags import (
 
 
 BLOCK_PS_RANGE = r"block_s must round to at least 1 ps and less than 2\*\*62 ps"
+BLOCK_IN_WINDOW = r"block_s must be at least the g2 window, 2000000 ps"
+CLOCK_RANGE = (
+    r"{} must read below 2\*\*62 ps in magnitude from -64 s"
+    r" to duration_s \+ the longest delay \+ 64 s"
+)
 TOMO_MEAN_LIMIT = r"counts_per_setting \+ accidentals_per_setting must be <= 1e18"
 
 
@@ -184,6 +189,13 @@ class TestConfigValidation:
                 {"base_length_m": 1e308, "eve_length_ab_m": 1e308},
                 r"channel\.AtoB delay must be < 2\*\*62 ps",
             ),
+            # Valid clocks whose readings would leave the timestamp range.
+            ("bob_clock", {"drift_ppb": 1e300}, CLOCK_RANGE.format("bob_clock")),
+            ("alice_clock", {"offset_ps": 2**62 - 1000}, CLOCK_RANGE.format("alice_clock")),
+            ("alice_clock", {"offset_ps": -(2**62) + 1000}, CLOCK_RANGE.format("alice_clock")),
+            # 1 ns blocks are shorter than the 2 us window; 50 us blocks are too many.
+            ("block_s", 1e-9, BLOCK_IN_WINDOW),
+            ("block_s", 5e-5, r"200000 blocks of block_s in this run; at most 100000 allowed"),
         ],
     )
     def test_field_error_names_path(self, key, value, message):
@@ -561,6 +573,31 @@ class TestCliErrors:
             err = capsys.readouterr().err
             assert "config error: block_s must round to at least 1 ps" in err
 
+    def test_too_many_or_too_short_blocks_exit_1(self, smoke_run, scenario_dir, tmp_path, capsys):
+        out, _ = smoke_run
+        timing = json.loads((scenario_dir / "smoke.json").read_text())
+        timing["block_s"] = 1e-9
+        tags = ["--alice", str(out / "alice.tt"), "--bob", str(out / "bob.tt")]
+        runs = [
+            (
+                ["simulate", "--config", str(write_json(tmp_path / "timing.json", timing))],
+                "block_s must be at least the g2 window, 2000000 ps",
+            ),
+            (["analyze", *tags, "--block-s", "1e-9"], "block_s must be at least the g2 window"),
+            (
+                ["analyze", *tags, "--block-s", "2e-6"],
+                "39998796 blocks of block_s in this run; at most 100000 allowed",
+            ),
+            (
+                ["analyze", *tags, "--n-blocks", "100001"],
+                "100001 blocks of block_s in this run; at most 100000 allowed",
+            ),
+        ]
+        for argv, message in runs:
+            assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 1
+            assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
@@ -597,8 +634,17 @@ class TestCliErrors:
                 {"base_length_m": 1e308, "eve_length_ab_m": 1e308},
                 "channel.AtoB delay must be < 2**62 ps",
             ),
+            ("bob_clock", {"drift_ppb": 1e300}, "bob_clock must read below 2**62 ps"),
+            ("alice_clock", {"offset_ps": 2**62 - 1000}, "alice_clock must read below 2**62 ps"),
         ],
-        ids=["backward_clock", "emission_jitter", "detector_jitter", "length_sum"],
+        ids=[
+            "backward_clock",
+            "emission_jitter",
+            "detector_jitter",
+            "length_sum",
+            "huge_drift",
+            "offset_near_range",
+        ],
     )
     def test_model_out_of_range_exits_1(
         self, scenario_dir, tmp_path, capsys, section, values, message
