@@ -311,8 +311,9 @@ def _group_stats(estimates: list[SyncEstimate], round_trip: bool = False) -> tup
     n = len(estimates)
     values = [e.round_trip_ps if round_trip else e.delta_ps for e in estimates]
     scale = 2.0 if round_trip else 1.0
+    sigmas = [scale * e.delta_sigma_ps for e in estimates]
     mean = float(np.mean(values))
-    propagated = math.sqrt(sum(s * s for s in (scale * e.delta_sigma_ps for e in estimates))) / n
+    propagated = math.sqrt(sum(s * s for s in sigmas)) / n
     empirical = float(np.std(values, ddof=1)) / math.sqrt(n) if n >= 2 else 0.0
     return mean, max(propagated, empirical)
 
@@ -327,7 +328,10 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
             and (e.block_index + 1) * sc.block_s <= hi_s + 1e-9
         ]
 
-    segments = [(*seg, predicted_offset_error_ps(seg[2])) for seg in sc.channel_segments()]
+    segments = [
+        (start_s, end_s, cfg, predicted_offset_error_ps(cfg))
+        for start_s, end_s, cfg in sc.channel_segments()
+    ]
     segments_out = []
     for start_s, end_s, cfg, predicted in segments:
         members = within(start_s, end_s)
