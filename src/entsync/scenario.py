@@ -78,7 +78,7 @@ _DETECTORS = {
 
 # Most analysis blocks in one run: a day of one-second blocks. Each block
 # writes its own histogram file, so this also bounds the output directory.
-MAX_BLOCKS = 100_000
+_MAX_BLOCKS = 100_000
 # Room left for jitter on both sides of the ideal event times when a clock's
 # readings are checked: 64 times the largest jitter sigma allowed (1 s), which
 # no Gaussian draw of a source or detector jitter reaches.
@@ -97,12 +97,14 @@ def _block_ps(block_s: float) -> int:
 
 
 def _check_blocks(block_ps: int, n_blocks: int, params: SyncAnalysisParams):
-    """Each block must span the g2 window, and a run may have at most MAX_BLOCKS."""
+    """Each block must span the g2 window, and a run may have at most _MAX_BLOCKS."""
     window_ps = params.tau_max_ps - params.tau_min_ps
     if block_ps < window_ps:
         raise ConfigError(f"block_s must be at least the g2 window, {window_ps} ps")
-    if n_blocks > MAX_BLOCKS:
-        raise ConfigError(f"{n_blocks} blocks of block_s in this run; at most {MAX_BLOCKS} allowed")
+    if n_blocks > _MAX_BLOCKS:
+        raise ConfigError(
+            f"{n_blocks} blocks of block_s in this run; at most {_MAX_BLOCKS} allowed"
+        )
 
 
 def _reads_in_range(clock: ClockModel, t_ps: int) -> bool:

@@ -232,7 +232,9 @@ def apply_detector(
     return check_timestamp_range(ts)
 
 
-def apply_clock(ts: np.ndarray, channels: np.ndarray, clock: ClockModel) -> TimeTagStream:
+def apply_clock(
+    timestamps: np.ndarray, channels: np.ndarray, clock: ClockModel
+) -> TimeTagStream:
     """A party's record: its sorted ideal timestamps mapped to this clock's readings.
 
     reading = round(t * (1 + drift_ppb * 1e-9)) + offset_ps. With zero drift
@@ -241,9 +243,9 @@ def apply_clock(ts: np.ndarray, channels: np.ndarray, clock: ClockModel) -> Time
     """
     offset = np.int64(clock.offset_ps)
     if clock.drift_ppb == 0.0:
-        out = ts + offset
+        out = timestamps + offset
     else:
-        scaled = np.rint(ts.astype(np.float64) * (1.0 + clock.drift_ppb * 1e-9))
+        scaled = np.rint(timestamps.astype(np.float64) * (1.0 + clock.drift_ppb * 1e-9))
         if np.any(np.abs(scaled) >= float(MAX_TIMESTAMP_PS)):
             raise OverflowError("clock transform overflows the 2**62 ps timestamp bound")
         out = scaled.astype(np.int64) + offset

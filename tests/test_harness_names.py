@@ -36,7 +36,9 @@ def test_harness_wraps_are_called(tmp_path):
     timing = tmp_path / "timing.json"
     timing.write_text(json.dumps({**smoke, "duration_s": 2.0, "block_s": 1.0}))
     tomo = tmp_path / "tomo.json"
-    tomo.write_text(json.dumps({"seed": 42, "attack": "full", "counts_per_setting": 2000.0, "reps": 4}))
+    tomo.write_text(
+        json.dumps({"seed": 42, "attack": "full", "counts_per_setting": 2000.0, "reps": 4})
+    )
     out = tmp_path / "out"
     commands = [
         ["simulate", "--config", str(timing), "--out", str(out / "sim")],
@@ -76,7 +78,9 @@ for argv in {commands!r}:
 calls["OptimizeProxy: tomography.optimize.minimize"] = rec.counts["tomography.optimizer_calls"]
 print(json.dumps(calls))
 """
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+    )
     assert result.returncode == 0, result.stderr
     calls = json.loads(result.stdout.splitlines()[-1])
     assert {name.split(":")[0] for name in calls} == {"StepClock", "Recorder", "OptimizeProxy"}

@@ -583,7 +583,10 @@ class TestCliErrors:
                 ["simulate", "--config", str(write_json(tmp_path / "timing.json", timing))],
                 "block_s must be at least the g2 window, 2000000 ps",
             ),
-            (["analyze", *tags, "--block-s", "1e-9"], "block_s must be at least the g2 window"),
+            (
+                ["analyze", *tags, "--block-s", "1e-9"],
+                "block_s must be at least the g2 window, 2000000 ps",
+            ),
             (
                 ["analyze", *tags, "--block-s", "2e-6"],
                 "39998796 blocks of block_s in this run; at most 100000 allowed",
