@@ -86,18 +86,23 @@ def apply_channel(
     direction: Direction,
     schedule: Sequence[tuple[int, ChannelConfig]],
 ) -> np.ndarray:
-    """Delay each send time by the one-way delay of the channel active then.
+    """Delay each sorted send time by the one-way delay of the channel active then.
 
     ``schedule`` lists ``(start_ps, config)`` segments in increasing start
     order; the first segment also covers everything before its start, so a
-    fixed channel is ``[(0, config)]``. The arrival times are re-sorted,
+    fixed channel is ``[(0, config)]``. Each segment's delay is added to its
+    slice of the send times, then the arrival times are re-sorted in place,
     because a delay that drops at a segment boundary can swap neighbouring
     events.
     """
-    delays = np.array([cfg.delay_rounded_ps(direction) for _, cfg in schedule], dtype=np.int64)
-    starts = np.array([start for start, _ in schedule[1:]], dtype=np.int64)
-    segment = np.searchsorted(starts, timestamps, side="right")
-    return check_timestamp_range(np.sort(timestamps + delays[segment]))
+    starts = [start for start, _ in schedule[1:]]
+    edges = [0, *np.searchsorted(timestamps, starts, side="left").tolist(), timestamps.size]
+    out = np.empty(timestamps.size, dtype=np.int64)
+    for (_, cfg), lo, hi in zip(schedule, edges, edges[1:]):
+        # Both terms are below 2**62, so the sum cannot wrap.
+        np.add(timestamps[lo:hi], cfg.delay_rounded_ps(direction), out=out[lo:hi])
+    out.sort(kind="stable")
+    return check_timestamp_range(out)
 
 
 def predicted_offset_error_ps(cfg: ChannelConfig) -> float:

@@ -17,7 +17,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, PeaksNotFoundError
-from .timetags import atomic_write_bytes, format_each_distinct, join_text_columns
+from .timetags import (
+    _TEXT_ROWS,
+    atomic_write_bytes,
+    chunk_slices,
+    format_each_distinct,
+    join_text_columns,
+)
+
+# Events of the first record swept per step of compute_g2, which bounds its
+# temporaries whatever the block's length.
+_G2_CHUNK = 1 << 16
 
 
 def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
@@ -125,24 +135,25 @@ def compute_g2(
     """Exact pair-difference histogram over tau = t_b - t_a of two sorted records.
 
     A sorted two-sided sweep finds, for every event in `at`, the slice of `bt`
-    inside the window; cost is O(|a| + |b| + matches). ``duration_ps`` is the
-    span both records were taken over, which fixes the accidental rate the
+    inside the window; cost is O(|a| + |b| + matches). It runs over `at` in
+    fixed chunks, each adding its pairs to one count array. ``duration_ps`` is
+    the span both records were taken over, which fixes the accidental rate the
     histogram is normalised by.
     """
     tau_min_ps = params.tau_min_ps
     bin_width_ps = params.bin_width_ps
     n_bins, hi_edge = _histogram_window(params)
 
-    lo = np.searchsorted(bt, at + tau_min_ps, side="left")
-    hi = np.searchsorted(bt, at + hi_edge, side="left")
-    per_event = hi - lo
-    total = int(per_event.sum())
-    a_idx = np.repeat(np.arange(at.size), per_event)
-    run_start = np.repeat(np.cumsum(per_event) - per_event, per_event)
-    b_idx = np.repeat(lo, per_event) + (np.arange(total) - run_start)
-    tau = bt[b_idx] - at[a_idx]
-    bins = (tau - tau_min_ps) // bin_width_ps
-    counts = np.bincount(bins, minlength=n_bins).astype(np.int64)
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for part in chunk_slices(at.size, _G2_CHUNK):
+        a = at[part]
+        lo = np.searchsorted(bt, a + tau_min_ps, side="left")
+        per_event = np.searchsorted(bt, a + hi_edge, side="left") - lo
+        # The index into `bt` of each pair: its event's `lo` plus its rank in the event's run.
+        b_idx = np.repeat(lo - (np.cumsum(per_event) - per_event), per_event)
+        b_idx += np.arange(b_idx.size)
+        tau = bt[b_idx] - np.repeat(a, per_event)
+        counts += np.bincount((tau - tau_min_ps) // bin_width_ps, minlength=n_bins)
     return G2Histogram(tau_min_ps, bin_width_ps, counts, at.size, bt.size, duration_ps)
 
 
@@ -293,12 +304,16 @@ def complete_blocks(a_ts: np.ndarray, b_ts: np.ndarray, block_ps: int) -> int:
 
     The last event of a Poisson recording sits about one mean gap before the
     nominal end, so a block counts as covered once data reaches within 0.1%
-    of its end; trailing fractional blocks are dropped.
+    of its end, or within 20 mean gaps of the denser record if that is more,
+    but never within more than half a block; trailing fractional blocks are
+    dropped.
     """
-    last = max((int(ts[-1]) for ts in (a_ts, b_ts) if ts.size), default=None)
-    if last is None:
+    records = [ts for ts in (a_ts, b_ts) if ts.size]
+    if not records:
         return 0
-    tolerance = max(1, block_ps // 1000)
+    last = max(int(ts[-1]) for ts in records)
+    gaps = [(int(ts[-1]) - int(ts[0])) / (ts.size - 1) for ts in records if ts.size > 1]
+    tolerance = max(1, block_ps // 1000, min(round(20 * min(gaps, default=0)), block_ps // 2))
     return int((last + tolerance) // block_ps)
 
 
@@ -321,11 +336,15 @@ def write_histogram_csv(hist: G2Histogram, path):
     def count_and_g2(n: int) -> str:
         return f"{n},{n / acc:.10g}\n" if acc > 0 else f"{n},0\n"
 
-    rows = join_text_columns(
-        _center_column(hist.tau_min_ps, hist.bin_width_ps, hist.n_bins),
-        format_each_distinct(hist.counts, count_and_g2),
-    )
-    atomic_write_bytes(path, b"tau_ps,counts,g2\n" + rows)
+    centers = _center_column(hist.tau_min_ps, hist.bin_width_ps, hist.n_bins)
+    cells, inverse = format_each_distinct(hist.counts, count_and_g2)
+
+    def rows():
+        yield b"tau_ps,counts,g2\n"
+        for part in chunk_slices(hist.n_bins, _TEXT_ROWS):
+            yield join_text_columns(centers[part], cells[inverse[part]])
+
+    atomic_write_bytes(path, rows())
 
 
 def estimates_to_json(estimates: list[SyncEstimate]) -> list[dict]:
@@ -342,4 +361,4 @@ def estimates_to_json(estimates: list[SyncEstimate]) -> list[dict]:
 
 def write_estimates_json(estimates: list[SyncEstimate], path):
     text = json.dumps(estimates_to_json(estimates), indent=2) + "\n"
-    atomic_write_bytes(path, text.encode())
+    atomic_write_bytes(path, [text.encode()])

@@ -251,13 +251,12 @@ def load_timing_scenario(path) -> TimingScenario:
 
 
 def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
-    """Produce the two parties' detection records for a timing scenario."""
-    a_local, a_remote = generate_pairs(
-        sc.alice_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.ALICE_SOURCE)
-    )
-    b_local, b_remote = generate_pairs(
-        sc.bob_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.BOB_SOURCE)
-    )
+    """Produce the two parties' detection records for a timing scenario.
+
+    Each arm is detected, and its input dropped, before the next arm is made,
+    and Alice's record is built before Bob's, so at most one party's record
+    and a few arms are alive at once.
+    """
     schedule = [(int(round(start * PS_PER_S)), cfg) for start, _, cfg in sc.channel_segments()]
 
     def detect(key: str, timestamps: np.ndarray) -> tuple[np.ndarray, int]:
@@ -265,16 +264,31 @@ def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
         seed = rngmod.child_seed(sc.seed, stream_index)
         return apply_detector(timestamps, getattr(sc.detectors, key), sc.duration_s, seed), channel
 
-    # Detect all four streams before merging any: dropping them sooner slowed a
-    # following fig3 analyze in the same interpreter by ~15% (heap layout).
-    alice_local, alice_remote, bob_local, bob_remote = (
-        detect("alice_local", a_local),
-        detect("alice_remote", apply_channel(b_remote, Direction.B_TO_A, schedule)),
-        detect("bob_local", b_local),
-        detect("bob_remote", apply_channel(a_remote, Direction.A_TO_B, schedule)),
+    def record(arms: list, clock: ClockModel) -> TimeTagStream:
+        """A party's record from its detected arms; the list is emptied once they are merged."""
+        timestamps, channels = merge_streams(*arms)
+        arms.clear()
+        return apply_clock(timestamps, channels, clock)
+
+    a_local, a_remote = generate_pairs(
+        sc.alice_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.ALICE_SOURCE)
     )
-    alice = apply_clock(*merge_streams(alice_local, alice_remote), sc.alice_clock)
-    bob = apply_clock(*merge_streams(bob_local, bob_remote), sc.bob_clock)
+    arms = [detect("alice_local", a_local)]
+    del a_local
+    b_local, b_remote = generate_pairs(
+        sc.bob_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.BOB_SOURCE)
+    )
+    # Each remote arm is replaced by its arrivals, so the send times are freed first.
+    b_remote = apply_channel(b_remote, Direction.B_TO_A, schedule)
+    arms.append(detect("alice_remote", b_remote))
+    del b_remote
+    alice = record(arms, sc.alice_clock)
+    arms = [detect("bob_local", b_local)]
+    del b_local
+    a_remote = apply_channel(a_remote, Direction.A_TO_B, schedule)
+    arms.append(detect("bob_remote", a_remote))
+    del a_remote
+    bob = record(arms, sc.bob_clock)
     return alice, bob
 
 
@@ -382,7 +396,7 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
 
 
 def _write_json(payload: dict, path):
-    atomic_write_bytes(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    atomic_write_bytes(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def run_scenario(

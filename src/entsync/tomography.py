@@ -372,7 +372,7 @@ def write_counts_csv(table: CountsTable, path):
     lines = ["alice,bob,counts"]
     for idx, (a, b) in enumerate(setting_labels()):
         lines.append(f"{a},{b},{int(table.counts[idx])}")
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    atomic_write_bytes(path, [("\n".join(lines) + "\n").encode()])
 
 
 def density_to_json(rho: DensityMatrix) -> dict:

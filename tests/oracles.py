@@ -94,6 +94,22 @@ def dead_time_keep_reference(timestamps: np.ndarray, dead_time_ps: int) -> np.nd
     return keep
 
 
+def merge_reference(*detections) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate (timestamps, label) pairs and lexsort by time, then label."""
+    ts = np.concatenate([np.asarray(t, dtype=np.int64) for t, _ in detections])
+    ch = np.concatenate([np.full(len(t), label, dtype=np.uint32) for t, label in detections])
+    order = np.lexsort((ch, ts))
+    return ts[order], ch[order]
+
+
+def channel_arrivals_reference(timestamps, direction, schedule) -> np.ndarray:
+    """Each send time plus the delay of its segment, found per event, then sorted."""
+    delays = np.array([cfg.delay_rounded_ps(direction) for _, cfg in schedule], dtype=np.int64)
+    starts = np.array([start for start, _ in schedule[1:]], dtype=np.int64)
+    segment = np.searchsorted(starts, timestamps, side="right")
+    return np.sort(timestamps + delays[segment])
+
+
 def histogram_csv_reference(hist) -> bytes:
     """Row-by-row text of a G2Histogram's CSV; the vectorised writer must match it.
 

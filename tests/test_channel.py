@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entsync.channel import (
@@ -12,6 +12,8 @@ from entsync.channel import (
 )
 from entsync.errors import ConfigError
 from entsync.timetags import MAX_TIMESTAMP_PS, ClockModel, apply_clock, merge_streams
+
+from oracles import channel_arrivals_reference
 
 
 def times(values):
@@ -157,3 +159,28 @@ def test_channel_commutes_with_clock_translation(offset, length):
         apply_clock(*merge_streams((s, 0)), clock).timestamps_ps, Direction.A_TO_B, schedule
     )
     assert np.array_equal(one.timestamps_ps, two)
+
+
+@given(
+    sends=st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=60),
+    starts=st.lists(
+        st.integers(min_value=-(10**6), max_value=10**6), max_size=4, unique=True
+    ),
+    lengths=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=5, max_size=5),
+    direction=st.sampled_from(list(Direction)),
+)
+# An event exactly at a segment start, and a delay drop that swaps neighbours.
+@example(sends=[0, 900, 1000, 1100], starts=[1000], lengths=[10.0, 0.0, 0.0, 0.0, 0.0],
+         direction=Direction.B_TO_A)
+@settings(max_examples=150, deadline=None)
+def test_apply_channel_matches_per_event_segment_reference(sends, starts, lengths, direction):
+    s = times(sorted(sends))
+    sent = s.copy()
+    # The first segment also covers everything before its start.
+    segment_starts = [-(10**7), *sorted(starts)]
+    configs = [ChannelConfig(base_length_m=length) for length in lengths]
+    schedule = list(zip(segment_starts, configs))
+    out = apply_channel(s, direction, schedule)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, channel_arrivals_reference(s, direction, schedule))
+    assert np.array_equal(s, sent)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entsync
+import entsync.correlation
 from entsync.channel import ChannelConfig
 from entsync.correlation import (
     G2Histogram,
@@ -108,6 +109,29 @@ class TestComputeG2:
         hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 100_000)
         reference = g2_bruteforce(a, b, tau_min, tau_max, bin_width)
         assert np.array_equal(hist.counts, reference)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chunked_sweep_matches_bruteforce(self, monkeypatch, chunk, seed):
+        # Dense records, so every chunk edge falls inside runs of coincidences.
+        monkeypatch.setattr(entsync.correlation, "_G2_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        a = times(np.sort(rng.integers(0, 20_000, 40)))
+        b = times(np.sort(rng.integers(0, 20_000, 60)))
+        hist = compute_g2(a, b, window(-3000, 3000, 32), 20_000)
+        assert hist.counts.dtype == np.int64
+        assert np.array_equal(hist.counts, g2_bruteforce(a, b, -3000, 3000, 32))
+
+    def test_sweep_memory_does_not_grow_with_block_length(self, traced_peak):
+        # Two records at a 1 us mean gap, one window's worth of pairs per event.
+        rng = np.random.default_rng(4)
+        peaks = []
+        for n in (200_000, 800_000):
+            a, b = (np.sort(rng.integers(0, n * 10**6, n)) for _ in range(2))
+            peak, hist = traced_peak(compute_g2, a, b, PARAMS, n * 10**6)
+            assert hist.counts.sum() > n
+            peaks.append(peak)
+        assert peaks[1] < 1.5 * peaks[0]
 
     def test_independent_poisson_streams_normalize_to_one(self):
         rng = np.random.default_rng(31)

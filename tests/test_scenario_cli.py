@@ -11,7 +11,7 @@ import pytest
 from entsync import cli, scenario
 from entsync.channel import ChannelConfig
 from entsync.cli import main as cli_main
-from entsync.correlation import SyncAnalysisParams
+from entsync.correlation import SyncAnalysisParams, complete_blocks
 from entsync.errors import ConfigError
 from entsync.polarization import FaradayParams
 from entsync.scenario import (
@@ -31,11 +31,13 @@ from entsync.timetags import (
     CH_ALICE_REMOTE,
     CH_BOB_LOCAL,
     CH_BOB_REMOTE,
+    PS_PER_S,
     ClockModel,
     DetectorModel,
     PairSourceModel,
     TimeTagStream,
     read_tags_binary,
+    write_tags_binary,
     write_tags_csv,
 )
 
@@ -474,6 +476,55 @@ class TestAnalyze:
         )
         assert estimates == []
         assert json.loads((tmp_path / "out" / "estimates.json").read_text()) == []
+
+
+class TestBlocksCovered:
+    """Which blocks ``analyze`` finds in recorded tags: complete_blocks."""
+
+    def test_low_rate_short_blocks_agree_with_simulate(self, scenario_dir, tmp_path):
+        # 200 Hz with darks: the records' last events sit ~2.5 ms before the
+        # end, past 0.1 % of a 1 s block.
+        smoke = json.loads((scenario_dir / "smoke.json").read_text())
+        config = write_json(tmp_path / "timing.json", {**smoke, "duration_s": 2.0, "block_s": 1.0})
+        sim, ana = tmp_path / "sim", tmp_path / "ana"
+        assert cli_main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+        tags = ["--alice", str(sim / "alice.tt"), "--bob", str(sim / "bob.tt")]
+        assert cli_main(["analyze", *tags, "--out", str(ana), "--block-s", "1"]) == 0
+        for out in (sim, ana):
+            assert len(json.loads((out / "estimates.json").read_text())) == 2
+        assert (ana / "estimates.json").read_bytes() == (sim / "estimates.json").read_bytes()
+
+    def test_recording_cut_mid_block_keeps_only_whole_blocks(self, scenario_dir, tmp_path):
+        sc = dataclasses.replace(load_timing_scenario(scenario_dir / "smoke.json"), duration_s=2.0)
+        for name, record in zip(("alice", "bob"), simulate_timing(sc)):
+            kept = record.timestamps_ps < 3 * PS_PER_S // 2
+            cut = TimeTagStream(record.timestamps_ps[kept], record.channels[kept])
+            write_tags_binary(cut, tmp_path / f"{name}.tt")
+        out = tmp_path / "out"
+        analyze_files(tmp_path / "alice.tt", tmp_path / "bob.tt", out, SyncAnalysisParams(), 1.0)
+        assert sorted(p.name for p in out.glob("g2_block_*.csv")) == ["g2_block_000.csv"]
+
+    def test_paper_and_high_rate_records_cover_their_blocks(self, scenario_dir):
+        fig3 = load_timing_scenario(scenario_dir / "fig3.json")
+        # The benchmark's high_rate run (100 kHz sources, realistic detectors,
+        # two blocks), shortened a hundredfold.
+        detector = DetectorModel(
+            jitter_sigma_ps=40.0, efficiency=0.7, dark_rate_hz=1000.0, dead_time_ps=25_000
+        )
+        fig2c = load_timing_scenario(scenario_dir / "fig2c.json")
+        source = dataclasses.replace(fig2c.alice_source, pair_rate_hz=100_000.0)
+        high_rate = dataclasses.replace(
+            fig2c,
+            duration_s=0.8,
+            block_s=0.4,
+            alice_source=source,
+            bob_source=source,
+            detectors=Detectors(detector, detector, detector, detector),
+        )
+        for sc, expected in ((fig3, 22), (high_rate, 2)):
+            alice, bob = simulate_timing(sc)
+            block_ps = round(sc.block_s * PS_PER_S)
+            assert complete_blocks(alice.timestamps_ps, bob.timestamps_ps, block_ps) == expected
 
 
 class TestCliErrors:

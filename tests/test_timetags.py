@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,10 +24,14 @@ from entsync.timetags import (
     read_tags_csv,
     write_tags_binary,
     write_tags_csv,
+    _IO_CHUNK,
+    _TEXT_ROWS,
     _dead_time_filter,
 )
 
-from oracles import dead_time_keep_reference, tags_csv_reference
+from oracles import dead_time_keep_reference, merge_reference, tags_csv_reference
+
+MB = 1 << 20
 
 
 def times(values):
@@ -57,6 +63,29 @@ class TestTimeTagStream:
         ts, ch = merge_streams((times([5, 10]), 1), (times([5, 7]), 0))
         assert list(ts) == [5, 5, 7, 10]
         assert list(ch) == [0, 1, 0, 1]
+
+    @given(
+        arms=st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=-40, max_value=40), max_size=30),
+                st.integers(min_value=0, max_value=3),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example(arms=[([5, 10], 1), ([5, 7], 0)])
+    @example(arms=[([], 3), ([], 0)])
+    @example(arms=[([3, 3, 3], 3), ([], 2), ([3], 1), ([-1, 3, 9], 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_merge_matches_lexsort_reference(self, arms):
+        # Ties within and across arms, empty arms, and labels in any order.
+        detections = [(times(sorted(ts)), label) for ts, label in arms]
+        ts, ch = merge_streams(*detections)
+        ref_ts, ref_ch = merge_reference(*detections)
+        assert ts.dtype == np.int64 and ch.dtype == np.uint32
+        assert np.array_equal(ts, ref_ts)
+        assert np.array_equal(ch, ref_ch)
 
 
 class TestGeneratePairs:
@@ -238,6 +267,51 @@ class TestFileFormats:
         assert np.array_equal(back.channels, s.channels)
         assert path.stat().st_size == 16 * len(s)
 
+    @pytest.mark.parametrize("n", [0, _IO_CHUNK - 1, _IO_CHUNK, _IO_CHUNK + 1])
+    def test_binary_roundtrip_across_chunk_edges(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        s = TimeTagStream(
+            np.cumsum(rng.integers(0, 3, n)), rng.integers(0, 4, n).astype(np.uint32)
+        )
+        rec = np.zeros(n, dtype=RECORD_DTYPE)
+        rec["timestamp_ps"], rec["channel"] = s.timestamps_ps, s.channels
+        path = tmp_path / "tags.tt"
+        write_tags_binary(s, path)
+        assert path.read_bytes() == rec.tobytes()
+        back = read_tags_binary(path)
+        assert np.array_equal(back.timestamps_ps, s.timestamps_ps)
+        assert np.array_equal(back.channels, s.channels)
+
+    def test_truncated_binary_past_a_chunk_reports_offset(self, tmp_path):
+        s = make_stream(np.arange(_IO_CHUNK + 1))
+        path = tmp_path / "tags.tt"
+        write_tags_binary(s, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        message = f"^truncated record at byte offset {16 * _IO_CHUNK} in "
+        with pytest.raises(StreamFormatError, match=message):
+            read_tags_binary(path)
+
+    def test_binary_tags_from_a_pipe_are_refused(self):
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, np.zeros(2, dtype=RECORD_DTYPE).tobytes())
+            os.close(write_end)
+            with pytest.raises(StreamFormatError, match="must be a regular file"):
+                read_tags_binary(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+
+    def test_binary_io_allocates_only_fixed_buffers(self, tmp_path, traced_peak):
+        # About 4 M events: a 64 MB file. Writing must not copy the record, and
+        # reading must not hold the file's bytes beside the arrays it fills.
+        n = 4 * MB
+        s = TimeTagStream(np.arange(n, dtype=np.int64), (np.arange(n) % 4).astype(np.uint32))
+        path = tmp_path / "tags.tt"
+        write_peak, _ = traced_peak(write_tags_binary, s, path)
+        read_peak, back = traced_peak(read_tags_binary, path)
+        assert write_peak < 8 * MB
+        assert read_peak < back.timestamps_ps.nbytes + back.channels.nbytes + 8 * MB
+
     def test_truncated_binary_reports_offset(self, tmp_path):
         s = make_stream([1, 2, 3])
         path = tmp_path / "tags.tt"
@@ -274,7 +348,8 @@ class TestFileFormats:
 
     def test_csv_bytes_match_row_loop(self, tmp_path):
         rng = np.random.default_rng(3)
-        ts = np.sort(rng.integers(-(10**15), 10**15, size=2_000))
+        # More rows than one write step, so a chunk edge falls inside the file.
+        ts = np.sort(rng.integers(-(10**15), 10**15, size=_TEXT_ROWS + 2_000))
         ts[:2] = [-(2**62) + 1, -1]
         ts[-2:] = [0, 2**62 - 1]
         ts.sort()
