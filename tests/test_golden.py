@@ -97,6 +97,31 @@ SCHEDULED_DIGESTS = {
     "summary.json": "b292cbb38d7b3cc2e8f8d0a06e76fc61e8ed84e198f2173716aaa635ba29ea23",
 }
 
+# The benchmark's high_rate run (fig2c's channel, 100 kHz per source, realistic
+# detectors, two blocks) shortened a hundredfold. At this rate most events of
+# the first record have several partners in the g2 window.
+HIGH_RATE_DETECTOR = {
+    "jitter_sigma_ps": 40.0,
+    "efficiency": 0.7,
+    "dark_rate_hz": 1000.0,
+    "dead_time_ps": 25000,
+}
+
+HIGH_RATE_DIGESTS = {
+    "alice.tt": "5d47abe9195f2f631ce4d62bc414c1366a39fea9105d93588d81717f7014e8db",
+    "bob.tt": "1d848a8fc15d0661784299c603308b9ba5241c5844bb403a63ad9b9cb4dca9b1",
+    "estimates.json": "1051d8dbf3116bd651a02f7437e9a76e2642f08e1efff74382f8e1f97130b2f0",
+    "g2_block_000.csv": "8f94604de1e8ecebb1f9493919f7522b09317d24691a02fb4164117e5e59b8c4",
+    "g2_block_001.csv": "254ab7529b4bc44d7b1567aa39140449d671b9da63ba8812012943a3a5549caa",
+    "summary.json": "18a69c9e47b18f8fa8f1575141b89b0af949aa6e27f2c472aa1d242d84955b9a",
+}
+
+# analyze_files on these tags writes the same histograms and estimates.
+HIGH_RATE_ANALYZE_DIGESTS = {
+    name: HIGH_RATE_DIGESTS[name]
+    for name in ("estimates.json", "g2_block_000.csv", "g2_block_001.csv")
+}
+
 SMALL_TOMO_CONFIG = {"seed": 42, "attack": "none", "counts_per_setting": 2000.0, "reps": 4}
 
 SMALL_TOMO_DIGESTS = {
@@ -148,6 +173,33 @@ def test_scheduled_csv_scenario_artifacts_match_golden(tmp_path):
     config.write_text(json.dumps(SCHEDULED_CONFIG))
     run_scenario(config, tmp_path / "run", tag_format="csv")
     assert dir_digest(tmp_path / "run") == SCHEDULED_DIGESTS
+
+
+def test_high_rate_simulate_and_analyze_artifacts_match_golden(scenario_dir, tmp_path):
+    fig2c = json.loads((scenario_dir / "fig2c.json").read_text())
+    source = dict(fig2c["alice_source"], pair_rate_hz=100_000.0)
+    config = dict(
+        fig2c,
+        duration_s=0.8,
+        block_s=0.4,
+        alice_source=source,
+        bob_source=source,
+        detectors={
+            key: HIGH_RATE_DETECTOR
+            for key in ("alice_local", "alice_remote", "bob_local", "bob_remote")
+        },
+    )
+    (tmp_path / "high_rate.json").write_text(json.dumps(config))
+    run_scenario(tmp_path / "high_rate.json", tmp_path / "run")
+    analyze_files(
+        tmp_path / "run" / "alice.tt",
+        tmp_path / "run" / "bob.tt",
+        tmp_path / "analyze",
+        SyncAnalysisParams(),
+        block_s=0.4,
+    )
+    assert dir_digest(tmp_path / "run") == HIGH_RATE_DIGESTS
+    assert dir_digest(tmp_path / "analyze") == HIGH_RATE_ANALYZE_DIGESTS
 
 
 def test_small_tomo_artifacts_match_golden(tmp_path):
