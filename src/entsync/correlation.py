@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, PeaksNotFoundError
 from .timetags import (
     _TEXT_ROWS,
+    MAX_TIMESTAMP_PS,
     atomic_write_bytes,
     chunk_slices,
     format_each_distinct,
@@ -30,8 +31,9 @@ from .timetags import (
 _G2_CHUNK = 1 << 16
 
 
-def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
-    return tau_min_ps + (np.arange(n_bins) + 0.5) * bin_width_ps
+def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, start: int, stop: int) -> np.ndarray:
+    """Centres of bins ``start`` to ``stop - 1``; each centre is computed the same way."""
+    return tau_min_ps + (np.arange(start, stop) + 0.5) * bin_width_ps
 
 
 @dataclass(frozen=True)
@@ -60,7 +62,7 @@ class G2Histogram:
         return int(self.counts.size)
 
     def bin_centers_ps(self) -> np.ndarray:
-        return _bin_centers_ps(self.tau_min_ps, self.bin_width_ps, self.n_bins)
+        return _bin_centers_ps(self.tau_min_ps, self.bin_width_ps, 0, self.n_bins)
 
     def summary(self) -> dict:
         return {
@@ -111,10 +113,18 @@ class SyncAnalysisParams:
     centroid_halfwidth_bins: int = 47
 
     def __post_init__(self):
+        # Window edges stay within the timestamp bound, so a timestamp plus an
+        # edge always fits in int64.
         if self.tau_max_ps <= self.tau_min_ps:
             raise ConfigError("tau_max_ps must exceed tau_min_ps")
+        if self.tau_min_ps < -MAX_TIMESTAMP_PS:
+            raise ConfigError("tau_min_ps must be >= -2**62")
+        if self.tau_max_ps > MAX_TIMESTAMP_PS:
+            raise ConfigError("tau_max_ps must be <= 2**62")
         if self.bin_width_ps < 1:
             raise ConfigError("bin_width_ps must be >= 1")
+        if _histogram_window(self)[1] > MAX_TIMESTAMP_PS:
+            raise ConfigError("bin_width_ps must end the last bin at or below 2**62 ps")
         if self.min_separation_ps < 0:
             raise ConfigError("min_separation_ps must be >= 0")
         if not math.isfinite(self.threshold_sigma) or self.threshold_sigma < 0:
@@ -125,8 +135,39 @@ class SyncAnalysisParams:
 
 def _histogram_window(params: SyncAnalysisParams) -> tuple[int, int]:
     """Bin count and exclusive upper edge: whole bins from tau_min_ps past tau_max_ps."""
-    n_bins = math.ceil((params.tau_max_ps - params.tau_min_ps) / params.bin_width_ps)
+    n_bins = -((params.tau_min_ps - params.tau_max_ps) // params.bin_width_ps)
     return n_bins, params.tau_min_ps + n_bins * params.bin_width_ps
+
+
+def _pair_bins(a: np.ndarray, bt: np.ndarray, params: SyncAnalysisParams) -> np.ndarray:
+    """Histogram bin of every pair of a chunk `a` of the first record with `bt`.
+
+    Cuts `bt` to the span the chunk's windows cover, finds each event's window
+    start there with one binary search, then walks forward: step k takes every
+    still-open event's k-th candidate and closes the events whose candidate
+    lies at or past the window's end. A sentinel at the chunk's last window
+    end closes every event, so no step needs a bounds check.
+    """
+    n_bins, hi_edge = _histogram_window(params)
+    ends = a + hi_edge
+    b_lo, b_hi = np.searchsorted(bt, [a[0] + params.tau_min_ps, ends[-1]])
+    b = np.append(bt[b_lo:b_hi], ends[-1])
+    j = np.searchsorted(b, a + params.tau_min_ps)
+    # Measured from each window's end, a candidate pairs while it is
+    # negative; unlike t_b - t_a, this cannot overflow across a long chunk.
+    offsets = []
+    while ends.size:
+        d = b[j] - ends
+        still_open = np.flatnonzero(d < 0)
+        offsets.append(d[still_open])
+        ends = ends[still_open]
+        j = j[still_open]
+        j += 1
+    # tau - tau_min_ps = d + n_bins * bin_width_ps, so d's bin counts back from n_bins.
+    bins = np.concatenate(offsets)
+    bins //= params.bin_width_ps
+    bins += n_bins
+    return bins
 
 
 def compute_g2(
@@ -134,27 +175,21 @@ def compute_g2(
 ) -> G2Histogram:
     """Exact pair-difference histogram over tau = t_b - t_a of two sorted records.
 
-    A sorted two-sided sweep finds, for every event in `at`, the slice of `bt`
-    inside the window; cost is O(|a| + |b| + matches). It runs over `at` in
-    fixed chunks, each adding its pairs to one count array. ``duration_ps`` is
-    the span both records were taken over, which fixes the accidental rate the
-    histogram is normalised by.
+    The sweep runs over `at` in fixed chunks, each adding its pairs to one
+    count array (see `_pair_bins`). Cost is one binary search per event in a
+    cache-sized slice of `bt`, plus O(pairs), plus a few numpy calls per step
+    of the forward walk, for as many steps as the most pairs of any one event.
+    ``duration_ps`` is the span both records were taken over, which fixes the
+    accidental rate the histogram is normalised by.
     """
-    tau_min_ps = params.tau_min_ps
-    bin_width_ps = params.bin_width_ps
-    n_bins, hi_edge = _histogram_window(params)
-
+    n_bins, _ = _histogram_window(params)
     counts = np.zeros(n_bins, dtype=np.int64)
     for part in chunk_slices(at.size, _G2_CHUNK):
-        a = at[part]
-        lo = np.searchsorted(bt, a + tau_min_ps, side="left")
-        per_event = np.searchsorted(bt, a + hi_edge, side="left") - lo
-        # The index into `bt` of each pair: its event's `lo` plus its rank in the event's run.
-        b_idx = np.repeat(lo - (np.cumsum(per_event) - per_event), per_event)
-        b_idx += np.arange(b_idx.size)
-        tau = bt[b_idx] - np.repeat(a, per_event)
-        counts += np.bincount((tau - tau_min_ps) // bin_width_ps, minlength=n_bins)
-    return G2Histogram(tau_min_ps, bin_width_ps, counts, at.size, bt.size, duration_ps)
+        # Each chunk's temporaries are freed before the next chunk's are made.
+        counts += np.bincount(_pair_bins(at[part], bt, params), minlength=n_bins)
+    return G2Histogram(
+        params.tau_min_ps, params.bin_width_ps, counts, at.size, bt.size, duration_ps
+    )
 
 
 def _background_stats(counts: np.ndarray) -> tuple[float, float]:
@@ -176,11 +211,10 @@ def _refine_centroid(
     the jitter of the starting maximum bin. The height is the final window's
     largest count in g2 units.
     """
-    centers = hist.bin_centers_ps()
     n = hist.n_bins
     cur = int(peak_bin)
     visited = set()
-    centroid = float(centers[cur])
+    centroid = float(_bin_centers_ps(hist.tau_min_ps, hist.bin_width_ps, cur, cur + 1)[0])
     sigma = float(hist.bin_width_ps)
     peak = 0
     for _ in range(25):
@@ -191,7 +225,7 @@ def _refine_centroid(
         wsum = float(w.sum())
         if wsum <= 0.0:
             break
-        tau = centers[lo:hi]
+        tau = _bin_centers_ps(hist.tau_min_ps, hist.bin_width_ps, lo, hi)
         centroid = float(np.dot(w, tau) / wsum)
         var = float(np.dot(w, (tau - centroid) ** 2) / wsum)
         sigma = math.sqrt(max(var, hist.bin_width_ps**2 / 12.0) / wsum)
@@ -320,7 +354,7 @@ def complete_blocks(a_ts: np.ndarray, b_ts: np.ndarray, block_ps: int) -> int:
 @functools.lru_cache(maxsize=4)
 def _center_column(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
     """The histogram CSV's "tau_ps," cells; every block of a run shares them."""
-    centers = _bin_centers_ps(tau_min_ps, bin_width_ps, n_bins).tolist()
+    centers = _bin_centers_ps(tau_min_ps, bin_width_ps, 0, n_bins).tolist()
     column = np.array([f"{c:.10g}," for c in centers], dtype=np.bytes_)
     column.flags.writeable = False
     return column

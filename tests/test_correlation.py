@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,31 @@ from oracles import (
 )
 
 PARAMS = SyncAnalysisParams()
+
+
+@st.composite
+def g2_records(draw):
+    """Small records with tied timestamps and events on the window's edges.
+
+    Returns (a, b, tau_min, tau_max, bin_width). The timestamps come from a
+    range not much wider than the window, so ties within and across the
+    records are common and many events have several pairs.
+    """
+    bin_width = draw(st.integers(1, 8))
+    tau_min = draw(st.integers(-40, 20))
+    tau_max = tau_min + draw(st.integers(1, 48))
+    hi_edge = tau_min + math.ceil((tau_max - tau_min) / bin_width) * bin_width
+    stamps = st.lists(st.integers(-60, 60), max_size=24)
+    a, b = draw(stamps), draw(stamps)
+    if a:
+        # The first tau in the window, the last one and the first past it.
+        for i in draw(st.lists(st.integers(0, len(a) - 1), max_size=4)):
+            b += [a[i] + tau_min, a[i] + hi_edge - 1, a[i] + hi_edge]
+        # One event with more pairs than the largest chunk has events.
+        if draw(st.booleans()):
+            t = a[draw(st.integers(0, len(a) - 1))]
+            b += [t + tau_min + k % (hi_edge - tau_min) for k in range(12)]
+    return a, b, tau_min, tau_max, bin_width
 
 
 def window(tau_min_ps, tau_max_ps, bin_width_ps):
@@ -94,6 +120,15 @@ class TestComputeG2:
         with pytest.raises(ConfigError):
             window(0, 10, 0)
 
+    def test_window_edges_reach_the_timestamp_range(self):
+        # The last timestamp below 2**62 plus the largest window end is int64's maximum.
+        edge = 2**62 - 1
+        hist = compute_g2(times([edge]), times([edge]), window(-(2**62), 2**62, 2**60), 1)
+        assert list(hist.counts) == [0, 0, 0, 0, 1, 0, 0, 0]
+        for bounds in ((0, 2**62 + 1, 1), (0, 2**62, 3)):
+            with pytest.raises(ConfigError):
+                window(*bounds)
+
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
         n_a=st.integers(min_value=0, max_value=300),
@@ -121,6 +156,34 @@ class TestComputeG2:
         hist = compute_g2(a, b, window(-3000, 3000, 32), 20_000)
         assert hist.counts.dtype == np.int64
         assert np.array_equal(hist.counts, g2_bruteforce(a, b, -3000, 3000, 32))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    @given(records=g2_records())
+    # Either record empty; one event with more pairs than any chunk has events.
+    @example(records=([], [0, 5], -4, 8, 2))
+    @example(records=([0, 5], [], -4, 8, 2))
+    @example(records=([3], [3 + k for k in range(-4, 8)], -4, 8, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_bruteforce_on_edges_and_ties(self, chunk, records):
+        a, b, tau_min, tau_max, bin_width = records
+        a, b = times(sorted(a)), times(sorted(b))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(entsync.correlation, "_G2_CHUNK", chunk)
+            hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1_000)
+        assert np.array_equal(hist.counts, g2_bruteforce(a, b, tau_min, tau_max, bin_width))
+
+    def test_records_spanning_the_timestamp_range_stay_exact(self):
+        # One chunk spans almost 2**63 ps. After its last pair, the first event
+        # meets no b event before the chunk's last window end, which lies more
+        # than 2**63 ps after it.
+        edge = 2**62 - 1
+        a = times([-edge, -edge, 0, edge])
+        b = times([-edge, -edge + 7, -(2**61)])
+        tau_min, tau_max, bin_width = -(2**61), 2**61, 2**58
+        hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1_000)
+        expected = g2_bruteforce(a, b, tau_min, tau_max, bin_width)
+        assert expected.sum() == 7
+        assert np.array_equal(hist.counts, expected)
 
     def test_sweep_memory_does_not_grow_with_block_length(self, traced_peak):
         # Two records at a 1 us mean gap, one window's worth of pairs per event.

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -49,6 +50,23 @@ CLOCK_RANGE = (
     r" to duration_s \+ the longest delay \+ 64 s"
 )
 TOMO_MEAN_LIMIT = r"counts_per_setting \+ accidentals_per_setting must be <= 1e18"
+
+# Analysis windows whose edges, added to a timestamp, would leave int64.
+WINDOW_PAST_INT64 = {
+    "huge_bin": (
+        {"bin_width_ps": 10**20},
+        "bin_width_ps must end the last bin at or below 2**62 ps",
+    ),
+    "int64_max_bin": (
+        {"bin_width_ps": 2**63 - 1},
+        "bin_width_ps must end the last bin at or below 2**62 ps",
+    ),
+    "window_near_int64_max": (
+        {"tau_min_ps": 2**63 - 808, "tau_max_ps": 2**63 - 1},
+        "tau_max_ps must be <= 2**62",
+    ),
+    "window_below_range": ({"tau_min_ps": -(2**62) - 1}, "tau_min_ps must be >= -2**62"),
+}
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -198,6 +216,10 @@ class TestConfigValidation:
             # 1 ns blocks are shorter than the 2 us window; 50 us blocks are too many.
             ("block_s", 1e-9, BLOCK_IN_WINDOW),
             ("block_s", 5e-5, r"200000 blocks of block_s in this run; at most 100000 allowed"),
+            *(
+                ("analysis", values, re.escape(f"analysis.{message}"))
+                for values, message in WINDOW_PAST_INT64.values()
+            ),
         ],
     )
     def test_field_error_names_path(self, key, value, message):
@@ -690,6 +712,10 @@ class TestCliErrors:
             ),
             ("bob_clock", {"drift_ppb": 1e300}, "bob_clock must read below 2**62 ps"),
             ("alice_clock", {"offset_ps": 2**62 - 1000}, "alice_clock must read below 2**62 ps"),
+            *(
+                ("analysis", values, f"analysis.{message}")
+                for values, message in WINDOW_PAST_INT64.values()
+            ),
         ],
         ids=[
             "backward_clock",
@@ -698,6 +724,7 @@ class TestCliErrors:
             "length_sum",
             "huge_drift",
             "offset_near_range",
+            *WINDOW_PAST_INT64,
         ],
     )
     def test_model_out_of_range_exits_1(
@@ -708,6 +735,16 @@ class TestCliErrors:
         config = write_json(tmp_path / "timing.json", timing)
         assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, message", WINDOW_PAST_INT64.values(), ids=WINDOW_PAST_INT64)
+    def test_analyze_window_past_int64_exits_1(self, smoke_run, tmp_path, capsys, values, message):
+        out, _ = smoke_run
+        argv = ["analyze", "--alice", str(out / "alice.tt"), "--bob", str(out / "bob.tt")]
+        for key, value in values.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert cli_main(argv + ["--out", str(tmp_path / "o"), "--block-s", "1"]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["counts_per_setting", "accidentals_per_setting"])
     def test_tomo_mean_count_above_limit_exits_1(self, tmp_path, capsys, key):
