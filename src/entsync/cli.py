@@ -13,7 +13,14 @@ import typing
 from .channel import ChannelConfig, Direction, predicted_offset_error_ps
 from .correlation import SyncAnalysisParams
 from .errors import ConfigError, PeaksNotFoundError, ReconstructionError, StreamFormatError
-from .scenario import TimingScenario, analyze_files, parse_config, run_scenario, run_tomo_scenario
+from .scenario import (
+    TimingScenario,
+    analyze_files,
+    parse_config,
+    read_config,
+    run_scenario,
+    run_tomo_scenario,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,6 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     sim = sub.add_parser("simulate", help="Run a timing scenario and write all artifacts.")
+    sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--config", required=True, help="Scenario JSON path.")
     sim.add_argument("--out", required=True, help="Output directory.")
     sim.add_argument("--seed", type=int, default=None, help="Override the config seed.")
@@ -33,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     ana = sub.add_parser("analyze", help="Analyze recorded time-tag files.")
+    ana.set_defaults(handler=_cmd_analyze)
     ana.add_argument("--alice", required=True, help="First party's tag file (.tt or .csv).")
     ana.add_argument("--bob", required=True, help="Second party's tag file (.tt or .csv).")
     ana.add_argument("--out", required=True)
@@ -43,6 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ana.add_argument("--" + f.name.replace("_", "-"), type=hints[f.name], default=f.default)
 
     tomo = sub.add_parser("tomo", help="Run a tomography comparison scenario.")
+    tomo.set_defaults(handler=_cmd_tomo)
     tomo.add_argument("--config", required=True)
     tomo.add_argument("--out", required=True)
     tomo.add_argument("--seed", type=int, default=None)
@@ -50,6 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pred = sub.add_parser(
         "predict", help="Print the analytic offset error for a channel config."
     )
+    pred.set_defaults(handler=_cmd_predict)
     pred.add_argument("--config", required=True, help="Channel JSON or scenario JSON.")
     return parser
 
@@ -57,6 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     summary = run_scenario(args.config, args.out, seed=args.seed, tag_format=args.tag_format)
     print(f"wrote {summary['n_estimates']}/{summary['n_blocks']} block estimates to {args.out}")
+    first = summary["segments"][0]
+    if "mean_delta_ps" in first:
+        print(
+            f"first segment offset {first['mean_delta_ps']:.1f} ps, "
+            f"round trip {first['mean_round_trip_ps']:.1f} ps"
+        )
     if summary["measured_shift_ps"] is not None:
         print(
             f"measured offset shift {summary['measured_shift_ps']:.1f} ps "
@@ -93,10 +110,7 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ConfigError("config must be a JSON object")
+    payload = read_config(args.config)
     cfg = parse_config(ChannelConfig, payload.get("channel", payload), "channel")
     print(
         json.dumps(
@@ -114,24 +128,12 @@ def _cmd_predict(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "analyze": _cmd_analyze,
-        "tomo": _cmd_tomo,
-        "predict": _cmd_predict,
-    }
     try:
-        return handlers[args.cmd](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return 1
-    except StreamFormatError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (StreamFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (PeaksNotFoundError, ReconstructionError) as exc:

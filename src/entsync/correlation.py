@@ -29,6 +29,8 @@ from .timetags import (
 # Events of the first record swept per step of compute_g2, which bounds its
 # temporaries whatever the block's length.
 _G2_CHUNK = 1 << 16
+# Most bins in one g2 histogram: 32 MiB of counts, and one CSV row each per block.
+MAX_G2_BINS = 1 << 22
 
 
 def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, start: int, stop: int) -> np.ndarray:
@@ -123,8 +125,11 @@ class SyncAnalysisParams:
             raise ConfigError("tau_max_ps must be <= 2**62")
         if self.bin_width_ps < 1:
             raise ConfigError("bin_width_ps must be >= 1")
-        if _histogram_window(self)[1] > MAX_TIMESTAMP_PS:
+        n_bins, hi_edge = _histogram_window(self)
+        if hi_edge > MAX_TIMESTAMP_PS:
             raise ConfigError("bin_width_ps must end the last bin at or below 2**62 ps")
+        if n_bins > MAX_G2_BINS:
+            raise ConfigError("bin_width_ps must split the g2 window into at most 2**22 bins")
         if self.min_separation_ps < 0:
             raise ConfigError("min_separation_ps must be >= 0")
         if not math.isfinite(self.threshold_sigma) or self.threshold_sigma < 0:

@@ -188,6 +188,20 @@ class TimingScenario:
 # --- config loading --------------------------------------------------------
 
 
+def read_config(path) -> dict:
+    """The JSON object in a UTF-8 config file; any other content is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is an integer
+        # past Python's digit limit; nesting past the recursion limit is not.
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    return data
+
+
 def parse_config(cls, data, path: str = ""):
     """Build the dataclass ``cls`` from a JSON object, field by field.
 
@@ -243,8 +257,7 @@ def _field_value(hint, value, path: str):
 
 
 def load_timing_scenario(path) -> TimingScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(TimingScenario, json.load(fh))
+    return parse_config(TimingScenario, read_config(path))
 
 
 # --- timing simulation ------------------------------------------------------
@@ -302,9 +315,9 @@ def analyze_blocks(
 ) -> list[SyncEstimate]:
     """Analyze consecutive blocks of two records; failed blocks are index gaps.
 
-    Each block's histogram is written to ``out_dir`` as ``g2_block_NNN.csv``.
-    Without ``n_blocks`` only the blocks the recorded data covers are
-    analyzed.
+    Each block's histogram is written to ``out_dir`` as ``g2_block_NNN.csv``,
+    then the estimates as ``estimates.json``. Without ``n_blocks`` only the
+    blocks the recorded data covers are analyzed.
     """
     block_ps = _block_ps(block_s)
     a_ts, b_ts = alice.timestamps_ps, bob.timestamps_ps
@@ -319,6 +332,7 @@ def analyze_blocks(
         write_histogram_csv(hist, out_dir / f"g2_block_{k:03d}.csv")
         if est is not None:
             estimates.append(est)
+    write_estimates_json(estimates, out_dir / "estimates.json")
     return estimates
 
 
@@ -423,7 +437,6 @@ def run_scenario(
         write_tags_binary(bob, out / "bob.tt")
 
     estimates = analyze_blocks(alice, bob, sc.block_s, sc.analysis, out, sc.n_blocks())
-    write_estimates_json(estimates, out / "estimates.json")
     summary = build_timing_summary(sc, estimates)
     _write_json(summary, out / "summary.json")
     return summary
@@ -440,10 +453,7 @@ def analyze_files(
     """Run the offline analysis half on previously recorded tag files."""
     alice = read_tags(alice_path)
     bob = read_tags(bob_path)
-    out = Path(out_dir)
-    estimates = analyze_blocks(alice, bob, block_s, params, out, n_blocks)
-    write_estimates_json(estimates, out / "estimates.json")
-    return estimates
+    return analyze_blocks(alice, bob, block_s, params, out_dir, n_blocks)
 
 
 # --- tomography scenario ----------------------------------------------------
@@ -488,8 +498,7 @@ class TomoScenario:
 
 
 def load_tomo_scenario(path) -> TomoScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(TomoScenario, json.load(fh))
+    return parse_config(TomoScenario, read_config(path))
 
 
 def attacked_state(sc: TomoScenario) -> TwoQubitState:

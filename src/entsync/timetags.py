@@ -383,12 +383,12 @@ def format_each_distinct(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarra
     """``fmt(v)`` encoded once per distinct value, and each value's index into those cells.
 
     ``cells[inverse]`` is every value's text, so a writer can take it a slice
-    at a time. Values are told apart by their bit pattern, so -0.0 and 0.0 keep
-    their own text.
+    at a time. The values are integers, so equal values have equal text.
     """
-    bits = values.view(np.dtype(f"u{values.itemsize}"))
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    cells = np.array([fmt(v) for v in values[first].tolist()], dtype=np.bytes_)
+    # Asking for return_index makes np.unique sort stably, which on a histogram's
+    # long runs of equal counts is about four times faster than its default sort.
+    distinct, _, inverse = np.unique(values, return_index=True, return_inverse=True)
+    cells = np.array([fmt(v) for v in distinct.tolist()], dtype=np.bytes_)
     return cells, inverse
 
 
@@ -407,7 +407,9 @@ def write_tags_csv(stream: TimeTagStream, path):
 
 
 def read_tags_csv(path) -> TimeTagStream:
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 is kept as a lone surrogate, which int() rejects,
+    # so it is a malformed line like any other.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "timestamp_ps,channel":
             raise StreamFormatError(f"bad CSV header at line 1 in {path}: {header!r}")

@@ -13,6 +13,7 @@ import entsync
 import entsync.correlation
 from entsync.channel import ChannelConfig
 from entsync.correlation import (
+    MAX_G2_BINS,
     G2Histogram,
     _center_column,
     _local_maxima_above,
@@ -128,6 +129,16 @@ class TestComputeG2:
         for bounds in ((0, 2**62 + 1, 1), (0, 2**62, 3)):
             with pytest.raises(ConfigError):
                 window(*bounds)
+
+    def test_bin_count_is_capped(self):
+        # 2 * 10**12 one-ps bins would be 14.6 TiB of counts; no histogram is built here.
+        cap = "bin_width_ps must split the g2 window into at most 2\\*\\*22 bins"
+        with pytest.raises(ConfigError, match=cap):
+            window(-(10**12), 10**12, 1)
+        with pytest.raises(ConfigError, match=cap):
+            window(0, MAX_G2_BINS + 1, 1)
+        assert window(0, MAX_G2_BINS + 1, 2).bin_width_ps == 2
+        assert window(-MAX_G2_BINS, 0, 1).tau_min_ps == -MAX_G2_BINS
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),

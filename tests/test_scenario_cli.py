@@ -452,6 +452,21 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"i/o error: stream is not sorted by timestamp in {unsorted}" in err
 
+    def test_undecodable_csv_line_exits_3(self, smoke_run, tmp_path, capsys):
+        out, _ = smoke_run
+        tags = tmp_path / "alice.csv"
+        tags.write_bytes(b"timestamp_ps,channel\n10,0\n2\xff0,0\n30,0\n")
+        code = cli_main(
+            [
+                "analyze",
+                "--alice", str(tags),
+                "--bob", str(out / "bob.tt"),
+                "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert f"i/o error: malformed record at line 3 in {tags}" in capsys.readouterr().err
+
     def test_cli_analyze_matches_api(self, smoke_run, tmp_path):
         out, _ = smoke_run
         cli_out = tmp_path / "cli"
@@ -563,6 +578,32 @@ class TestCliErrors:
         code = cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"seed": 1\xff}', "invalid JSON"),
+            (b"\xff", "invalid JSON"),
+            (b"{not json", "invalid JSON"),
+            (b"1" * 5000, "invalid JSON"),
+            (b"[" * 100_000, "invalid JSON"),
+            (b"[1, 2]", "config must be a JSON object"),
+        ],
+        ids=[
+            "non_utf8_byte", "lone_non_utf8_byte", "syntax", "digit_limit", "deep_nesting",
+            "not_an_object",
+        ],
+    )
+    @pytest.mark.parametrize("cmd", ["simulate", "tomo", "predict"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, cmd, content, message):
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+        argv = [cmd, "--config", str(config)]
+        if cmd != "predict":
+            argv += ["--out", str(tmp_path / "o")]
+        assert cli_main(argv) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_config_error_names_field(self, tmp_path, capsys):
         cfg = {
@@ -745,6 +786,22 @@ class TestCliErrors:
         assert cli_main(argv + ["--out", str(tmp_path / "o"), "--block-s", "1"]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_g2_bin_cap_exits_1(self, smoke_run, scenario_dir, tmp_path, capsys):
+        out, _ = smoke_run
+        too_many = {"tau_min_ps": -(10**12), "tau_max_ps": 10**12, "bin_width_ps": 1}
+        message = "bin_width_ps must split the g2 window into at most 2**22 bins"
+        argv = ["analyze", "--alice", str(out / "alice.tt"), "--bob", str(out / "bob.tt")]
+        for key, value in too_many.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert cli_main(argv + ["--out", str(tmp_path / "a")]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        timing = json.loads((scenario_dir / "smoke.json").read_text())
+        timing["analysis"].update(too_many)
+        config = write_json(tmp_path / "timing.json", timing)
+        assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 1
+        assert f"config error: analysis.{message}" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("key", ["counts_per_setting", "accidentals_per_setting"])
     def test_tomo_mean_count_above_limit_exits_1(self, tmp_path, capsys, key):
