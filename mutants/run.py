@@ -1,0 +1,183 @@
+"""Rerun the repository's mutation checks: each named mutation must fail its tests.
+
+Usage, from the repository root:
+
+    python3 mutants/run.py
+
+Each entry of ``MUTANTS`` names a file, an exact text in it, the text that
+replaces it, and the test ids that must fail once it is replaced. The runner
+copies the repository to a temporary directory, checks that every listed test
+passes on the unchanged copy, then applies one mutation at a time, runs its
+tests and restores the file. A mutation whose text does not occur exactly
+once stops the run before anything is mutated, so a moved or edited line
+fails loudly instead of passing silently.
+
+A mutation survives when any of its listed tests passes. The exit code is 0
+when every mutation is killed, 1 when one survives and 2 when the table or
+the unchanged copy is unusable. Only the standard library and the test suite's
+own dependencies are used; the run takes a minute or two, so it is not part of
+the tier-1 suite.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "merge ties go before the first arm's events",
+        "src/entsync/timetags.py",
+        'np.searchsorted(ts, new_ts, side="right")',
+        'np.searchsorted(ts, new_ts, side="left")',
+        ("tests/test_timetags.py::TestTimeTagStream::test_merge_orders_ties_by_channel",),
+    ),
+    Mutant(
+        "dead-time filter keeps the first run's last event across runs",
+        "src/entsync/timetags.py",
+        "        if i - 1 != previous:\n",
+        "        if previous < 0:\n",
+        ("tests/test_timetags.py::TestApplyDetector::test_dead_time_filter_matches_event_loop",),
+    ),
+    Mutant(
+        "tags CSV takes a label's cell by its value",
+        "src/entsync/timetags.py",
+        "cells[np.searchsorted(labels, stream.channels[part])]",
+        "cells[stream.channels[part] % labels.size]",
+        ("tests/test_timetags.py::TestFileFormats::test_csv_bytes_match_row_loop",),
+    ),
+    Mutant(
+        "g2 slice of the second record starts after ties",
+        "src/entsync/correlation.py",
+        "np.searchsorted(bt, [a[0] + params.tau_min_ps, ends[-1]])",
+        'np.searchsorted(bt, [a[0] + params.tau_min_ps, ends[-1]], side="right")',
+        ("tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",),
+    ),
+    Mutant(
+        "g2 window starts after ties",
+        "src/entsync/correlation.py",
+        "j = np.searchsorted(b, a + params.tau_min_ps)",
+        'j = np.searchsorted(b, a + params.tau_min_ps, side="right")',
+        ("tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",),
+    ),
+    Mutant(
+        "plateau peak rounds its midpoint up",
+        "src/entsync/correlation.py",
+        "(idx[turns[peaks] + 1] + idx[turns[peaks + 1]]) // 2",
+        "(idx[turns[peaks] + 1] + idx[turns[peaks + 1]] + 1) // 2",
+        ("tests/test_correlation.py::TestLocalMaxima::test_matches_find_peaks_above_threshold",),
+    ),
+    Mutant(
+        "cached histogram centre column is writeable",
+        "src/entsync/correlation.py",
+        "    column.flags.writeable = False\n",
+        "",
+        ("tests/test_correlation.py::TestExports::test_histogram_centre_column_is_read_only",),
+    ),
+    Mutant(
+        "per-setting total sums the wrong axes",
+        "src/entsync/tomography.py",
+        "reshape(3, 2, 3, 2).sum(axis=(1, 3))",
+        "reshape(3, 2, 3, 2).sum(axis=(0, 2))",
+        ("tests/test_tomography.py::TestNPerSetting::test_matches_group_loop",),
+    ),
+    Mutant(
+        "likelihood gradient keeps clipped settings",
+        "src/entsync/tomography.py",
+        "np.where(live, n_hat * (1.0 - observed / mu), 0.0)",
+        "n_hat * (1.0 - observed / mu)",
+        ("tests/test_tomography.py::TestLikelihoodGradient::test_clipped_settings_do_not_contribute",),
+    ),
+    Mutant(
+        "likelihood gradient drops the -Tr(G rho) I term",
+        "src/entsync/tomography.py",
+        "        g[_T_DIAG] -= w @ probs",
+        "        pass",
+        (
+            "tests/test_tomography.py::TestLikelihoodGradient"
+            "::test_matches_central_differences_with_accidentals",
+            "tests/test_tomography.py::TestLikelihoodGradient::test_clipped_settings_do_not_contribute",
+        ),
+    ),
+)
+
+
+def run_tests(copy: Path, tests) -> tuple[int, set[str]]:
+    """pytest's exit code on ``tests`` in ``copy``, and the ids of the cases that failed."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    failed = {
+        line.split()[1]
+        for line in proc.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1
+    }
+    return proc.returncode, failed
+
+
+def survivors(test_ids, failed) -> list[str]:
+    """The listed ids none of whose cases (parametrised or not) failed."""
+    return [t for t in test_ids if not any(f == t or f.startswith(t + "[") for f in failed)]
+
+
+def main() -> int:
+    for m in MUTANTS:
+        found = (ROOT / m.path).read_text().count(m.old)
+        if found != 1:
+            print(f"refused: {m.name!r}: text occurs {found} times in {m.path}", file=sys.stderr)
+            return 2
+
+    with tempfile.TemporaryDirectory(prefix="entsync-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(
+            ROOT, copy,
+            ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench", "results"
+            ),
+        )
+        every_test = sorted({t for m in MUTANTS for t in m.tests})
+        code, failed = run_tests(copy, every_test)
+        if code != 0:
+            print(f"refused: the unchanged copy fails (pytest exit {code}): {sorted(failed)}",
+                  file=sys.stderr)
+            return 2
+
+        alive = 0
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text()
+            target.write_text(original.replace(m.old, m.new))
+            try:
+                _, failed = run_tests(copy, m.tests)
+            finally:
+                target.write_text(original)
+            passed = survivors(m.tests, failed)
+            if passed:
+                alive += 1
+                print(f"SURVIVED  {m.name}: still passing: {', '.join(passed)}")
+            else:
+                print(f"killed    {m.name} ({len(m.tests)} of {len(m.tests)} tests fail)")
+    print(f"{len(MUTANTS) - alive} of {len(MUTANTS)} mutations killed, {alive} survived")
+    return 1 if alive else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

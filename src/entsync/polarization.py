@@ -119,6 +119,10 @@ class FaradayParams:
         if not math.isfinite(self.rotation_VBd_rad):
             raise ConfigError("rotation_VBd_rad must be finite")
 
+    def require_half_turn(self, field: str = "rotation_VBd_rad"):
+        if abs(self.rotation_VBd_rad + math.pi) > 1e-9:
+            raise ConfigError(f"{field} must equal -pi (half-turn circulator)")
+
     @property
     def wavenumber_rad_per_m(self) -> float:
         return 2.0 * math.pi / (self.wavelength_nm * 1e-9)
@@ -207,18 +211,13 @@ def circulator_unitary(p: FaradayParams) -> np.ndarray:
     return common * np.diag([split, split.conjugate()])
 
 
-def _require_half_turn(p: FaradayParams):
-    if abs(p.rotation_VBd_rad + math.pi) > 1e-9:
-        raise ConfigError("rotation_VBd_rad must equal -pi (half-turn circulator)")
-
-
 def apply_attack_full(state: TwoQubitState, p: FaradayParams) -> TwoQubitState:
     """Send the second photon through the circulator pair, all phases included.
 
     With the half-turn condition the action is a global phase, so every input
     state (entangled or not) is preserved up to normalization-invisible phase.
     """
-    _require_half_turn(p)
+    p.require_half_turn()
     u_rl = circulator_unitary(p)
     u_hv = _RL_TO_HV @ u_rl @ _HV_TO_RL
     return apply_to_second(state, u_hv)
@@ -266,7 +265,7 @@ def phase_decomposition(
     orthogonal companion, whose geometric phase has the opposite sign.
     Cross-checked against the eigenphase of the actual traversal matrix.
     """
-    _require_half_turn(p)
+    p.require_half_turn()
     if orthogonal:
         beta = -geometric_phase(theta_rad)
         gamma = p.phase_kn0d_rad - p.rotation_VBd_rad * math.cos(theta_rad)

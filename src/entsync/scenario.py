@@ -485,6 +485,8 @@ class TomoScenario:
             raise ConfigError("attack must be one of 'none', 'full', 'naive'")
         if self.attack == "naive" and not 0.0 <= self.theta_rad <= math.pi:
             raise ConfigError("theta_rad must be in [0, pi] for the naive attack")
+        if self.attack == "full":
+            self.faraday.require_half_turn("faraday.rotation_VBd_rad")
         if not math.isfinite(self.counts_per_setting) or self.counts_per_setting <= 0:
             raise ConfigError("counts_per_setting must be finite and > 0")
         if not math.isfinite(self.accidentals_per_setting) or self.accidentals_per_setting < 0:

@@ -60,27 +60,23 @@ class TimeTagStream:
         return int(self.timestamps_ps.size)
 
 
-def merge_streams(*detections: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
-    """A party's sorted timestamps and labels from (sorted timestamps, label) pairs; ties by label.
+def merge_streams(first: tuple, second: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A party's sorted timestamps and labels from its two (sorted timestamps, label) arms.
 
-    The streams are merged in increasing label order. Each one is inserted into
-    the merge so far after every event at the same time, so ties stay ordered
-    by label without sorting the concatenation.
+    The larger-label arm goes in after the other's events at equal times, so
+    ties stay in label order without a sort; the labels are set by position.
     """
-    (ts, label), *rest = sorted(detections, key=lambda d: d[1])
-    ch = np.full(ts.size, label, dtype=np.uint32)
-    for new_ts, label in rest:
-        at = np.searchsorted(ts, new_ts, side="right")
-        at += np.arange(new_ts.size)
-        old = np.ones(ts.size + new_ts.size, dtype=bool)
-        old[at] = False
-        merged = np.empty(old.size, dtype=np.int64)
-        merged[at] = new_ts
-        merged[old] = ts
-        merged_ch = np.full(old.size, label, dtype=np.uint32)
-        merged_ch[old] = ch
-        ts, ch = merged, merged_ch
-    return ts, ch
+    (ts, label), (new_ts, new_label) = sorted((first, second), key=lambda arm: arm[1])
+    at = np.searchsorted(ts, new_ts, side="right")
+    at += np.arange(new_ts.size)
+    old = np.ones(ts.size + new_ts.size, dtype=bool)
+    old[at] = False
+    merged = np.empty(old.size, dtype=np.int64)
+    merged[at] = new_ts
+    merged[old] = ts
+    channels = np.full(merged.size, label, dtype=np.uint32)
+    channels[at] = new_label
+    return merged, channels
 
 
 @dataclass(frozen=True)
@@ -393,14 +389,15 @@ def format_each_distinct(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarra
 
 
 def write_tags_csv(stream: TimeTagStream, path):
-    cells, inverse = format_each_distinct(stream.channels, lambda c: f"{c}\n")
+    labels = np.unique(stream.channels)
+    cells = np.array([f"{c}\n" for c in labels.tolist()], dtype=np.bytes_)
 
     def rows():
         yield b"timestamp_ps,channel\n"
         for part in chunk_slices(len(stream), _TEXT_ROWS):
             yield join_text_columns(
                 np.char.add(stream.timestamps_ps[part].astype(np.bytes_), b","),
-                cells[inverse[part]],
+                cells[np.searchsorted(labels, stream.channels[part])],
             )
 
     atomic_write_bytes(path, rows())

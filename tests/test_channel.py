@@ -11,7 +11,7 @@ from entsync.channel import (
     propagation_delay_ps,
 )
 from entsync.errors import ConfigError
-from entsync.timetags import MAX_TIMESTAMP_PS, ClockModel, apply_clock, merge_streams
+from entsync.timetags import MAX_TIMESTAMP_PS, ClockModel, apply_clock
 
 from oracles import channel_arrivals_reference
 
@@ -154,10 +154,9 @@ def test_channel_commutes_with_clock_translation(offset, length):
     clock = ClockModel(offset_ps=offset)
     s = times([0, 17, 40_000])
     schedule = [(0, cfg)]
-    one = apply_clock(*merge_streams((apply_channel(s, Direction.A_TO_B, schedule), 0)), clock)
-    two = apply_channel(
-        apply_clock(*merge_streams((s, 0)), clock).timestamps_ps, Direction.A_TO_B, schedule
-    )
+    labels = np.zeros(s.size, dtype=np.uint32)
+    one = apply_clock(apply_channel(s, Direction.A_TO_B, schedule), labels, clock)
+    two = apply_channel(apply_clock(s, labels, clock).timestamps_ps, Direction.A_TO_B, schedule)
     assert np.array_equal(one.timestamps_ps, two)
 
 

@@ -28,7 +28,7 @@ from entsync.correlation import (
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
-from entsync.timetags import ClockModel, PairSourceModel, apply_clock, merge_streams
+from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream
 
 from oracles import (
     fit_peak_gaussian,
@@ -76,7 +76,7 @@ def times(values):
 
 
 def make_stream(timestamps):
-    return apply_clock(*merge_streams((times(timestamps), 0)), ClockModel())
+    return TimeTagStream(times(timestamps), np.zeros(len(timestamps), dtype=np.uint32))
 
 
 def small_scenario(**overrides):

@@ -340,6 +340,26 @@ class TestRunScenario:
             binary_out / "estimates.json"
         ).read_bytes()
 
+    def test_cli_prints_the_summary_shift(self, scenario_dir, tmp_path, capsys):
+        # 4 s at 20 kHz, with 10 m of one-way fiber added at 2 s.
+        cfg = json.loads((scenario_dir / "smoke.json").read_text())
+        for source in ("alice_source", "bob_source"):
+            cfg[source]["pair_rate_hz"] = 20000.0
+        channel = dict(cfg["channel"], eve_length_ab_m=11.0)
+        cfg.update(duration_s=4.0, block_s=1.0, schedule=[{"time_s": 2.0, "channel": channel}])
+        config = write_json(tmp_path / "scheduled.json", cfg)
+        out = tmp_path / "out"
+        assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        printed = re.search(
+            r"measured offset shift (\S+) ps \(predicted (\S+) ps, sigma (\S+) ps\)",
+            capsys.readouterr().out,
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        shift, predicted = summary["measured_shift_ps"], summary["predicted_shift_ps"]
+        sigma = summary["shift_sigma_ps"]
+        assert printed.groups() == (f"{shift:.1f}", f"{predicted:.1f}", f"{sigma:.2f}")
+        assert abs(shift - predicted) < 5 * sigma
+
     def test_zero_rate_sources_graceful(self, tmp_path):
         cfg = {
             "duration_s": 80.0,
@@ -502,9 +522,9 @@ class TestAnalyze:
         assert [e["block_index"] for e in payload] == [0]
 
     def test_empty_tag_files_give_empty_estimates(self, tmp_path):
-        from entsync.timetags import apply_clock, merge_streams, write_tags_binary
+        from entsync.timetags import TimeTagStream, write_tags_binary
 
-        empty = apply_clock(*merge_streams((np.empty(0, dtype=np.int64), 0)), ClockModel())
+        empty = TimeTagStream(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint32))
         write_tags_binary(empty, tmp_path / "a.tt")
         write_tags_binary(empty, tmp_path / "b.tt")
         assert (tmp_path / "a.tt").stat().st_size == 0
@@ -926,6 +946,34 @@ class TestTomoScenario:
         code = cli_main(["tomo", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 1
         assert "attack" in capsys.readouterr().err
+
+    def test_full_attack_off_the_half_turn_exits_1_before_writing(self, tmp_path, capsys):
+        config = write_json(
+            tmp_path / "tomo.json",
+            {"seed": 1, "attack": "full", "faraday": {"rotation_VBd_rad": -3.0}, "reps": 2},
+        )
+        out = tmp_path / "x"
+        assert cli_main(["tomo", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: faraday.rotation_VBd_rad must equal -pi (half-turn circulator)" in err
+        assert not out.exists()
+        # The same 1e-9 tolerance as the polarization functions, and only for the full attack.
+        near = {"rotation_VBd_rad": -math.pi + 5e-10}
+        assert parse_config(TomoScenario, {"seed": 1, "attack": "full", "faraday": near})
+        assert parse_config(TomoScenario, {"seed": 1, "faraday": {"rotation_VBd_rad": -3.0}})
+
+    def test_all_zero_counts_exit_2(self, tmp_path, capsys):
+        config = self.small_config(tmp_path, counts_per_setting=1e-12)
+        assert cli_main(["tomo", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "analysis failure: all counts are zero" in capsys.readouterr().err
+
+    def test_seed_flag_matches_seed_in_config(self, tmp_path):
+        flagged, configured = tmp_path / "flagged", tmp_path / "configured"
+        config = self.small_config(tmp_path)
+        assert cli_main(["tomo", "--config", str(config), "--out", str(flagged), "--seed", "7"]) == 0
+        config = self.small_config(tmp_path, seed=7)
+        assert cli_main(["tomo", "--config", str(config), "--out", str(configured)]) == 0
+        assert dir_digest(flagged) == dir_digest(configured)
 
     def test_depolarization_lowers_target_fidelity(self, tmp_path):
         config = self.small_config(
