@@ -63,6 +63,13 @@ MUTANTS = (
         ("tests/test_timetags.py::TestFileFormats::test_csv_bytes_match_row_loop",),
     ),
     Mutant(
+        "circular amplitudes enter through the inverse basis change",
+        "src/entsync/polarization.py",
+        "return cls(_RL_TO_HV @ rl)",
+        "return cls(_HV_TO_RL @ rl)",
+        ("tests/test_polarization.py::TestJonesState::test_circular_convention",),
+    ),
+    Mutant(
         "g2 slice of the second record starts after ties",
         "src/entsync/correlation.py",
         "np.searchsorted(bt, [a[0] + params.tau_min_ps, ends[-1]])",
@@ -89,6 +96,13 @@ MUTANTS = (
         "    column.flags.writeable = False\n",
         "",
         ("tests/test_correlation.py::TestExports::test_histogram_centre_column_is_read_only",),
+    ),
+    Mutant(
+        "centroid sigma is the peak width, not the error of its mean",
+        "src/entsync/correlation.py",
+        "sigma = math.sqrt(max(var, hist.bin_width_ps**2 / 12.0) / wsum)",
+        "sigma = math.sqrt(max(var, hist.bin_width_ps**2 / 12.0))",
+        ("tests/test_calibration.py::test_offset_z_scores_are_calibrated",),
     ),
     Mutant(
         "per-setting total sums the wrong axes",

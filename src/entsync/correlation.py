@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -93,10 +93,11 @@ class PeakPair:
 
 @dataclass(frozen=True)
 class SyncEstimate:
+    # The field order is the key order of estimates.json.
+    block_index: int
     delta_ps: float
     round_trip_ps: float
     delta_sigma_ps: float
-    block_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -311,7 +312,7 @@ def estimate_sync(peaks: PeakPair, block_index: int = 0) -> SyncEstimate:
     delta = 0.5 * (peaks.tau_ab_ps + peaks.tau_ba_ps)
     round_trip = peaks.tau_ab_ps - peaks.tau_ba_ps
     delta_sigma = 0.5 * math.hypot(peaks.sigma_ab_ps, peaks.sigma_ba_ps)
-    return SyncEstimate(delta, round_trip, delta_sigma, block_index)
+    return SyncEstimate(block_index, delta, round_trip, delta_sigma)
 
 
 def analyze_block(
@@ -386,18 +387,6 @@ def write_histogram_csv(hist: G2Histogram, path):
     atomic_write_bytes(path, rows())
 
 
-def estimates_to_json(estimates: list[SyncEstimate]) -> list[dict]:
-    return [
-        {
-            "block_index": e.block_index,
-            "delta_ps": e.delta_ps,
-            "round_trip_ps": e.round_trip_ps,
-            "delta_sigma_ps": e.delta_sigma_ps,
-        }
-        for e in estimates
-    ]
-
-
 def write_estimates_json(estimates: list[SyncEstimate], path):
-    text = json.dumps(estimates_to_json(estimates), indent=2) + "\n"
+    text = json.dumps([asdict(e) for e in estimates], indent=2) + "\n"
     atomic_write_bytes(path, [text.encode()])

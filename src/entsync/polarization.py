@@ -23,46 +23,40 @@ import numpy as np
 
 from .errors import ConfigError
 
+# The basis of every stored state, as written to density-matrix files.
 BASIS_HV = "HV"
-BASIS_RL = "RL"
 
 # Rows are (R, L) coordinates of the (H, V) basis vectors: x_RL = _HV_TO_RL @ x_HV.
 _HV_TO_RL = np.array([[1.0, 1.0j], [1.0, -1.0j]]) / math.sqrt(2.0)
 _RL_TO_HV = _HV_TO_RL.conj().T
 
 
-def _change_basis(amplitudes: np.ndarray, src: str, dst: str) -> np.ndarray:
-    if src == dst:
-        return amplitudes
-    if (src, dst) == (BASIS_HV, BASIS_RL):
-        return _HV_TO_RL @ amplitudes
-    if (src, dst) == (BASIS_RL, BASIS_HV):
-        return _RL_TO_HV @ amplitudes
-    raise ConfigError(f"unknown basis pair {src!r} -> {dst!r}")
-
-
 @dataclass(frozen=True)
 class JonesState:
-    """Single-photon polarization amplitudes in a declared basis, norm 1."""
+    """Single-photon polarization amplitudes in the HV basis, norm 1."""
 
     amplitudes: np.ndarray
-    basis: str = BASIS_HV
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(2)
-        if self.basis not in (BASIS_HV, BASIS_RL):
-            raise ConfigError(f"basis must be {BASIS_HV!r} or {BASIS_RL!r}")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-9:
             raise ConfigError(f"Jones vector norm is {norm}, expected 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def in_basis(self, basis: str) -> "JonesState":
-        return JonesState(_change_basis(self.amplitudes, self.basis, basis), basis)
+    @classmethod
+    def from_rl(cls, rl) -> "JonesState":
+        """The state with circular amplitudes (c_R, c_L)."""
+        return cls(_RL_TO_HV @ rl)
+
+    @property
+    def rl(self) -> np.ndarray:
+        """The circular amplitudes (c_R, c_L)."""
+        return _HV_TO_RL @ self.amplitudes
 
     def overlap(self, other: "JonesState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.in_basis(self.basis).amplitudes))
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -93,8 +87,9 @@ def state_fidelity(a: TwoQubitState, b: TwoQubitState) -> float:
     return abs(a.overlap(b)) ** 2
 
 
-def apply_to_second(state: TwoQubitState, unitary_hv: np.ndarray) -> TwoQubitState:
-    """Apply a single-photon unitary (HV basis) to the second photon only."""
+def apply_to_second(state: TwoQubitState, unitary_rl: np.ndarray) -> TwoQubitState:
+    """Apply a single-photon unitary, given in the RL basis, to the second photon only."""
+    unitary_hv = _RL_TO_HV @ unitary_rl @ _HV_TO_RL
     amps = state.amplitudes.reshape(2, 2)
     out = np.einsum("ij,aj->ai", unitary_hv, amps).reshape(4)
     return TwoQubitState(out)
@@ -147,7 +142,7 @@ def to_poincare(psi: JonesState) -> tuple[float, float]:
     The state factors as exp(-i*phi) * cos(theta/2)|R> + sin(theta/2)|L> up to
     a global phase.
     """
-    c_r, c_l = psi.in_basis(BASIS_RL).amplitudes
+    c_r, c_l = psi.rl
     theta = 2.0 * math.atan2(abs(c_l), abs(c_r))
     if abs(c_r) < 1e-12 or abs(c_l) < 1e-12:
         return theta, 0.0
@@ -157,13 +152,9 @@ def to_poincare(psi: JonesState) -> tuple[float, float]:
 
 def poincare_state(theta_rad: float, phi_rad: float = 0.0) -> JonesState:
     """Inverse of to_poincare, fixing the global phase so the |L> term is real."""
-    amps = np.array(
-        [
-            cmath.exp(-1j * phi_rad) * math.cos(theta_rad / 2.0),
-            math.sin(theta_rad / 2.0),
-        ]
+    return JonesState.from_rl(
+        [cmath.exp(-1j * phi_rad) * math.cos(theta_rad / 2.0), math.sin(theta_rad / 2.0)]
     )
-    return JonesState(amps, BASIS_RL)
 
 
 def geometric_phase(theta_rad: float) -> float:
@@ -182,6 +173,16 @@ def dynamic_phase(p: FaradayParams, theta_rad: float) -> float:
     return p.phase_kn0d_rad + p.rotation_VBd_rad * math.cos(theta_rad)
 
 
+def _circular_phases(p: FaradayParams, z_m: float) -> np.ndarray:
+    """(exp(i*k*n_R*z), exp(i*k*n_L*z)): the phases of |R> and |L> at depth z."""
+    # Factor the common propagation phase out before exponentiating: at
+    # k*n0*z of order 1e5 rad, exp(i*(common +/- split)) would lose the
+    # relative phase between the components to argument rounding.
+    common = cmath.exp(1j * (p.wavenumber_rad_per_m * p.n0 * z_m))
+    split = cmath.exp(1j * (p.rotation_VBd_rad * (z_m / p.length_d_m)))
+    return common * np.array([split, split.conjugate()])
+
+
 def faraday_propagate(psi: JonesState, z_m: float, p: FaradayParams) -> JonesState:
     """Evolve a state to penetration depth z inside the rotator.
 
@@ -190,14 +191,7 @@ def faraday_propagate(psi: JonesState, z_m: float, p: FaradayParams) -> JonesSta
     """
     if not 0.0 <= z_m <= p.length_d_m + 1e-15:
         raise ConfigError("z_m must be within [0, length_d_m]")
-    # Factor the common propagation phase out before exponentiating: at
-    # k*n0*z of order 1e5 rad, exp(i*(common +/- split)) would lose the
-    # relative phase between the components to argument rounding.
-    common = cmath.exp(1j * (p.wavenumber_rad_per_m * p.n0 * z_m))
-    split = cmath.exp(1j * (p.rotation_VBd_rad * (z_m / p.length_d_m)))
-    rl = psi.in_basis(BASIS_RL).amplitudes
-    out = common * np.array([rl[0] * split, rl[1] * split.conjugate()])
-    return JonesState(_change_basis(out, BASIS_RL, psi.basis), psi.basis)
+    return JonesState.from_rl(psi.rl * _circular_phases(p, z_m))
 
 
 def circulator_unitary(p: FaradayParams) -> np.ndarray:
@@ -206,9 +200,7 @@ def circulator_unitary(p: FaradayParams) -> np.ndarray:
     At VBd = -pi both circular components acquire the same factor
     -exp(i*k*n0*d), so the matrix is a global phase times the identity.
     """
-    common = cmath.exp(1j * p.phase_kn0d_rad)
-    split = cmath.exp(1j * p.rotation_VBd_rad)
-    return common * np.diag([split, split.conjugate()])
+    return np.diag(_circular_phases(p, p.length_d_m))
 
 
 def apply_attack_full(state: TwoQubitState, p: FaradayParams) -> TwoQubitState:
@@ -218,9 +210,7 @@ def apply_attack_full(state: TwoQubitState, p: FaradayParams) -> TwoQubitState:
     state (entangled or not) is preserved up to normalization-invisible phase.
     """
     p.require_half_turn()
-    u_rl = circulator_unitary(p)
-    u_hv = _RL_TO_HV @ u_rl @ _HV_TO_RL
-    return apply_to_second(state, u_hv)
+    return apply_to_second(state, circulator_unitary(p))
 
 
 def apply_attack_naive_geometric(state: TwoQubitState, theta_rad: float) -> TwoQubitState:
@@ -235,8 +225,7 @@ def apply_attack_naive_geometric(state: TwoQubitState, theta_rad: float) -> TwoQ
     c, s = math.cos(theta_rad / 2.0), math.sin(theta_rad / 2.0)
     basis_rl = np.array([[c, -s], [s, c]], dtype=np.complex128)  # columns: psi, psi_perp
     u_rl = basis_rl @ np.diag([cmath.exp(1j * beta), cmath.exp(-1j * beta)]) @ basis_rl.conj().T
-    u_hv = _RL_TO_HV @ u_rl @ _HV_TO_RL
-    return apply_to_second(state, u_hv)
+    return apply_to_second(state, u_rl)
 
 
 @dataclass(frozen=True)
@@ -251,8 +240,7 @@ class PhaseDecomposition:
 
 def orthogonal_state(theta_rad: float) -> JonesState:
     """The companion state -sin(theta/2)|R> + cos(theta/2)|L>."""
-    amps = np.array([-math.sin(theta_rad / 2.0), math.cos(theta_rad / 2.0)])
-    return JonesState(amps, BASIS_RL)
+    return JonesState.from_rl([-math.sin(theta_rad / 2.0), math.cos(theta_rad / 2.0)])
 
 
 def phase_decomposition(
@@ -269,11 +257,11 @@ def phase_decomposition(
     if orthogonal:
         beta = -geometric_phase(theta_rad)
         gamma = p.phase_kn0d_rad - p.rotation_VBd_rad * math.cos(theta_rad)
-        psi = orthogonal_state(theta_rad).amplitudes
+        psi = orthogonal_state(theta_rad).rl
     else:
         beta = geometric_phase(theta_rad)
         gamma = dynamic_phase(p, theta_rad)
-        psi = poincare_state(theta_rad).amplitudes
+        psi = poincare_state(theta_rad).rl
     decomp = PhaseDecomposition(beta, gamma)
 
     evolved = circulator_unitary(p) @ psi

@@ -513,12 +513,14 @@ def attacked_state(sc: TomoScenario) -> TwoQubitState:
 
 
 def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
-    """Forward-model, sample, reconstruct, and error-propagate one comparison."""
+    """Forward-model, sample, reconstruct, and error-propagate one comparison.
+
+    Every fit runs before the output directory is made, so a failed run
+    leaves no partial artifacts.
+    """
     sc = load_tomo_scenario(config_path)
     if seed is not None:
         sc = dataclasses.replace(sc, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     target = DensityMatrix.from_pure(bell_psi_minus().amplitudes)
     states = {"before": target, "after": DensityMatrix.from_pure(attacked_state(sc).amplitudes)}
@@ -528,13 +530,15 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
         rho = depolarize(states[which], sc.depolarization)
         seed = rngmod.child_seed(sc.seed, stream)
         counts[which] = sample_counts(expected_counts(rho, sc.counts_per_setting, acc), seed, acc)
-        write_counts_csv(counts[which], out / f"counts_{which}.csv")
         rho_hat[which] = mle_reconstruct(counts[which])
-        _write_json(density_to_json(rho_hat[which]), out / f"rho_{which}.json")
-
     distribution = monte_carlo_fidelity(counts["before"], counts["after"], sc.reps, sc.seed)
-    _write_json(distribution.to_json(), out / "fidelity_distribution.json")
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for which in ("before", "after"):
+        write_counts_csv(counts[which], out / f"counts_{which}.csv")
+        _write_json(density_to_json(rho_hat[which]), out / f"rho_{which}.json")
+    _write_json(distribution.to_json(), out / "fidelity_distribution.json")
     summary = {
         "config": dataclasses.asdict(sc),
         "fidelity_before_vs_target": fidelity(rho_hat["before"], target),

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -22,8 +23,8 @@ from entsync.correlation import (
     analyze_block,
     compute_g2,
     estimate_sync,
-    estimates_to_json,
     find_two_peaks,
+    write_estimates_json,
     write_histogram_csv,
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
@@ -544,9 +545,11 @@ class TestExports:
         with pytest.raises(ValueError):
             column[0] = b"0,"
 
-    def test_estimates_json_schema(self):
+    def test_estimates_json_schema(self, tmp_path):
         est = estimate_sync(PeakPair(10.0, -10.0, 1.0, 1.0, 5.0, 5.0), block_index=3)
-        payload = estimates_to_json([est])
+        write_estimates_json([est], tmp_path / "estimates.json")
+        payload = json.loads((tmp_path / "estimates.json").read_text())
+        assert list(payload[0]) == ["block_index", "delta_ps", "round_trip_ps", "delta_sigma_ps"]
         assert payload == [
             {
                 "block_index": 3,

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from entsync.errors import ConfigError
 from entsync.polarization import (
-    BASIS_HV,
-    BASIS_RL,
     FaradayParams,
     JonesState,
     TwoQubitState,
@@ -29,8 +27,8 @@ from entsync.polarization import (
 
 H = JonesState(np.array([1.0, 0.0]))
 V = JonesState(np.array([0.0, 1.0]))
-R = JonesState(np.array([1.0, 0.0]), BASIS_RL)
-L = JonesState(np.array([0.0, 1.0]), BASIS_RL)
+R = JonesState.from_rl(np.array([1.0, 0.0]))
+L = JonesState.from_rl(np.array([0.0, 1.0]))
 HALF_TURN = FaradayParams()
 
 
@@ -50,12 +48,12 @@ class TestJonesState:
         for _ in range(20):
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
             state = JonesState(amps / np.linalg.norm(amps))
-            back = state.in_basis(BASIS_RL).in_basis(BASIS_HV)
+            back = JonesState.from_rl(state.rl)
             assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_circular_convention(self):
         # |R> = (|H> - i|V>)/sqrt(2)
-        r_in_hv = R.in_basis(BASIS_HV).amplitudes
+        r_in_hv = R.amplitudes
         assert np.allclose(r_in_hv, np.array([1.0, -1.0j]) / math.sqrt(2.0), atol=1e-12)
 
 
@@ -144,7 +142,7 @@ class TestFaradayPropagate:
     def test_quarter_turn_rotates_h_to_v(self):
         # At VB*z = -pi/2 the polarization plane has rotated a quarter turn.
         out = faraday_propagate(H, HALF_TURN.length_d_m / 2.0, HALF_TURN)
-        overlap = abs(np.vdot(V.amplitudes, out.in_basis(BASIS_HV).amplitudes))
+        overlap = abs(np.vdot(V.amplitudes, out.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_propagation_composes(self):

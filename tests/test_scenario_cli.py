@@ -220,6 +220,35 @@ class TestConfigValidation:
                 ("analysis", values, re.escape(f"analysis.{message}"))
                 for values, message in WINDOW_PAST_INT64.values()
             ),
+            (
+                "analysis",
+                {"min_separation_ps": -1},
+                r"analysis\.min_separation_ps must be >= 0",
+            ),
+            *(
+                (
+                    "analysis",
+                    {"threshold_sigma": v},
+                    r"analysis\.threshold_sigma must be finite and >= 0",
+                )
+                for v in (math.nan, -1.0)
+            ),
+            (
+                "analysis",
+                {"centroid_halfwidth_bins": 0},
+                r"analysis\.centroid_halfwidth_bins must be >= 1",
+            ),
+            (
+                "detectors",
+                {"bob_local": {"dark_rate_hz": -1.0}},
+                r"detectors\.bob_local\.dark_rate_hz must be finite and >= 0",
+            ),
+            (
+                "detectors",
+                {"alice_remote": {"dead_time_ps": -1}},
+                r"detectors\.alice_remote\.dead_time_ps must be >= 0",
+            ),
+            ("schedule", {"time_s": 5.0}, r"field schedule must be a list"),
         ],
     )
     def test_field_error_names_path(self, key, value, message):
@@ -293,6 +322,32 @@ class TestConfigValidation:
                 parse_config(TomoScenario, {"seed": 1, key: 1e300})
         limit = {"counts_per_setting": 0.5e18, "accidentals_per_setting": 0.5e18}
         assert parse_config(TomoScenario, {"seed": 1, **limit}).counts_per_setting == 0.5e18
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"faraday": {"wavelength_nm": 0.0}}, r"faraday\.wavelength_nm must be > 0"),
+            ({"faraday": {"length_d_m": -0.01}}, r"faraday\.length_d_m must be > 0"),
+            (
+                {"faraday": {"rotation_VBd_rad": math.inf}},
+                r"faraday\.rotation_VBd_rad must be finite",
+            ),
+            *(
+                (
+                    {"attack": "naive", "theta_rad": theta},
+                    r"theta_rad must be in \[0, pi\] for the naive attack",
+                )
+                for theta in (-0.1, 3.2)
+            ),
+            *(
+                ({"depolarization": v}, r"depolarization must be in \[0, 1\]")
+                for v in (-0.1, 1.5)
+            ),
+        ],
+    )
+    def test_tomo_field_error_names_path(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config(TomoScenario, {"seed": 1, **fields})
 
 
 class TestRunScenario:
@@ -964,8 +1019,11 @@ class TestTomoScenario:
 
     def test_all_zero_counts_exit_2(self, tmp_path, capsys):
         config = self.small_config(tmp_path, counts_per_setting=1e-12)
-        assert cli_main(["tomo", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert cli_main(["tomo", "--config", str(config), "--out", str(out)]) == 2
         assert "analysis failure: all counts are zero" in capsys.readouterr().err
+        # The fits fail before anything is written.
+        assert not out.exists()
 
     def test_seed_flag_matches_seed_in_config(self, tmp_path):
         flagged, configured = tmp_path / "flagged", tmp_path / "configured"
