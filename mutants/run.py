@@ -42,11 +42,28 @@ class Mutant:
 
 MUTANTS = (
     Mutant(
-        "merge ties go before the first arm's events",
+        "merge tags the smaller-label arm",
         "src/entsync/timetags.py",
-        'np.searchsorted(ts, new_ts, side="right")',
-        'np.searchsorted(ts, new_ts, side="left")',
+        "keys[ts.size :] |= 1",
+        "keys[: ts.size] |= 1",
         ("tests/test_timetags.py::TestTimeTagStream::test_merge_orders_ties_by_channel",),
+    ),
+    Mutant(
+        "merge drops a bit of the time with the tag",
+        "src/entsync/timetags.py",
+        "keys >>= 1",
+        "keys >>= 2",
+        (
+            "tests/test_timetags.py::TestTimeTagStream::test_merge_orders_ties_by_channel",
+            "tests/test_timetags.py::TestTimeTagStream::test_merge_matches_lexsort_reference",
+        ),
+    ),
+    Mutant(
+        "detector jitter truncated instead of rounded",
+        "src/entsync/timetags.py",
+        "out[:m] = np.rint(jitter, out=jitter)",
+        "out[:m] = jitter",
+        ("tests/test_timetags.py::TestApplyDetector::test_matches_copying_reference",),
     ),
     Mutant(
         "dead-time filter keeps the first run's last event across runs",

@@ -63,20 +63,20 @@ class TimeTagStream:
 def merge_streams(first: tuple, second: tuple) -> tuple[np.ndarray, np.ndarray]:
     """A party's sorted timestamps and labels from its two (sorted timestamps, label) arms.
 
-    The larger-label arm goes in after the other's events at equal times, so
-    ties stay in label order without a sort; the labels are set by position.
+    Each time t is keyed 2t, or 2t + 1 in the larger-label arm, which cannot
+    wrap below 2**62 ps. A stable sort merges the two sorted runs in one pass,
+    ties stay in label order, and the low bit gives the label.
     """
     (ts, label), (new_ts, new_label) = sorted((first, second), key=lambda arm: arm[1])
-    at = np.searchsorted(ts, new_ts, side="right")
-    at += np.arange(new_ts.size)
-    old = np.ones(ts.size + new_ts.size, dtype=bool)
-    old[at] = False
-    merged = np.empty(old.size, dtype=np.int64)
-    merged[at] = new_ts
-    merged[old] = ts
-    channels = np.full(merged.size, label, dtype=np.uint32)
-    channels[at] = new_label
-    return merged, channels
+    keys = np.empty(ts.size + new_ts.size, dtype="<i8")
+    np.left_shift(ts, 1, out=keys[: ts.size])
+    np.left_shift(new_ts, 1, out=keys[ts.size :])
+    keys[ts.size :] |= 1
+    keys.sort(kind="stable")
+    # The low byte of each little-endian key, read without an int64 temporary.
+    channels = np.array([label, new_label], dtype=np.uint32)[keys.view(np.uint8)[::8] & 1]
+    keys >>= 1
+    return keys, channels
 
 
 @dataclass(frozen=True)
@@ -245,19 +245,29 @@ def apply_detector(
     ts = timestamps
     if det.efficiency < 1.0:
         ts = ts[rng.random(ts.size) < det.efficiency]
-    if det.jitter_sigma_ps > 0 and ts.size:
-        ts = _add_jitter(rng, ts, det.jitter_sigma_ps)
+    m = ts.size
+    jitter = rng.normal(0.0, det.jitter_sigma_ps, m) if det.jitter_sigma_ps > 0 and m else None
+    n_dark = rng.poisson(det.dark_rate_hz * duration_s) if det.dark_rate_hz > 0 else 0
 
-    if det.dark_rate_hz > 0:
-        n_dark = rng.poisson(det.dark_rate_hz * duration_s)
-        dark_ts = np.rint(rng.random(n_dark) * duration_s * PS_PER_S).astype(np.int64)
-        ts = np.concatenate([ts, dark_ts])
+    # Signal, then darks, in one owned buffer sorted in place; the caller's array is only read.
+    out = np.empty(m + n_dark, dtype=np.int64)
+    if jitter is None:
+        out[:m] = ts
+    else:
+        out[:m] = np.rint(jitter, out=jitter)
+        out[:m] += ts
+    del ts, jitter
+    if n_dark:
+        # Two products, each rounded as in random() * duration_s * PS_PER_S.
+        dark = rng.random(n_dark)
+        dark *= duration_s
+        dark *= PS_PER_S
+        out[m:] = np.rint(dark, out=dark)
+    out.sort(kind="stable")
+    if det.dead_time_ps > 0 and out.size:
+        out = out[_dead_time_filter(out, det.dead_time_ps)]
 
-    ts = np.sort(ts, kind="stable")
-    if det.dead_time_ps > 0 and ts.size:
-        ts = ts[_dead_time_filter(ts, det.dead_time_ps)]
-
-    return check_timestamp_range(ts)
+    return check_timestamp_range(out)
 
 
 def apply_clock(

@@ -7,6 +7,7 @@ import numpy as np
 from scipy import optimize, signal
 
 from entsync.errors import ReconstructionError
+from entsync.timetags import PS_PER_S
 from entsync.tomography import (
     DensityMatrix,
     _estimate_n_per_setting,
@@ -92,6 +93,26 @@ def dead_time_keep_reference(timestamps: np.ndarray, dead_time_ps: int) -> np.nd
         else:
             last = t
     return keep
+
+
+def apply_detector_reference(timestamps, det, duration_s: float, seed: int) -> np.ndarray:
+    """The detector with a copy per stage: efficiency, jitter, darks, one copying sort,
+    then event-by-event dead time. Same draws in the same order as apply_detector."""
+    rng = np.random.default_rng(seed)
+    ts = timestamps
+    if det.efficiency < 1.0:
+        ts = ts[rng.random(ts.size) < det.efficiency]
+    if det.jitter_sigma_ps > 0 and ts.size:
+        jitter = rng.normal(0.0, det.jitter_sigma_ps, ts.size)
+        ts = np.rint(jitter).astype(np.int64) + ts
+    if det.dark_rate_hz > 0:
+        n_dark = rng.poisson(det.dark_rate_hz * duration_s)
+        dark_ts = np.rint(rng.random(n_dark) * duration_s * PS_PER_S).astype(np.int64)
+        ts = np.concatenate([ts, dark_ts])
+    ts = np.sort(ts, kind="stable")
+    if det.dead_time_ps > 0 and ts.size:
+        ts = ts[dead_time_keep_reference(ts, det.dead_time_ps)]
+    return ts
 
 
 def merge_reference(*detections) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entsync.channel import ChannelConfig, Direction, apply_channel
 from entsync.errors import ConfigError, StreamFormatError
 from entsync.timetags import (
     CH_ALICE_LOCAL,
@@ -29,7 +30,12 @@ from entsync.timetags import (
     _dead_time_filter,
 )
 
-from oracles import dead_time_keep_reference, merge_reference, tags_csv_reference
+from oracles import (
+    apply_detector_reference,
+    dead_time_keep_reference,
+    merge_reference,
+    tags_csv_reference,
+)
 
 MB = 1 << 20
 
@@ -75,6 +81,14 @@ class TestTimeTagStream:
     @example(first=([3, 3, 3], 3), second=([-1, 3, 3, 9], 1))
     @example(first=([3, 3, 9], 2), second=([-1, 3, 3], 2))
     @example(first=([], 0), second=([1, 1], 0))
+    # The merge keys each time as 2t or 2t + 1: ties at the ends of the range.
+    @example(
+        first=([-(2**62 - 1), -(2**62 - 1), 0, 2**62 - 1], 1),
+        second=([-(2**62 - 1), 2**62 - 1, 2**62 - 1], 0),
+    )
+    @example(first=([-(2**62 - 1), 2**62 - 1], 2), second=([-(2**62 - 1), 2**62 - 1], 2))
+    @example(first=([0, 7, 7], 2**32 - 1), second=([7, 9], 0))
+    @example(first=([-3, 7], 2**32 - 2), second=([-3, 7, 7], 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_merge_matches_lexsort_reference(self, first, second):
         # Ties within and across arms, empty arms, and labels in either order or equal.
@@ -204,6 +218,36 @@ class TestApplyDetector:
         keep = _dead_time_filter(ts, dead)
         assert np.array_equal(keep, dead_time_keep_reference(ts, dead))
 
+    detector = st.builds(
+        DetectorModel,
+        jitter_sigma_ps=st.just(0.0) | st.floats(0.5, 5_000.0),
+        efficiency=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        dark_rate_hz=st.just(0.0) | st.floats(1e3, 1e8),
+        dead_time_ps=st.just(0) | st.integers(1, 10_000),
+    )
+
+    @given(
+        arrivals=st.lists(st.integers(0, 10**7), max_size=200),
+        det=detector,
+        duration=st.floats(1e-7, 1e-5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(arrivals=[], det=DetectorModel(), duration=1e-6, seed=0)
+    @example(arrivals=[], det=DetectorModel(40.0, 0.7, 1e7, 25), duration=1e-6, seed=3)
+    @example(arrivals=[0, 5, 5, 9], det=DetectorModel(), duration=1e-6, seed=1)
+    @example(
+        arrivals=[0, 5, 5, 9], det=DetectorModel(efficiency=0.0, dark_rate_hz=1e7), duration=1e-6, seed=1
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_copying_reference(self, arrivals, det, duration, seed):
+        # Efficiency 0, 1 and between; jitter, darks and dead time each on or off;
+        # an empty input and darks only.
+        ts = times(sorted(arrivals))
+        out = apply_detector(ts, det, duration, seed)
+        ref = apply_detector_reference(ts, det, duration, seed)
+        assert out.dtype == np.int64
+        assert out.tobytes() == ref.tobytes()
+
     def test_dark_counts_inherit_channel(self):
         dark = DetectorModel(dark_rate_hz=5000.0)
         out = apply_detector(times([500_000]), dark, 1.0, 7)
@@ -218,6 +262,26 @@ class TestApplyDetector:
         assert len(out) > 1
         _, ch = merge_streams((out, 3), (times([]), 1))
         assert set(ch.tolist()) == {3}
+
+
+def test_inputs_are_left_unchanged():
+    # merge_streams, apply_detector and apply_channel each sort a buffer of their own in place.
+    rng = np.random.default_rng(5)
+    a = np.sort(rng.integers(0, 10**9, 500))
+    b = np.sort(rng.integers(0, 10**9, 500))
+    a_before, b_before = a.copy(), b.copy()
+    merge_streams((a, 3), (b, 1))
+    merge_streams((b, 0), (a, 2))
+    for det in (
+        DetectorModel(),
+        DetectorModel(jitter_sigma_ps=40.0, dark_rate_hz=1e5, dead_time_ps=1_000),
+        DetectorModel(40.0, 0.7, 1e5, 1_000),
+    ):
+        apply_detector(a, det, 1e-3, 2)
+    schedule = [(0, ChannelConfig(base_length_m=10.0)), (5 * 10**8, ChannelConfig())]
+    apply_channel(b, Direction.A_TO_B, schedule)
+    assert np.array_equal(a, a_before)
+    assert np.array_equal(b, b_before)
 
 
 class TestApplyClock:
