@@ -61,9 +61,30 @@ MUTANTS = (
     Mutant(
         "detector jitter truncated instead of rounded",
         "src/entsync/timetags.py",
-        "out[:m] = np.rint(jitter, out=jitter)",
-        "out[:m] = jitter",
+        "dest[:] = np.rint(jitter, out=jitter)",
+        "dest[:] = jitter",
         ("tests/test_timetags.py::TestApplyDetector::test_matches_copying_reference",),
+    ),
+    Mutant(
+        "arm jitter adds the two sigmas instead of their quadrature sum",
+        "src/entsync/timetags.py",
+        "jitter_sigma_ps=math.hypot(source.emission_jitter_sigma_ps, det.jitter_sigma_ps),",
+        "jitter_sigma_ps=source.emission_jitter_sigma_ps + det.jitter_sigma_ps,",
+        ("tests/test_timetags.py::TestArmDetector::test_one_stage_arm_matches_two_stage_statistics",),
+    ),
+    Mutant(
+        "arm efficiency drops the heralding",
+        "src/entsync/timetags.py",
+        "efficiency=source.heralding_efficiency * det.efficiency,",
+        "efficiency=det.efficiency,",
+        ("tests/test_timetags.py::TestArmDetector::test_one_stage_arm_matches_two_stage_statistics",),
+    ),
+    Mutant(
+        "dead-time candidates lose their chunk's offset",
+        "src/entsync/timetags.py",
+        "+ (gap.start + 1)",
+        "+ 1",
+        ("tests/test_timetags.py::TestApplyDetector::test_dead_time_filter_matches_event_loop",),
     ),
     Mutant(
         "dead-time filter keeps the first run's last event across runs",

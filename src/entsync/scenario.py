@@ -48,6 +48,7 @@ from .timetags import (
     TimeTagStream,
     apply_clock,
     apply_detector,
+    arm_detector,
     atomic_write_bytes,
     generate_pairs,
     merge_streams,
@@ -67,12 +68,13 @@ from .tomography import (
     write_counts_csv,
 )
 
-# Detector field of ``Detectors`` -> (channel label, random stream index).
+# Detector field of ``Detectors`` -> (channel label, random stream index, the
+# ``TimingScenario`` source field whose photons it detects).
 _DETECTORS = {
-    "alice_local": (CH_ALICE_LOCAL, rngmod.DET_ALICE_LOCAL),
-    "alice_remote": (CH_ALICE_REMOTE, rngmod.DET_ALICE_REMOTE),
-    "bob_local": (CH_BOB_LOCAL, rngmod.DET_BOB_LOCAL),
-    "bob_remote": (CH_BOB_REMOTE, rngmod.DET_BOB_REMOTE),
+    "alice_local": (CH_ALICE_LOCAL, rngmod.DET_ALICE_LOCAL, "alice_source"),
+    "alice_remote": (CH_ALICE_REMOTE, rngmod.DET_ALICE_REMOTE, "bob_source"),
+    "bob_local": (CH_BOB_LOCAL, rngmod.DET_BOB_LOCAL, "bob_source"),
+    "bob_remote": (CH_BOB_REMOTE, rngmod.DET_BOB_REMOTE, "alice_source"),
 }
 
 
@@ -160,6 +162,17 @@ class TimingScenario:
             if entry.time_s <= previous:
                 raise ConfigError(f"schedule[{i}].time_s must be strictly increasing")
             previous = entry.time_s
+        for key, (_, _, source) in _DETECTORS.items():
+            # The arm's one jitter, as arm_detector composes it.
+            sigma = math.hypot(
+                getattr(self, source).emission_jitter_sigma_ps,
+                getattr(self.detectors, key).jitter_sigma_ps,
+            )
+            if sigma > MAX_JITTER_SIGMA_PS:
+                raise ConfigError(
+                    f"detectors.{key}.jitter_sigma_ps and {source}.emission_jitter_sigma_ps"
+                    " must combine in quadrature to at most 1e12"
+                )
         # A clock maps time forward, so the readings of the earliest and the
         # latest event bound all of them.
         latest_ps = round(self.duration_s * PS_PER_S) + max(
@@ -266,16 +279,23 @@ def load_timing_scenario(path) -> TimingScenario:
 def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
     """Produce the two parties' detection records for a timing scenario.
 
-    Each arm is detected, and its input dropped, before the next arm is made,
-    and Alice's record is built before Bob's, so at most one party's record
-    and a few arms are alive at once.
+    Each source's emission times feed both of its arms: the local arm
+    directly, the remote arm after the channel. Each arm's detector draws the
+    source's heralding and emission jitter with its own (``arm_detector``), so
+    the channel segment that serves an event is chosen from its un-jittered
+    emission time; this differs from jittering at the source only for events
+    within a few emission sigma of a ``schedule`` change. Each arm is detected
+    before the next is made, and Alice's record is built before Bob's, so at
+    most one party's record, both sources' emission times and a few arms are
+    alive at once.
     """
     schedule = [(int(round(start * PS_PER_S)), cfg) for start, _, cfg in sc.channel_segments()]
 
     def detect(key: str, timestamps: np.ndarray) -> tuple[np.ndarray, int]:
-        channel, stream_index = _DETECTORS[key]
+        channel, stream_index, source = _DETECTORS[key]
+        det = arm_detector(getattr(sc, source), getattr(sc.detectors, key))
         seed = rngmod.child_seed(sc.seed, stream_index)
-        return apply_detector(timestamps, getattr(sc.detectors, key), sc.duration_s, seed), channel
+        return apply_detector(timestamps, det, sc.duration_s, seed), channel
 
     def record(arms: list, clock: ClockModel) -> TimeTagStream:
         """A party's record from its detected arms; the list is emptied once they are merged."""
@@ -283,24 +303,21 @@ def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
         arms.clear()
         return apply_clock(timestamps, channels, clock)
 
-    a_local, a_remote = generate_pairs(
+    a_times = generate_pairs(
         sc.alice_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.ALICE_SOURCE)
     )
-    arms = [detect("alice_local", a_local)]
-    del a_local
-    b_local, b_remote = generate_pairs(
+    arms = [detect("alice_local", a_times)]
+    b_times = generate_pairs(
         sc.bob_source, sc.duration_s, rngmod.child_seed(sc.seed, rngmod.BOB_SOURCE)
     )
-    # Each remote arm is replaced by its arrivals, so the send times are freed first.
-    b_remote = apply_channel(b_remote, Direction.B_TO_A, schedule)
-    arms.append(detect("alice_remote", b_remote))
-    del b_remote
+    arms.append(detect("alice_remote", apply_channel(b_times, Direction.B_TO_A, schedule)))
     alice = record(arms, sc.alice_clock)
-    arms = [detect("bob_local", b_local)]
-    del b_local
-    a_remote = apply_channel(a_remote, Direction.A_TO_B, schedule)
-    arms.append(detect("bob_remote", a_remote))
-    del a_remote
+    arms = [detect("bob_local", b_times)]
+    del b_times
+    # The last use of the send times, so they are replaced by their arrivals and freed first.
+    a_times = apply_channel(a_times, Direction.A_TO_B, schedule)
+    arms.append(detect("bob_remote", a_times))
+    del a_times
     bob = record(arms, sc.bob_clock)
     return alice, bob
 

@@ -6,6 +6,7 @@ Gaussian jitter is drawn in double precision and rounded once.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import stat
@@ -158,47 +159,40 @@ def _poisson_arrivals_ps(rng: np.random.Generator, rate_hz: float, duration_ps: 
     return np.rint(times, out=times).astype(np.int64)
 
 
-def _add_jitter(rng: np.random.Generator, timestamps: np.ndarray, sigma_ps: float) -> np.ndarray:
-    """``timestamps`` plus a Gaussian draw of spread ``sigma_ps`` each, rounded to whole ps."""
-    jitter = rng.normal(0.0, sigma_ps, timestamps.size)
-    out = np.rint(jitter, out=jitter).astype(np.int64)
-    out += timestamps
-    return out
+def generate_pairs(source: PairSourceModel, duration_s: float, seed: int) -> np.ndarray:
+    """Sorted emission times of one pair source over [0, duration_s).
 
-
-def generate_pairs(
-    source: PairSourceModel, duration_s: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate one pair source over [0, duration_s): sorted local and remote times.
-
-    Pair emission times follow a homogeneous Poisson process; each pair
-    contributes one event to the local arm and one to the remote arm at the
-    common emission time plus independent Gaussian jitter. Each arm is thinned
-    independently by the heralding efficiency. Deterministic per seed.
+    Emission follows a homogeneous Poisson process, and each pair sends one
+    photon to its local arm and one to its remote arm at this common time. The
+    arms' jitter and heralding are drawn at their detectors (``arm_detector``).
+    Deterministic per seed.
     """
     if not math.isfinite(duration_s) or duration_s <= 0:
         raise ConfigError("duration_s must be finite and > 0")
     rng = np.random.default_rng(seed)
     emission = _poisson_arrivals_ps(rng, source.pair_rate_hz, duration_s * PS_PER_S)
-    n = emission.size
+    return check_timestamp_range(emission)
 
-    sigma = source.emission_jitter_sigma_ps
-    local = remote = emission
-    if sigma > 0:
-        local = _add_jitter(rng, emission, sigma)
-        remote = _add_jitter(rng, emission, sigma)
-    del emission
 
-    eff = source.heralding_efficiency
-    if eff < 1.0:
-        local = local[rng.random(n) < eff]
-        remote = remote[rng.random(n) < eff]
+def arm_detector(source: PairSourceModel, det: DetectorModel) -> DetectorModel:
+    """One detector model for an arm: its source's emission and heralding, then ``det``.
 
-    # Both arms are this function's own arrays, so they are sorted in place. A
-    # stable sort gives the same int64 values as the default one, in about half the time.
-    local.sort(kind="stable")
-    remote.sort(kind="stable")
-    return check_timestamp_range(local), check_timestamp_range(remote)
+    Independent Bernoulli thinnings compose into one with the product of the
+    efficiencies, and independent Gaussian jitters into one with
+    sigma**2 = emission sigma**2 + detector sigma**2, so each arm makes one
+    draw of each and its jitter is rounded once. Darks and dead time are the
+    detector's own.
+    """
+    return dataclasses.replace(
+        det,
+        jitter_sigma_ps=math.hypot(source.emission_jitter_sigma_ps, det.jitter_sigma_ps),
+        efficiency=source.heralding_efficiency * det.efficiency,
+    )
+
+
+# Arrivals thinned and jittered, or scanned for dead time, per step: 512 kB of
+# int64. Chunked numpy draws equal one whole draw, so no output depends on it.
+_DRAW_CHUNK = 1 << 16
 
 
 def _dead_time_filter(timestamps: np.ndarray, dead_time_ps: int) -> np.ndarray:
@@ -210,7 +204,12 @@ def _dead_time_filter(timestamps: np.ndarray, dead_time_ps: int) -> np.ndarray:
     and a run of them starts after an event that was kept.
     """
     keep = np.ones(timestamps.size, dtype=bool)
-    candidates = np.flatnonzero(np.diff(timestamps) < dead_time_ps) + 1
+    # Found a chunk of gaps at a time, so no full-length int64 difference is made.
+    candidates = np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(timestamps[gap.start + 1 : gap.stop + 1] - timestamps[gap] < dead_time_ps)
+        + (gap.start + 1)
+        for gap in chunk_slices(timestamps.size - 1, _DRAW_CHUNK)
+    ])
     previous = -1
     for i, t, t_before in zip(
         candidates.tolist(),
@@ -233,33 +232,45 @@ def apply_detector(
 ) -> np.ndarray:
     """Sorted detection times of one detector, given its arrival times.
 
-    Arrivals pass through efficiency, jitter, darks and dead time. Dark counts
-    are Poissonian over [0, duration_s) and merged with the signal before
-    dead-time filtering: dead time acts on the physical detector, not per
-    event origin.
+    Arrivals pass through efficiency, jitter, darks and dead time. Thinning,
+    jitter and darks each draw from their own sub-generator of ``seed``, and
+    the arrivals are thinned and jittered a chunk at a time straight into one
+    owned buffer, which is sorted once in place. Dark counts are Poissonian
+    over [0, duration_s) and merged with the signal before dead-time
+    filtering: dead time acts on the physical detector, not per event origin.
     """
     if not math.isfinite(duration_s) or duration_s < 0:
         raise ConfigError("duration_s must be finite and >= 0")
-    rng = np.random.default_rng(seed)
+    thin_rng, jitter_rng, dark_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
+    )
+    n = timestamps.size
 
-    ts = timestamps
+    kept = None
     if det.efficiency < 1.0:
-        ts = ts[rng.random(ts.size) < det.efficiency]
-    m = ts.size
-    jitter = rng.normal(0.0, det.jitter_sigma_ps, m) if det.jitter_sigma_ps > 0 and m else None
-    n_dark = rng.poisson(det.dark_rate_hz * duration_s) if det.dark_rate_hz > 0 else 0
+        kept = np.empty(n, dtype=bool)
+        for part in chunk_slices(n, _DRAW_CHUNK):
+            np.less(thin_rng.random(part.stop - part.start), det.efficiency, out=kept[part])
+    m = n if kept is None else int(np.count_nonzero(kept))
+    n_dark = int(dark_rng.poisson(det.dark_rate_hz * duration_s)) if det.dark_rate_hz > 0 else 0
 
     # Signal, then darks, in one owned buffer sorted in place; the caller's array is only read.
     out = np.empty(m + n_dark, dtype=np.int64)
-    if jitter is None:
-        out[:m] = ts
-    else:
-        out[:m] = np.rint(jitter, out=jitter)
-        out[:m] += ts
-    del ts, jitter
+    filled = 0
+    for part in chunk_slices(n, _DRAW_CHUNK):
+        arrivals = timestamps[part] if kept is None else timestamps[part][kept[part]]
+        dest = out[filled : filled + arrivals.size]
+        if det.jitter_sigma_ps > 0:
+            jitter = jitter_rng.normal(0.0, det.jitter_sigma_ps, arrivals.size)
+            dest[:] = np.rint(jitter, out=jitter)
+            dest += arrivals
+        else:
+            dest[:] = arrivals
+        filled += arrivals.size
+    del kept
     if n_dark:
         # Two products, each rounded as in random() * duration_s * PS_PER_S.
-        dark = rng.random(n_dark)
+        dark = dark_rng.random(n_dark)
         dark *= duration_s
         dark *= PS_PER_S
         out[m:] = np.rint(dark, out=dark)

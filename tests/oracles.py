@@ -7,7 +7,7 @@ import numpy as np
 from scipy import optimize, signal
 
 from entsync.errors import ReconstructionError
-from entsync.timetags import PS_PER_S
+from entsync.timetags import PS_PER_S, _poisson_arrivals_ps
 from entsync.tomography import (
     DensityMatrix,
     _estimate_n_per_setting,
@@ -96,15 +96,37 @@ def dead_time_keep_reference(timestamps: np.ndarray, dead_time_ps: int) -> np.nd
 
 
 def apply_detector_reference(timestamps, det, duration_s: float, seed: int) -> np.ndarray:
-    """The detector with a copy per stage: efficiency, jitter, darks, one copying sort,
-    then event-by-event dead time. Same draws in the same order as apply_detector."""
+    """The detector with a copy per stage and whole-array draws: efficiency, jitter
+    and darks each from its own sub-generator of seed, one copying sort, then
+    event-by-event dead time. apply_detector draws in chunks and must match it."""
+    thin_rng, jitter_rng, dark_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
+    )
+    ts = timestamps
+    if det.efficiency < 1.0:
+        ts = ts[thin_rng.random(ts.size) < det.efficiency]
+    if det.jitter_sigma_ps > 0:
+        ts = np.rint(jitter_rng.normal(0.0, det.jitter_sigma_ps, ts.size)).astype(np.int64) + ts
+    if det.dark_rate_hz > 0:
+        n_dark = dark_rng.poisson(det.dark_rate_hz * duration_s)
+        dark_ts = np.rint(dark_rng.random(n_dark) * duration_s * PS_PER_S).astype(np.int64)
+        ts = np.concatenate([ts, dark_ts])
+    ts = np.sort(ts, kind="stable")
+    if det.dead_time_ps > 0 and ts.size:
+        ts = ts[dead_time_keep_reference(ts, det.dead_time_ps)]
+    return ts
+
+
+def _detector_stage_reference(timestamps, det, duration_s: float, seed: int) -> np.ndarray:
+    """The second stage of two_stage_arms_reference: efficiency, jitter, dark count
+    and dark times from one generator in that order, one copying sort, then
+    event-by-event dead time."""
     rng = np.random.default_rng(seed)
     ts = timestamps
     if det.efficiency < 1.0:
         ts = ts[rng.random(ts.size) < det.efficiency]
     if det.jitter_sigma_ps > 0 and ts.size:
-        jitter = rng.normal(0.0, det.jitter_sigma_ps, ts.size)
-        ts = np.rint(jitter).astype(np.int64) + ts
+        ts = np.rint(rng.normal(0.0, det.jitter_sigma_ps, ts.size)).astype(np.int64) + ts
     if det.dark_rate_hz > 0:
         n_dark = rng.poisson(det.dark_rate_hz * duration_s)
         dark_ts = np.rint(rng.random(n_dark) * duration_s * PS_PER_S).astype(np.int64)
@@ -113,6 +135,35 @@ def apply_detector_reference(timestamps, det, duration_s: float, seed: int) -> n
     if det.dead_time_ps > 0 and ts.size:
         ts = ts[dead_time_keep_reference(ts, det.dead_time_ps)]
     return ts
+
+
+def two_stage_arms_reference(
+    source, local_det, remote_det, duration_s: float, seeds: tuple[int, int, int]
+):
+    """One source's two detected arms, drawn in two stages (no channel).
+
+    The source stage draws the Poisson emission times, then each arm's emission
+    jitter (rounded), then each arm's heralding thinning, and sorts both arms.
+    Each detector stage then thins, jitters and sorts its arm again. ``seeds``
+    are the source's and the two detectors' seeds. Returns the emission times
+    and the local and remote arms. arm_detector's one-stage arm must match
+    their statistics: kept fraction, residual spread and g2 peak width.
+    """
+    rng = np.random.default_rng(seeds[0])
+    emission = _poisson_arrivals_ps(rng, source.pair_rate_hz, duration_s * PS_PER_S)
+    sigma = source.emission_jitter_sigma_ps
+    sent = [emission, emission]
+    if sigma > 0:
+        sent = [np.rint(rng.normal(0.0, sigma, emission.size)).astype(np.int64) + emission
+                for _ in sent]
+    if source.heralding_efficiency < 1.0:
+        sent = [ts[rng.random(emission.size) < source.heralding_efficiency] for ts in sent]
+    local, remote = (np.sort(ts, kind="stable") for ts in sent)
+    return (
+        emission,
+        _detector_stage_reference(local, local_det, duration_s, seeds[1]),
+        _detector_stage_reference(remote, remote_det, duration_s, seeds[2]),
+    )
 
 
 def merge_reference(*detections) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,9 @@ Any refactor that moves a single output byte fails here; a change that is
 meant to alter an output format updates these digests and says so. The
 tomography digests depend on the floating-point results of the MLE fits; they
 were recorded with Python 3.11, numpy 2.4 and scipy 1.17 on x86-64, and a
-different numerical stack may legitimately change them.
+different numerical stack may legitimately change them. The timing digests
+were last re-recorded together when each arm's source jitter and heralding
+moved into its detector's one thinning and one Gaussian draw.
 """
 import hashlib
 import json
@@ -13,12 +15,12 @@ from entsync.correlation import SyncAnalysisParams
 from entsync.scenario import analyze_files, run_scenario, run_tomo_scenario
 
 SMOKE_DIGESTS = {
-    "alice.tt": "1b92f5fff5d72583aca8e0aff56f445893f3d6365665b639e2130c5f475f17c4",
-    "bob.tt": "04a8ba124906a80f377c1abbb0653e9b7a8c3b94c56f20de6a5a7fe50170f5e1",
-    "estimates.json": "9028ee805ae4b909bd08e25b5bcd28e80fe8f01a251b696e2cabd48de13990ac",
-    "g2_block_000.csv": "5079e23e07f8aa3620101944dab299df878123b30f03300d02197294435a0f29",
-    "g2_block_001.csv": "2b45c9860339a19277d8e5253878d88da79cc86bbf83bf56a883f3612d235a4c",
-    "summary.json": "6299d9609d85b9f7f29557502134e179591c90a65ec9e8d637878a06aa6f3f8a",
+    "alice.tt": "763cc2ad50f49ecc4c820b226fa47acdda4bb781826285b5a07e919dcab09110",
+    "bob.tt": "cc706b5187275aecc0c417a6b811325da1766868e22378a1b211bdfb808721eb",
+    "estimates.json": "8678f76f33687736574f5319a631d4cf0903024b9a08523cc744d23739a65d13",
+    "g2_block_000.csv": "54eb0e0b0a7680f33692294ce5072b177ba7a2a9d4a0346053e84a542037ebe6",
+    "g2_block_001.csv": "deb8892be44439cf59483cc5ab98d5b9bd8c3c89d0b110f0f25613c8540d30de",
+    "summary.json": "eb10e948be46ffb5287ece57097bb152086a5a58d285d47baa142119fcecc248",
 }
 
 # analyze_files on the smoke run's tags writes the same histograms and
@@ -52,12 +54,12 @@ DETECTOR_CONFIG = {
 }
 
 DETECTOR_DIGESTS = {
-    "alice.tt": "d135212991e43440d9fd8b90e8698bf138c0cf84d632a2991878c167c1473659",
-    "bob.tt": "0b846269cafe174f032b02d333f042feb723d01f4221fc8f53978eed0b148a51",
-    "estimates.json": "d184840aec92e3554cf748aa7457edf43baffd1e0f8004547bda488d81f1d79d",
-    "g2_block_000.csv": "45a84ecda5a1b313043ba2b1e87c8aeac11778bd1ddac029b177df781af30aff",
-    "g2_block_001.csv": "4e92d19b91c6fe17aa778932c39416864b6af604da370277cbd93f848afb767d",
-    "summary.json": "b0801c9d01622febb81ad75728c5d755ff14cc279c52c73c5e50eb763b863ff9",
+    "alice.tt": "0c3601ff5525a4cea96e0a274e2cd0012e3741ff361b284166ae3f8a81544640",
+    "bob.tt": "f04370a1385189cfe5bcc982f8f86919cf061780f7e35528a8b15ae7b3c3a9ec",
+    "estimates.json": "9b7950772eb2f2ef44e2d309cfb59f63b2605ac0dc0b949f01bd591a62bc7248",
+    "g2_block_000.csv": "7dce8cfd7af4cc975ac775c7286c753fa606a64aa9a50534f0def5d6f9dd6e48",
+    "g2_block_001.csv": "ca8bd7a51c57282c062365ff218b3f4ba67f214d66b2d20ddac8643ac38b3cf1",
+    "summary.json": "58be02e59dae8d4edbd2d734a79c6ad7ca1777ff1bf866fc4aa76b4f9277599b",
 }
 
 # A staged attack recorded as CSV: the A-to-B path drops by 399 m between two
@@ -87,14 +89,14 @@ SCHEDULED_CONFIG = {
 }
 
 SCHEDULED_DIGESTS = {
-    "alice.csv": "3d55c5a7ce465a01ea639f6dc8907edd0ff18c1b4aeb4d5d19667bdbb1c22981",
-    "bob.csv": "b22e4a66f2bca354fff61d5144a0c9ac0526deb9fa02ca6192c5d5719417d841",
-    "estimates.json": "4743c771c5dc554f2e66e4579cb815b1000af3d43654a6d03bb2bedfff99cdd6",
-    "g2_block_000.csv": "47174b4fb6b579348d42aec5123109331d63835378002e614bb5ecb8203b0979",
-    "g2_block_001.csv": "2ed0b1cc184368dd171fa104d810b6e5b87eb3c5871510ba8106b6cd8d12140a",
-    "g2_block_002.csv": "9def5004d9cc3889327d9b106347d34eecd7615555c6fe52b1159d2b624278fb",
-    "g2_block_003.csv": "04c8695db8f407db6b76269fbc6924753a7ed817b1b074f686f93d9c35e82c81",
-    "summary.json": "b292cbb38d7b3cc2e8f8d0a06e76fc61e8ed84e198f2173716aaa635ba29ea23",
+    "alice.csv": "5d37a4cc7a53f61e39e6fd489f9300bdf21a3ffd6217f5ac8fb8de7aa57f6f2a",
+    "bob.csv": "69e0aab86b62e1e8771c26a3cea3124f7f75eb29b341d0cdea46221971b07e9f",
+    "estimates.json": "3fe931893a17a18f9466071a53e1af7bcabc4627e0c00182dbd16175ecf709c6",
+    "g2_block_000.csv": "209f6f34fa23d8e0dbfaa8fe27869df27382a0777d9b965befefce9c559ddde2",
+    "g2_block_001.csv": "57ccfa8ec87c6606de1e7ba1438622fbc6a9cedf294586af177d7c6ff9d3f812",
+    "g2_block_002.csv": "43d22d1c9fc77c8c3883d5d4b384101dd3a84f0812c0d30ac16d6272d21a71f6",
+    "g2_block_003.csv": "a0c36a2364102b80a6aec8aded8dea0585b291b49f73c4ca731d53c4604256b3",
+    "summary.json": "f28e0cafab295f5608f2a607f7c38b24a04ae96e6ad56e6edad9fca352530b83",
 }
 
 # The benchmark's high_rate run (fig2c's channel, 100 kHz per source, realistic
@@ -108,12 +110,12 @@ HIGH_RATE_DETECTOR = {
 }
 
 HIGH_RATE_DIGESTS = {
-    "alice.tt": "5d47abe9195f2f631ce4d62bc414c1366a39fea9105d93588d81717f7014e8db",
-    "bob.tt": "1d848a8fc15d0661784299c603308b9ba5241c5844bb403a63ad9b9cb4dca9b1",
-    "estimates.json": "1051d8dbf3116bd651a02f7437e9a76e2642f08e1efff74382f8e1f97130b2f0",
-    "g2_block_000.csv": "8f94604de1e8ecebb1f9493919f7522b09317d24691a02fb4164117e5e59b8c4",
-    "g2_block_001.csv": "254ab7529b4bc44d7b1567aa39140449d671b9da63ba8812012943a3a5549caa",
-    "summary.json": "18a69c9e47b18f8fa8f1575141b89b0af949aa6e27f2c472aa1d242d84955b9a",
+    "alice.tt": "af48ee72fcdd1bc3d92ae647bbcc7a10fc0df25971e01f7a1d3e16393a723417",
+    "bob.tt": "0421a45141fc16b36a292cb8d3228a443854b0785fce8960f6cfeed56a923df6",
+    "estimates.json": "9fe3b68309c6f7e7959eba472ae852a59aaa983ab12587272c2f3d2526c7bb36",
+    "g2_block_000.csv": "ec91c9935ba276f2da32a33c0fefdc6f4a9cfd1098cd14ca02b618908111a6d8",
+    "g2_block_001.csv": "623c2ba3d1068904b9fb320b26618881f97b8470d9e046740f1efedb2a1ed019",
+    "summary.json": "bc7e94902787e1bdd5bcf799ac4e4cd44f17a73642118dc9c0a05be3744fb9e2",
 }
 
 # analyze_files on these tags writes the same histograms and estimates.

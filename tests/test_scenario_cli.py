@@ -852,6 +852,29 @@ class TestCliErrors:
         assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "detector_sigma, code", [(0.0, 0), (1e12, 1)], ids=["at_bound", "past_bound"]
+    )
+    def test_composed_arm_jitter_runs_or_exits_1(
+        self, scenario_dir, tmp_path, capsys, detector_sigma, code
+    ):
+        # Each sigma may reach 1e12 ps alone; an arm draws one Gaussian of their
+        # quadrature sum, which must not pass it either. Alice's photons reach
+        # bob_remote, so its detector names her source.
+        timing = json.loads((scenario_dir / "smoke.json").read_text())
+        timing.update(duration_s=2.0, block_s=1.0)
+        timing["alice_source"]["emission_jitter_sigma_ps"] = 1e12
+        timing["detectors"] = {"bob_remote": {"jitter_sigma_ps": detector_sigma}}
+        config = write_json(tmp_path / "timing.json", timing)
+        out = tmp_path / "o"
+        assert cli_main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        if code:
+            assert (
+                "config error: detectors.bob_remote.jitter_sigma_ps and"
+                " alice_source.emission_jitter_sigma_ps must combine in quadrature to at most 1e12"
+            ) in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("values, message", WINDOW_PAST_INT64.values(), ids=WINDOW_PAST_INT64)
     def test_analyze_window_past_int64_exits_1(self, smoke_run, tmp_path, capsys, values, message):
         out, _ = smoke_run

@@ -1,11 +1,16 @@
 import os
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from entsync import timetags
 from entsync.channel import ChannelConfig, Direction, apply_channel
+from entsync.correlation import SyncAnalysisParams, compute_g2
 from entsync.errors import ConfigError, StreamFormatError
 from entsync.timetags import (
     CH_ALICE_LOCAL,
@@ -15,10 +20,12 @@ from entsync.timetags import (
     RECORD_DTYPE,
     ClockModel,
     DetectorModel,
+    PS_PER_S,
     PairSourceModel,
     TimeTagStream,
     apply_clock,
     apply_detector,
+    arm_detector,
     generate_pairs,
     merge_streams,
     read_tags_binary,
@@ -35,6 +42,7 @@ from oracles import (
     dead_time_keep_reference,
     merge_reference,
     tags_csv_reference,
+    two_stage_arms_reference,
 )
 
 MB = 1 << 20
@@ -102,32 +110,38 @@ class TestTimeTagStream:
 
 class TestGeneratePairs:
     def test_zero_rate_gives_empty_streams(self):
-        local, remote = generate_pairs(PairSourceModel(0.0), 100.0, 1)
-        assert len(local) == 0 and len(remote) == 0
+        assert generate_pairs(PairSourceModel(0.0), 100.0, 1).size == 0
 
     def test_pair_count_matches_rate_within_5_sigma(self):
-        local, remote = generate_pairs(PairSourceModel(200.0, 150.0), 300.0, 2)
+        emission = generate_pairs(PairSourceModel(200.0, 150.0), 300.0, 2)
         expected = 200.0 * 300.0
-        assert abs(len(local) - expected) < 5.0 * np.sqrt(expected)
-        assert len(local) == len(remote)
+        assert abs(emission.size - expected) < 5.0 * np.sqrt(expected)
 
     def test_zero_jitter_streams_identical(self):
-        local, remote = generate_pairs(PairSourceModel(1000.0, 0.0), 5.0, 3)
-        assert np.array_equal(local, remote)
+        # Without jitter or heralding loss both arms are the emission times themselves.
+        source = PairSourceModel(1000.0, 0.0)
+        emission = generate_pairs(source, 5.0, 3)
+        det = arm_detector(source, DetectorModel())
+        for seed in (4, 5):
+            assert np.array_equal(apply_detector(emission, det, 5.0, seed), emission)
 
     def test_deterministic_per_seed(self):
-        one = generate_pairs(PairSourceModel(500.0, 80.0, 0.7), 10.0, 11)
-        two = generate_pairs(PairSourceModel(500.0, 80.0, 0.7), 10.0, 11)
-        other = generate_pairs(PairSourceModel(500.0, 80.0, 0.7), 10.0, 12)
-        assert np.array_equal(one[0], two[0])
-        assert np.array_equal(one[1], two[1])
-        assert not np.array_equal(one[0], other[0])
+        source = PairSourceModel(500.0, 80.0, 0.7)
+        one = generate_pairs(source, 10.0, 11)
+        assert np.array_equal(one, generate_pairs(source, 10.0, 11))
+        assert not np.array_equal(one, generate_pairs(source, 10.0, 12))
 
     def test_heralding_thins_each_arm(self):
-        local, remote = generate_pairs(PairSourceModel(2000.0, 0.0, 0.5), 20.0, 4)
+        source = PairSourceModel(2000.0, 0.0, 0.5)
+        emission = generate_pairs(source, 20.0, 4)
+        det = arm_detector(source, DetectorModel())
+        local, remote = (apply_detector(emission, det, 20.0, seed) for seed in (5, 6))
         expected = 2000.0 * 20.0 * 0.5
         assert abs(len(local) - expected) < 5.0 * np.sqrt(expected)
         assert abs(len(remote) - expected) < 5.0 * np.sqrt(expected)
+        # Each arm keeps its own subset of the pairs.
+        assert np.all(np.isin(local, emission)) and np.all(np.isin(remote, emission))
+        assert not np.array_equal(local, remote)
 
     # ``source`` holds PairSourceModel's arguments: an invalid model raises
     # as soon as it is built, so it is built inside pytest.raises.
@@ -154,9 +168,76 @@ class TestGeneratePairs:
     )
     @settings(max_examples=25, deadline=None)
     def test_streams_always_sorted(self, rate, sigma, eff, seed):
-        local, remote = generate_pairs(PairSourceModel(rate, sigma, eff), 1.0, seed)
-        assert np.all(np.diff(local) >= 0)
-        assert np.all(np.diff(remote) >= 0)
+        source = PairSourceModel(rate, sigma, eff)
+        emission = generate_pairs(source, 1.0, seed)
+        assert np.all(np.diff(emission) >= 0)
+        arm = apply_detector(emission, arm_detector(source, DetectorModel()), 1.0, seed + 1)
+        assert np.all(np.diff(arm) >= 0)
+
+
+class TestArmDetector:
+    SOURCE = PairSourceModel(1000.0, 150.0, 0.8)
+    DETECTOR = DetectorModel(jitter_sigma_ps=40.0, efficiency=0.7)
+    DURATION_S = 40.0
+
+    def test_composes_source_into_detector(self):
+        source = PairSourceModel(10.0, 3.0, 0.5)
+        det = DetectorModel(jitter_sigma_ps=4.0, efficiency=0.5, dark_rate_hz=7.0, dead_time_ps=9)
+        assert arm_detector(source, det) == DetectorModel(5.0, 0.25, 7.0, 9)
+        assert arm_detector(PairSourceModel(10.0), det) == det
+
+    def one_stage_arms(self, seed):
+        emission = generate_pairs(self.SOURCE, self.DURATION_S, seed)
+        det = arm_detector(self.SOURCE, self.DETECTOR)
+        local, remote = (
+            apply_detector(emission, det, self.DURATION_S, s) for s in (seed + 1, seed + 2)
+        )
+        return emission, local, remote
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_stage_arm_matches_two_stage_statistics(self, seed):
+        # Kept fraction, residual spread about the emission times and g2 peak
+        # width, checked for the one-stage arm and for the two-stage body.
+        efficiency = self.SOURCE.heralding_efficiency * self.DETECTOR.efficiency
+        variance = self.SOURCE.emission_jitter_sigma_ps**2 + self.DETECTOR.jitter_sigma_ps**2
+        params = SyncAnalysisParams(tau_min_ps=-5_000, tau_max_ps=5_000, bin_width_ps=16)
+        duration_ps = round(self.DURATION_S * PS_PER_S)
+        designs = {
+            "one-stage": self.one_stage_arms(seed),
+            "two-stage": two_stage_arms_reference(
+                self.SOURCE, self.DETECTOR, self.DETECTOR, self.DURATION_S,
+                (seed, seed + 1, seed + 2),
+            ),
+        }
+        assert np.array_equal(designs["one-stage"][0], designs["two-stage"][0])
+        for name, (emission, local, remote) in designs.items():
+            n = emission.size
+            for arm in (local, remote):
+                bound = 5.0 * np.sqrt(n * efficiency * (1.0 - efficiency))
+                assert abs(arm.size - n * efficiency) < bound, name
+                # Pairs are about 1 ms apart and the jitter is 155 ps, so each
+                # detection's nearest emission time is its own.
+                after = np.clip(np.searchsorted(emission, arm), 1, n - 1)
+                residual = np.where(
+                    arm - emission[after - 1] < emission[after] - arm,
+                    arm - emission[after - 1],
+                    arm - emission[after],
+                )
+                chi2 = float(np.sum(residual.astype(np.float64) ** 2)) / variance
+                lo, hi = stats.chi2.ppf([1e-6, 1.0 - 1e-6], arm.size)
+                assert lo < chi2 < hi, name
+            # The coincidence peak is the difference of two arms' jitters. Its
+            # spread, from the histogram's moments less the binning's, has a
+            # standard error of width / sqrt(2 pairs).
+            width = np.sqrt(2.0 * variance)
+            hist = compute_g2(local, remote, params, duration_ps)
+            centers = hist.bin_centers_ps()
+            peak = np.abs(centers) <= 5.0 * width
+            counts, centers = hist.counts[peak], centers[peak]
+            mean = np.average(centers, weights=counts)
+            spread = np.average((centers - mean) ** 2, weights=counts) - params.bin_width_ps**2 / 12
+            bound = 5.0 * width / np.sqrt(2.0 * counts.sum())
+            assert abs(np.sqrt(spread) - width) < bound, name
 
 
 class TestApplyDetector:
@@ -172,7 +253,7 @@ class TestApplyDetector:
 
     def test_rate_conservation_with_darks(self):
         duration = 10.0
-        local, _ = generate_pairs(PairSourceModel(2000.0), duration, 5)
+        local = generate_pairs(PairSourceModel(2000.0), duration, 5)
         det = DetectorModel(efficiency=0.7, dark_rate_hz=300.0)
         out = apply_detector(local, det, duration, 6)
         expected = (0.7 * 2000.0 + 300.0) * duration
@@ -215,8 +296,11 @@ class TestApplyDetector:
     @settings(max_examples=200, deadline=None)
     def test_dead_time_filter_matches_event_loop(self, gaps, start, dead):
         ts = start + np.cumsum(np.asarray(gaps, dtype=np.int64))
-        keep = _dead_time_filter(ts, dead)
-        assert np.array_equal(keep, dead_time_keep_reference(ts, dead))
+        expected = dead_time_keep_reference(ts, dead)
+        # Candidates are found a chunk of gaps at a time; no chunk size changes the result.
+        for chunk in (1, 3, timetags._DRAW_CHUNK):
+            with mock.patch.object(timetags, "_DRAW_CHUNK", chunk):
+                assert np.array_equal(_dead_time_filter(ts, dead), expected)
 
     detector = st.builds(
         DetectorModel,
@@ -243,10 +327,13 @@ class TestApplyDetector:
         # Efficiency 0, 1 and between; jitter, darks and dead time each on or off;
         # an empty input and darks only.
         ts = times(sorted(arrivals))
-        out = apply_detector(ts, det, duration, seed)
         ref = apply_detector_reference(ts, det, duration, seed)
-        assert out.dtype == np.int64
-        assert out.tobytes() == ref.tobytes()
+        # Chunked draws equal whole ones: no chunk size changes a byte.
+        for chunk in (1, 3, timetags._DRAW_CHUNK):
+            with mock.patch.object(timetags, "_DRAW_CHUNK", chunk):
+                out = apply_detector(ts, det, duration, seed)
+            assert out.dtype == np.int64
+            assert out.tobytes() == ref.tobytes(), chunk
 
     def test_dark_counts_inherit_channel(self):
         dark = DetectorModel(dark_rate_hz=5000.0)
