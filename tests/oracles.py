@@ -137,14 +137,12 @@ def _detector_stage_reference(timestamps, det, duration_s: float, seed: int) -> 
     return ts
 
 
-def two_stage_arms_reference(
-    source, local_det, remote_det, duration_s: float, seeds: tuple[int, int, int]
-):
+def two_stage_arms_reference(source, det, duration_s: float, seeds: tuple[int, int, int]):
     """One source's two detected arms, drawn in two stages (no channel).
 
     The source stage draws the Poisson emission times, then each arm's emission
     jitter (rounded), then each arm's heralding thinning, and sorts both arms.
-    Each detector stage then thins, jitters and sorts its arm again. ``seeds``
+    Each arm's detector ``det`` then thins, jitters and sorts it again. ``seeds``
     are the source's and the two detectors' seeds. Returns the emission times
     and the local and remote arms. arm_detector's one-stage arm must match
     their statistics: kept fraction, residual spread and g2 peak width.
@@ -154,15 +152,17 @@ def two_stage_arms_reference(
     sigma = source.emission_jitter_sigma_ps
     sent = [emission, emission]
     if sigma > 0:
-        sent = [np.rint(rng.normal(0.0, sigma, emission.size)).astype(np.int64) + emission
-                for _ in sent]
+        sent = [
+            np.rint(rng.normal(0.0, sigma, emission.size)).astype(np.int64) + emission
+            for _ in sent
+        ]
     if source.heralding_efficiency < 1.0:
         sent = [ts[rng.random(emission.size) < source.heralding_efficiency] for ts in sent]
     local, remote = (np.sort(ts, kind="stable") for ts in sent)
     return (
         emission,
-        _detector_stage_reference(local, local_det, duration_s, seeds[1]),
-        _detector_stage_reference(remote, remote_det, duration_s, seeds[2]),
+        _detector_stage_reference(local, det, duration_s, seeds[1]),
+        _detector_stage_reference(remote, det, duration_s, seeds[2]),
     )
 
 

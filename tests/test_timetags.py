@@ -1,5 +1,4 @@
 import os
-
 from unittest import mock
 
 import numpy as np
@@ -205,8 +204,7 @@ class TestArmDetector:
         designs = {
             "one-stage": self.one_stage_arms(seed),
             "two-stage": two_stage_arms_reference(
-                self.SOURCE, self.DETECTOR, self.DETECTOR, self.DURATION_S,
-                (seed, seed + 1, seed + 2),
+                self.SOURCE, self.DETECTOR, self.DURATION_S, (seed, seed + 1, seed + 2)
             ),
         }
         assert np.array_equal(designs["one-stage"][0], designs["two-stage"][0])
