@@ -159,12 +159,32 @@ MUTANTS = (
     Mutant(
         "likelihood gradient drops the -Tr(G rho) I term",
         "src/entsync/tomography.py",
-        "        g[_T_DIAG] -= w @ probs",
+        "        g[::5] -= w @ probs",
         "        pass",
         (
             "tests/test_tomography.py::TestLikelihoodGradient"
             "::test_matches_central_differences_with_accidentals",
             "tests/test_tomography.py::TestLikelihoodGradient::test_clipped_settings_do_not_contribute",
+        ),
+    ),
+    Mutant(
+        "likelihood gradient flips the sign of its imaginary half",
+        "src/entsync/tomography.py",
+        "np.concatenate([k.real, k.imag])",
+        "np.concatenate([k.real, -k.imag])",
+        (
+            "tests/test_tomography.py::TestStationarity::test_bundled_counts",
+            "tests/test_tomography.py::TestCholeskyReference::test_random_states",
+        ),
+    ),
+    Mutant(
+        "likelihood search stops at a 1e-6 relative change",
+        "src/entsync/tomography.py",
+        '"ftol": 1e-12',
+        '"ftol": 1e-6',
+        (
+            "tests/test_tomography.py::TestStationarity::test_bundled_counts",
+            "tests/test_tomography.py::TestCholeskyReference::test_bundled_counts",
         ),
     ),
 )

@@ -565,6 +565,7 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
         "fidelity_mc_ci95_low": distribution.ci95_low,
         "fidelity_mc_ci95_high": distribution.ci95_high,
         "n_mc_samples": int(distribution.samples.size),
+        "n_mc_failed": sc.reps - int(distribution.samples.size),
     }
     _write_json(summary, out / "summary.json")
     return summary

@@ -156,7 +156,11 @@ def _poisson_arrivals_ps(rng: np.random.Generator, rate_hz: float, duration_ps: 
     del pieces
     # The times are sorted, so the ones inside the run are a prefix.
     times = times[: np.searchsorted(times, duration_ps, side="left")]
-    return np.rint(times, out=times).astype(np.int64)
+    # Each time is rounded into its own slot, so no second full-length array is made.
+    out = times.view(np.int64)
+    for part in chunk_slices(times.size, _DRAW_CHUNK):
+        out[part] = np.rint(times[part])
+    return out
 
 
 def generate_pairs(source: PairSourceModel, duration_s: float, seed: int) -> np.ndarray:
@@ -190,8 +194,9 @@ def arm_detector(source: PairSourceModel, det: DetectorModel) -> DetectorModel:
     )
 
 
-# Arrivals thinned and jittered, or scanned for dead time, per step: 512 kB of
-# int64. Chunked numpy draws equal one whole draw, so no output depends on it.
+# Arrivals thinned and jittered, emission times rounded, or gaps scanned for dead
+# time per step: 512 kB of int64. Chunked numpy draws equal one whole draw, so no
+# output depends on it.
 _DRAW_CHUNK = 1 << 16
 
 
@@ -238,6 +243,7 @@ def apply_detector(
     owned buffer, which is sorted once in place. Dark counts are Poissonian
     over [0, duration_s) and merged with the signal before dead-time
     filtering: dead time acts on the physical detector, not per event origin.
+    A zero jitter or dark rate draws zeros or nothing from its own sub-generator.
     """
     if not math.isfinite(duration_s) or duration_s < 0:
         raise ConfigError("duration_s must be finite and >= 0")
@@ -252,7 +258,7 @@ def apply_detector(
         for part in chunk_slices(n, _DRAW_CHUNK):
             np.less(thin_rng.random(part.stop - part.start), det.efficiency, out=kept[part])
     m = n if kept is None else int(np.count_nonzero(kept))
-    n_dark = int(dark_rng.poisson(det.dark_rate_hz * duration_s)) if det.dark_rate_hz > 0 else 0
+    n_dark = int(dark_rng.poisson(det.dark_rate_hz * duration_s))
 
     # Signal, then darks, in one owned buffer sorted in place; the caller's array is only read.
     out = np.empty(m + n_dark, dtype=np.int64)
@@ -260,20 +266,16 @@ def apply_detector(
     for part in chunk_slices(n, _DRAW_CHUNK):
         arrivals = timestamps[part] if kept is None else timestamps[part][kept[part]]
         dest = out[filled : filled + arrivals.size]
-        if det.jitter_sigma_ps > 0:
-            jitter = jitter_rng.normal(0.0, det.jitter_sigma_ps, arrivals.size)
-            dest[:] = np.rint(jitter, out=jitter)
-            dest += arrivals
-        else:
-            dest[:] = arrivals
+        jitter = jitter_rng.normal(0.0, det.jitter_sigma_ps, arrivals.size)
+        dest[:] = np.rint(jitter, out=jitter)
+        dest += arrivals
         filled += arrivals.size
     del kept
-    if n_dark:
-        # Two products, each rounded as in random() * duration_s * PS_PER_S.
-        dark = dark_rng.random(n_dark)
-        dark *= duration_s
-        dark *= PS_PER_S
-        out[m:] = np.rint(dark, out=dark)
+    # Two products, each rounded as in random() * duration_s * PS_PER_S.
+    dark = dark_rng.random(n_dark)
+    dark *= duration_s
+    dark *= PS_PER_S
+    out[m:] = np.rint(dark, out=dark)
     out.sort(kind="stable")
     if det.dead_time_ps > 0 and out.size:
         out = out[_dead_time_filter(out, det.dead_time_ps)]

@@ -2,9 +2,10 @@
 
 Both photons are projected onto each of {H, V, D, A, L, R}, giving 36 count
 settings. The density matrix is recovered by maximizing the Poisson
-likelihood over a Cholesky-style parameterization, which keeps the estimate
-Hermitian, unit-trace and positive by construction. Counting-statistics error
-bars come from re-sampling the observed counts and repeating the fit.
+likelihood over a complex factor A, rho = A^dagger A / Tr(A^dagger A), which
+keeps the estimate Hermitian, unit-trace and positive by construction.
+Counting-statistics error bars come from re-sampling the observed counts and
+repeating the fit.
 """
 from __future__ import annotations
 
@@ -134,92 +135,39 @@ def _estimate_n_per_setting(table: CountsTable) -> float:
     return max(float(np.mean(sums - 4.0 * table.accidental_rate_per_setting)), 1.0)
 
 
-# Flat positions in the lower-triangular factor T of the 16 real parameters:
-# t[:4] is the real diagonal, t[4::2] and t[5::2] are the real and imaginary
-# parts of the strictly lower entries in row-major order.
-_T_DIAG = np.array([0, 5, 10, 15])
-_T_LOWER = np.array([4, 8, 9, 12, 13, 14])
-
-
-def _cholesky_factor(t: np.ndarray) -> np.ndarray:
-    T = np.zeros(16, dtype=np.complex128)
-    T[_T_DIAG] = t[:4]
-    T[_T_LOWER] = t[4::2] + 1j * t[5::2]
-    return T.reshape(4, 4)
-
-
 def _rho_from_params(t: np.ndarray) -> np.ndarray:
-    T = _cholesky_factor(t)
-    rho = T.conj().T @ T
+    A = (t[:16] + 1j * t[16:]).reshape(4, 4)
+    rho = A.conj().T @ A
     return rho / np.trace(rho).real
 
 
-def _params_from_rho(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 1e-6, None)
-    psd = (v * w) @ v.conj().T
-    psd /= np.trace(psd).real
-    # rho = T^dagger T needs the upper-times-lower factorization; flipping the
-    # matrix turns the standard Cholesky factor into the one required.
-    flip = np.eye(4)[::-1]
-    lower = np.linalg.cholesky(flip @ psd @ flip)
-    T = (flip @ lower @ flip).conj().T.reshape(16)
-    t = np.empty(16)
-    t[:4] = T[_T_DIAG].real
-    t[4::2] = T[_T_LOWER].real
-    t[5::2] = T[_T_LOWER].imag
-    return t
+def _start_params(table: CountsTable) -> np.ndarray:
+    """Factor of the least-squares estimate, floored to positive, that seeds the search.
 
-
-def _hermitian_basis() -> list[np.ndarray]:
-    """Real basis of Hermitian 4x4 matrices: E_kk, symmetric and antisymmetric
-    off-diagonal combinations."""
-    basis = []
-    for k in range(4):
-        m = np.zeros((4, 4), dtype=np.complex128)
-        m[k, k] = 1.0
-        basis.append(m)
-    for r in range(4):
-        for c in range(r + 1, 4):
-            m = np.zeros((4, 4), dtype=np.complex128)
-            m[r, c] = m[c, r] = 1.0
-            basis.append(m)
-            m = np.zeros((4, 4), dtype=np.complex128)
-            m[r, c] = -1j
-            m[c, r] = 1j
-            basis.append(m)
-    return basis
-
-
-_HERMITIAN_BASIS = _hermitian_basis()
-# Row s, column k: Tr(P_s @ B_k), the setting probabilities per basis coefficient.
-_DESIGN = np.array(
-    [[(p.T.reshape(16) @ b.reshape(16)).real for b in _HERMITIAN_BASIS] for p in _SETTING_OPS]
-)
-
-
-def _linear_inversion(table: CountsTable, n_hat: float) -> np.ndarray:
-    """Least-squares Hermitian estimate used to seed the likelihood search."""
-    probs = (table.counts - table.accidental_rate_per_setting) / n_hat
-    coef, *_ = np.linalg.lstsq(_DESIGN, probs, rcond=None)
-    rho = sum(c * b for c, b in zip(coef, _HERMITIAN_BASIS))
+    The 36 settings are tomographically complete, so the complex least-squares
+    solution of Tr(P_s X) = p_s is Hermitian up to round-off.
+    """
+    probs = (table.counts - table.accidental_rate_per_setting) / _estimate_n_per_setting(table)
+    x, *_ = np.linalg.lstsq(_SETTING_TRACE, probs.astype(np.complex128), rcond=None)
+    rho = x.reshape(4, 4)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
-        return np.eye(4, dtype=np.complex128) / 4.0
-    return rho / tr
+    rho = np.eye(4) / 4.0 if abs(tr) < 1e-12 else rho / tr
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 1e-6, None)
+    A = (v * np.sqrt(w / w.sum())) @ v.conj().T  # Hermitian square root, Tr(A^dagger A) = 1
+    return np.concatenate([A.real.reshape(16), A.imag.reshape(16)])
 
 
 def _nll_and_gradient(counts: CountsTable):
-    """Poisson negative log-likelihood of the Cholesky parameters t, with its gradient.
+    """Poisson negative log-likelihood of the factor parameters t, with its gradient.
 
-    With rho = T^dagger T / Tr(T^dagger T), mean counts mu_s = n_hat * p_s + acc and
-    p_s = Tr(P_s rho), the likelihood's derivative in rho is G = sum_s w_s P_s with
-    w_s = n_hat (1 - n_s / mu_s), and w_s = 0 where either clip of mu_s is active.
-    Chained through the normalisation with G' = G - Tr(G rho) I, dNLL/dT is
-    (2 / Tr T^dagger T) (G' T^dagger)^T = (2 / Tr T^dagger T) conj(T G'): its real part
-    for the real entries of T and minus its imaginary part, Im(T G'), for the
-    imaginary ones.
+    With A = t[:16] + i t[16:] as a 4x4 matrix, rho = A^dagger A / Tr(A^dagger A),
+    mean counts mu_s = n_hat * p_s + acc and p_s = Tr(P_s rho), the likelihood's
+    derivative in rho is G = sum_s w_s P_s with w_s = n_hat (1 - n_s / mu_s), and
+    w_s = 0 where either clip of mu_s is active. Chained through the
+    normalisation with G' = G - Tr(G rho) I, dNLL/dRe A + i dNLL/dIm A is
+    k = (2 / Tr A^dagger A) A G'.
     """
     n_hat = _estimate_n_per_setting(counts)
     acc = counts.accidental_rate_per_setting
@@ -227,9 +175,9 @@ def _nll_and_gradient(counts: CountsTable):
     ops = _SETTING_OPS.reshape(36, 16)
 
     def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
-        T = _cholesky_factor(t)
-        norm = float(t @ t)  # Tr(T^dagger T)
-        rho = (T.conj().T @ T) / norm
+        A = (t[:16] + 1j * t[16:]).reshape(4, 4)
+        norm = float(t @ t)  # Tr(A^dagger A)
+        rho = (A.conj().T @ A) / norm
         probs = (_SETTING_TRACE @ rho.reshape(16)).real
         mu = n_hat * np.maximum(probs, 0.0) + acc
         live = (probs > 0.0) & (mu > 1e-10)
@@ -238,13 +186,9 @@ def _nll_and_gradient(counts: CountsTable):
 
         w = np.where(live, n_hat * (1.0 - observed / mu), 0.0)
         g = w @ ops
-        g[_T_DIAG] -= w @ probs  # G' = G - Tr(G rho) I on the flattened diagonal
-        k = (T @ g.reshape(4, 4)).reshape(16) * (2.0 / norm)
-        grad = np.empty(16)
-        grad[:4] = k[_T_DIAG].real
-        grad[4::2] = k[_T_LOWER].real
-        grad[5::2] = k[_T_LOWER].imag
-        return value, grad
+        g[::5] -= w @ probs  # G' = G - Tr(G rho) I on the flattened diagonal
+        k = (A @ g.reshape(4, 4)).reshape(16) * (2.0 / norm)
+        return value, np.concatenate([k.real, k.imag])
 
     return objective
 
@@ -257,13 +201,14 @@ def mle_reconstruct(counts: CountsTable) -> DensityMatrix:
     """Density matrix maximizing the Poisson likelihood of the 36 counts.
 
     The per-setting total is estimated from the complementary basis-pair sums,
-    not configured. L-BFGS-B searches the 16 real Cholesky parameters of
-    James et al., PRA 64, 052312 (2001), with the analytic gradient of the
-    Poisson negative log-likelihood.
+    not configured. L-BFGS-B searches the 32 real parameters of a full complex
+    factor A (the factorization of James et al., PRA 64, 052312 (2001), without
+    its triangular constraint), starting from the least-squares estimate, with
+    the analytic gradient of the Poisson negative log-likelihood.
     """
     if counts.counts.sum() <= 0:
         raise ReconstructionError("all counts are zero; nothing to reconstruct")
-    t0 = _params_from_rho(_linear_inversion(counts, _estimate_n_per_setting(counts)))
+    t0 = _start_params(counts)
     objective = _nll_and_gradient(counts)
     options = {"maxfun": _EVAL_LIMIT, "maxiter": _EVAL_LIMIT, "ftol": 1e-12, "gtol": 1e-10}
     result = optimize.minimize(objective, t0, jac=True, method="L-BFGS-B", options=options)

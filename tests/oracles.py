@@ -9,11 +9,12 @@ from scipy import optimize, signal
 from entsync.errors import ReconstructionError
 from entsync.timetags import PS_PER_S, _poisson_arrivals_ps
 from entsync.tomography import (
+    _SETTING_OPS,
+    _SETTING_TRACE,
     DensityMatrix,
     _estimate_n_per_setting,
-    _linear_inversion,
-    _params_from_rho,
     _rho_from_params,
+    _start_params,
     expected_counts,
     setting_labels,
 )
@@ -228,23 +229,149 @@ def poisson_nll(rho, counts) -> float:
 def mle_reconstruct_fd_reference(counts, max_evals: int = 100_000):
     """The likelihood fit with L-BFGS-B's own finite-difference gradient.
 
-    Same start, objective, options and restart as mle_reconstruct, but no jac:
-    each gradient costs 17 likelihood evaluations. The analytic-gradient fit
-    must reach at least this likelihood and the same density matrix.
+    Same start, factor, objective, options and restart as mle_reconstruct, but
+    no jac: each gradient costs 33 likelihood evaluations. The analytic-gradient
+    fit must reach at least this likelihood and the same density matrix.
     """
     def negative_log_likelihood(t):
         return poisson_nll(DensityMatrix(_rho_from_params(t)), counts)
 
-    t0 = _params_from_rho(_linear_inversion(counts, _estimate_n_per_setting(counts)))
+    t0 = _start_params(counts)
+    return _lbfgsb_density(negative_log_likelihood, t0, _rho_from_params, False, max_evals)
+
+
+def _lbfgsb_density(objective, t0, rho_from_params, jac: bool, max_evals: int):
+    """mle_reconstruct's search, one restart and scrub for any parameterization."""
     options = {"maxfun": max_evals, "maxiter": max_evals, "ftol": 1e-12, "gtol": 1e-10}
-    result = optimize.minimize(negative_log_likelihood, t0, method="L-BFGS-B", options=options)
+    result = optimize.minimize(objective, t0, jac=jac, method="L-BFGS-B", options=options)
     if not result.success:
-        result = optimize.minimize(
-            negative_log_likelihood, result.x, method="L-BFGS-B", options=options
-        )
+        result = optimize.minimize(objective, result.x, jac=jac, method="L-BFGS-B", options=options)
     if not result.success:
         raise ReconstructionError(f"likelihood search did not converge: {result.message}")
-    rho = _rho_from_params(result.x)
+    rho = rho_from_params(result.x)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
     return DensityMatrix(rho)
+
+
+# --- the lower-triangular (Cholesky) likelihood fit -------------------------
+#
+# James et al., PRA 64, 052312 (2001): rho = T^dagger T / Tr(T^dagger T) with T
+# lower triangular and a real diagonal, 16 real parameters, started from the
+# Cholesky factor of the floored linear-inversion estimate. mle_reconstruct's
+# full complex factor must reach at least its likelihood.
+
+# Flat positions in T of the 16 real parameters: t[:4] is the real diagonal,
+# t[4::2] and t[5::2] are the real and imaginary parts of the strictly lower
+# entries in row-major order.
+_T_DIAG = np.array([0, 5, 10, 15])
+_T_LOWER = np.array([4, 8, 9, 12, 13, 14])
+
+
+def _cholesky_factor(t: np.ndarray) -> np.ndarray:
+    T = np.zeros(16, dtype=np.complex128)
+    T[_T_DIAG] = t[:4]
+    T[_T_LOWER] = t[4::2] + 1j * t[5::2]
+    return T.reshape(4, 4)
+
+
+def _rho_from_cholesky(t: np.ndarray) -> np.ndarray:
+    T = _cholesky_factor(t)
+    rho = T.conj().T @ T
+    return rho / np.trace(rho).real
+
+
+def _cholesky_params_from_rho(rho: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 1e-6, None)
+    psd = (v * w) @ v.conj().T
+    psd /= np.trace(psd).real
+    # rho = T^dagger T needs the upper-times-lower factorization; flipping the
+    # matrix turns the standard Cholesky factor into the one required.
+    flip = np.eye(4)[::-1]
+    lower = np.linalg.cholesky(flip @ psd @ flip)
+    T = (flip @ lower @ flip).conj().T.reshape(16)
+    t = np.empty(16)
+    t[:4] = T[_T_DIAG].real
+    t[4::2] = T[_T_LOWER].real
+    t[5::2] = T[_T_LOWER].imag
+    return t
+
+
+def _hermitian_basis() -> list[np.ndarray]:
+    """Real basis of Hermitian 4x4 matrices: E_kk, symmetric and antisymmetric
+    off-diagonal combinations."""
+    basis = []
+    for k in range(4):
+        m = np.zeros((4, 4), dtype=np.complex128)
+        m[k, k] = 1.0
+        basis.append(m)
+    for r in range(4):
+        for c in range(r + 1, 4):
+            m = np.zeros((4, 4), dtype=np.complex128)
+            m[r, c] = m[c, r] = 1.0
+            basis.append(m)
+            m = np.zeros((4, 4), dtype=np.complex128)
+            m[r, c] = -1j
+            m[c, r] = 1j
+            basis.append(m)
+    return basis
+
+
+_HERMITIAN_BASIS = _hermitian_basis()
+# Row s, column k: Tr(P_s @ B_k), the setting probabilities per basis coefficient.
+_DESIGN = np.array(
+    [[(p.T.reshape(16) @ b.reshape(16)).real for b in _HERMITIAN_BASIS] for p in _SETTING_OPS]
+)
+
+
+def _linear_inversion(table, n_hat: float) -> np.ndarray:
+    """Least-squares Hermitian estimate in the real Hermitian basis."""
+    probs = (table.counts - table.accidental_rate_per_setting) / n_hat
+    coef, *_ = np.linalg.lstsq(_DESIGN, probs, rcond=None)
+    rho = sum(c * b for c, b in zip(coef, _HERMITIAN_BASIS))
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = np.trace(rho).real
+    if abs(tr) < 1e-12:
+        return np.eye(4, dtype=np.complex128) / 4.0
+    return rho / tr
+
+
+def _cholesky_nll_and_gradient(counts):
+    """The Poisson negative log-likelihood of the Cholesky parameters, with its
+    gradient (2 / Tr T^dagger T) T G' packed by index."""
+    n_hat = _estimate_n_per_setting(counts)
+    acc = counts.accidental_rate_per_setting
+    observed = counts.counts.astype(np.float64)
+    ops = _SETTING_OPS.reshape(36, 16)
+
+    def objective(t: np.ndarray) -> tuple[float, np.ndarray]:
+        T = _cholesky_factor(t)
+        norm = float(t @ t)
+        rho = (T.conj().T @ T) / norm
+        probs = (_SETTING_TRACE @ rho.reshape(16)).real
+        mu = n_hat * np.maximum(probs, 0.0) + acc
+        live = (probs > 0.0) & (mu > 1e-10)
+        mu = np.maximum(mu, 1e-10)
+        value = float(np.sum(mu - observed * np.log(mu)))
+        w = np.where(live, n_hat * (1.0 - observed / mu), 0.0)
+        g = w @ ops
+        g[_T_DIAG] -= w @ probs
+        k = (T @ g.reshape(4, 4)).reshape(16) * (2.0 / norm)
+        grad = np.empty(16)
+        grad[:4] = k[_T_DIAG].real
+        grad[4::2] = k[_T_LOWER].real
+        grad[5::2] = k[_T_LOWER].imag
+        return value, grad
+
+    return objective
+
+
+def mle_reconstruct_cholesky_reference(counts, max_evals: int = 100_000):
+    """The likelihood fit over the lower-triangular factor, with its analytic
+    gradient and mle_reconstruct's options and restart."""
+    if counts.counts.sum() <= 0:
+        raise ReconstructionError("all counts are zero; nothing to reconstruct")
+    t0 = _cholesky_params_from_rho(_linear_inversion(counts, _estimate_n_per_setting(counts)))
+    objective = _cholesky_nll_and_gradient(counts)
+    return _lbfgsb_density(objective, t0, _rho_from_cholesky, True, max_evals)

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entsync import cli, scenario
+from entsync import cli, scenario, tomography
 from entsync.channel import ChannelConfig
 from entsync.cli import main as cli_main
 from entsync.correlation import SyncAnalysisParams, complete_blocks
-from entsync.errors import ConfigError
+from entsync.errors import ConfigError, ReconstructionError
 from entsync.polarization import FaradayParams
 from entsync.scenario import (
     Detectors,
@@ -997,6 +997,25 @@ class TestTomoScenario:
         dist = json.loads((tmp_path / "out" / "fidelity_distribution.json").read_text())
         assert len(dist["samples"]) == 4
         assert dist["ci95_low"] <= dist["mean"] <= dist["ci95_high"]
+
+    def test_failed_repetition_is_counted(self, tmp_path, monkeypatch):
+        # The first Monte Carlo fit fails; one failure in five is below the 20% limit.
+        fits = []
+        fit = tomography.mle_reconstruct
+
+        def first_fails(table):
+            fits.append(table)
+            if len(fits) == 1:
+                raise ReconstructionError("forced failure")
+            return fit(table)
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", first_fails)
+        summary = run_tomo_scenario(self.small_config(tmp_path, reps=5), tmp_path / "out")
+        assert (summary["n_mc_samples"], summary["n_mc_failed"]) == (4, 1)
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["n_mc_failed"] == 1
+        dist = json.loads((tmp_path / "out" / "fidelity_distribution.json").read_text())
+        assert len(dist["samples"]) == 4
+        assert len(fits) == 9  # rep 0 stops at its first fit; reps 1-4 fit both tables
 
     def test_deterministic_reruns(self, tmp_path):
         config = self.small_config(tmp_path)

@@ -23,12 +23,14 @@ from entsync.tomography import (
 )
 from entsync.tomography import (
     _PROJECTOR_VECTORS,
+    _SETTING_OPS,
     _estimate_n_per_setting,
     _nll_and_gradient,
     _rho_from_params,
 )
 
 from oracles import (
+    mle_reconstruct_cholesky_reference,
     mle_reconstruct_fd_reference,
     n_per_setting_reference,
     poisson_nll,
@@ -198,7 +200,7 @@ class TestLikelihoodGradient:
         rng = np.random.default_rng(seed)
         rho = DensityMatrix(random_density_matrix(rng, rank=int(rng.integers(1, 5))))
         table = sample_counts(expected_counts(rho, 1e4), seed)
-        assert gradient_error(table, rng.normal(size=16)) < 1e-6
+        assert gradient_error(table, rng.normal(size=32)) < 1e-6
 
     def test_matches_central_differences_with_accidentals(self):
         rng = np.random.default_rng(5)
@@ -206,17 +208,20 @@ class TestLikelihoodGradient:
         table = sample_counts(
             expected_counts(depolarize(SINGLET, 0.2), 1e4, acc), 5, accidental_rate_per_setting=acc
         )
-        assert gradient_error(table, rng.normal(size=16)) < 1e-6
+        assert gradient_error(table, rng.normal(size=32)) < 1e-6
 
     def test_clipped_settings_do_not_contribute(self):
-        # rho is pure, with amplitude 1e-6 / |v| ~ 8e-8 on |VV>: every setting that
-        # projects the first photon onto V has a mean count below the 1e-10
-        # floor, also one step h away, so the likelihood is flat in those
-        # settings although their probabilities move with t[3] and t[14:16].
+        # Only the last row of the factor is nonzero, so rho is pure, with
+        # amplitude 1e-6 / |v| ~ 8e-8 on |VV>: every setting that projects the
+        # first photon onto V has a mean count below the 1e-10 floor, also one
+        # step h away, so the likelihood is flat in those settings although
+        # their probabilities move with the last row.
         table = CountsTable(np.random.default_rng(7).integers(5, 20, size=36))
-        t = np.zeros(16)
-        t[3] = 1e-6
-        t[10:14] = [8.0, 4.0, 6.0, -5.0]
+        A = np.zeros((4, 4), dtype=np.complex128)
+        A[3, 3] = 1e-6
+        A[3, 0] = 8.0 + 4.0j
+        A[3, 1] = 6.0 - 5.0j
+        t = np.concatenate([A.real.reshape(16), A.imag.reshape(16)])
         mu = expected_counts(DensityMatrix(_rho_from_params(t)), _estimate_n_per_setting(table))
         clipped = [setting_labels()[s] for s in np.flatnonzero(mu < 1e-10)]
         assert clipped == [("V", b) for b in PROJECTOR_LABELS]
@@ -354,6 +359,95 @@ class TestFiniteDifferenceReference:
         nll_reference = poisson_nll(reference, table)
         assert nll_fit <= nll_reference + 1e-9 * abs(nll_reference)
         assert np.abs(fit.matrix - reference.matrix).max() < 1e-5
+
+
+def sparse_table(seed: int) -> CountsTable:
+    """One to three nonzero settings: the per-setting total is floored at 1 and
+    the fit drives several settings' mean counts below the 1e-10 floor."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(36, dtype=np.int64)
+    counts[rng.choice(36, size=int(rng.integers(1, 4)), replace=False)] = rng.integers(1, 5)
+    return CountsTable(counts)
+
+
+def assert_at_least_cholesky_likelihood(table: CountsTable):
+    nll = poisson_nll(mle_reconstruct(table), table)
+    nll_cholesky = poisson_nll(mle_reconstruct_cholesky_reference(table), table)
+    assert nll <= nll_cholesky + 1e-9 * abs(nll_cholesky)
+
+
+class TestCholeskyReference:
+    """The full complex factor reaches at least the likelihood of the
+    lower-triangular factor of James et al."""
+
+    @pytest.mark.parametrize(
+        "name", ["tomo_full_before", "tomo_full_after", "tomo_naive_before", "tomo_naive_after"]
+    )
+    def test_bundled_counts(self, bundled_counts, name):
+        assert_at_least_cholesky_likelihood(bundled_counts[name])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_states(self, seed):
+        rng = np.random.default_rng(seed)
+        rho = DensityMatrix(random_density_matrix(rng, rank=int(rng.integers(1, 5))))
+        assert_at_least_cholesky_likelihood(sample_counts(expected_counts(rho, 1e4), seed))
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_random_states_with_accidentals(self, seed):
+        rng = np.random.default_rng(seed)
+        acc = float(rng.uniform(5.0, 100.0))
+        rho = DensityMatrix(random_density_matrix(rng, rank=int(rng.integers(1, 5))))
+        table = sample_counts(expected_counts(rho, 1e4, acc), seed, accidental_rate_per_setting=acc)
+        assert_at_least_cholesky_likelihood(table)
+
+    @pytest.mark.parametrize("seed", [8, 11, 12])
+    def test_settings_at_the_mean_count_floor(self, seed):
+        table = sparse_table(seed)
+        mu = expected_counts(mle_reconstruct(table), _estimate_n_per_setting(table))
+        assert np.count_nonzero(mu < 1e-10) > 0
+        assert_at_least_cholesky_likelihood(table)
+
+
+def criterion_6_tables() -> list[CountsTable]:
+    """The 20 rounded n=1e6 tables of acceptance criterion 6, half of them pure."""
+    rng = np.random.default_rng(61)
+    tables = []
+    for i in range(20):
+        if i % 2 == 0:
+            rho = DensityMatrix.from_pure(random_pure_state(rng))
+        else:
+            rho = DensityMatrix(random_density_matrix(rng, rank=int(rng.integers(2, 5))))
+        tables.append(CountsTable(np.rint(expected_counts(rho, 1e6)).astype(np.int64)))
+    return tables
+
+
+def assert_stationary(table: CountsTable):
+    """First-order optimality of the fit over density matrices, in units of n_hat.
+
+    With G = sum_s w_s P_s, w_s = n_hat (1 - n_s / mu_s), the fit rho maximizes
+    the likelihood only if G' = G - Tr(G rho) I annihilates rho and has no
+    negative eigenvalue.
+    """
+    rho = mle_reconstruct(table).matrix
+    n_hat = _estimate_n_per_setting(table)
+    mu = expected_counts(DensityMatrix(rho), n_hat, table.accidental_rate_per_setting)
+    w = n_hat * (1.0 - table.counts / np.maximum(mu, 1e-10))
+    G = np.einsum("s,sij->ij", w, _SETTING_OPS)
+    G -= np.trace(G @ rho).real * np.eye(4)
+    assert np.abs(G @ rho).max() <= 1e-4 * n_hat
+    assert np.linalg.eigvalsh(G).min() >= -1e-4 * n_hat
+
+
+class TestStationarity:
+    @pytest.mark.parametrize(
+        "name", ["tomo_full_before", "tomo_full_after", "tomo_naive_before", "tomo_naive_after"]
+    )
+    def test_bundled_counts(self, bundled_counts, name):
+        assert_stationary(bundled_counts[name])
+
+    def test_criterion_6_states(self):
+        for table in criterion_6_tables():
+            assert_stationary(table)
 
 
 class TestSerialization:
