@@ -222,13 +222,11 @@ def parse_config(cls, data, path: str = ""):
     number, ``int`` an integer (integer-valued floats included), a nested
     dataclass an object and ``tuple[X, ...]`` a list. A field is required
     exactly when the dataclass gives it no default, and keys that are not
-    fields are rejected. The dataclass checks its own values when built;
+    fields are rejected. A whole config is the object ``read_config`` returns. The dataclass checks its own values when built;
     errors name the field by its path, e.g.
     ``schedule[1].channel.base_length_m``.
     """
     if not isinstance(data, dict):
-        if not path:
-            raise ConfigError("config must be a JSON object")
         raise ConfigError(f"field {path} must be an object")
     prefix = f"{path}." if path else ""
     fields = dataclasses.fields(cls)
@@ -437,8 +435,6 @@ def run_scenario(
     tag_format: str = "binary",
 ) -> dict:
     """Simulate a timing scenario and write tags, histograms, and estimates."""
-    if tag_format not in ("binary", "csv"):
-        raise ConfigError("tag_format must be 'binary' or 'csv'")
     sc = load_timing_scenario(config_path)
     if seed is not None:
         sc = dataclasses.replace(sc, seed=seed)

@@ -245,8 +245,6 @@ def apply_detector(
     filtering: dead time acts on the physical detector, not per event origin.
     A zero jitter or dark rate draws zeros or nothing from its own sub-generator.
     """
-    if not math.isfinite(duration_s) or duration_s < 0:
-        raise ConfigError("duration_s must be finite and >= 0")
     thin_rng, jitter_rng, dark_rng = map(
         np.random.default_rng, np.random.SeedSequence(seed).spawn(3)
     )

@@ -80,8 +80,6 @@ class DensityMatrix:
 
 def depolarize(rho: DensityMatrix, p: float) -> DensityMatrix:
     """Mix a fraction p of the maximally mixed state into rho."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("depolarization must be in [0, 1]")
     return DensityMatrix((1.0 - p) * rho.matrix + p * np.eye(4) / 4.0)
 
 

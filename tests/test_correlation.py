@@ -18,6 +18,7 @@ from entsync.correlation import (
     G2Histogram,
     _center_column,
     _local_maxima_above,
+    _refine_centroid,
     PeakPair,
     SyncAnalysisParams,
     analyze_block,
@@ -348,6 +349,13 @@ class TestFindTwoPeaks:
         hist = G2Histogram(0, 16, np.zeros(0, dtype=np.int64), 0, 0, 0)
         with pytest.raises(PeaksNotFoundError):
             find_two_peaks(hist, PARAMS)
+
+    def test_centroid_without_weight_stays_on_its_start_bin(self):
+        # A background above every count leaves no weight in the window, so the
+        # centroid is the start bin's centre, its sigma one bin and its height 0.
+        counts = np.array([0, 3, 7, 4, 1, 0], dtype=np.int64)
+        hist = G2Histogram(-48, 16, counts, 1000, 1000, 10**9)
+        assert _refine_centroid(hist, 2, 2, background=8.0) == (-8.0, 16.0, 0.0)
 
 
 class TestEstimateSync:

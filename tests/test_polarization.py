@@ -58,6 +58,10 @@ class TestJonesState:
 
 
 class TestTwoQubitState:
+    def test_norm_enforced(self):
+        with pytest.raises(ConfigError, match="two-qubit state norm is 2.0, expected 1"):
+            TwoQubitState(np.array([0.0, 2.0, 0.0, 0.0]))
+
     def test_keeps_its_checked_copy(self):
         source = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.complex128)
         state = TwoQubitState(source)
@@ -255,6 +259,24 @@ class TestPhaseDecomposition:
         decomp = phase_decomposition(HALF_TURN, math.pi / 2.0)
         assert decomp.geometric_beta_rad == pytest.approx(-math.pi, abs=1e-12)
         assert decomp.dynamic_gamma_rad == pytest.approx(HALF_TURN.phase_kn0d_rad, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "p",
+        [HALF_TURN, FaradayParams(1550.0, 1.45, 0.02), FaradayParams(633.0, 2.2, 0.0035)],
+        ids=["default", "telecom", "visible"],
+    )
+    @pytest.mark.parametrize("orthogonal", [False, True], ids=["state", "companion"])
+    def test_total_matches_traversal_eigenphase(self, p, orthogonal):
+        # The eigenphase <psi|U|psi> of the full-traversal matrix, against the
+        # geometric + dynamic split, modulo 2 pi, over a grid of Poincare angles.
+        u = circulator_unitary(p)
+        for theta in np.linspace(0.0, math.pi, 37):
+            state = orthogonal_state(theta) if orthogonal else poincare_state(theta)
+            psi = state.rl
+            eigenphase = cmath.phase(complex(np.vdot(psi, u @ psi)))
+            total = phase_decomposition(p, float(theta), orthogonal).total_rad
+            mismatch = (total - eigenphase + math.pi) % (2.0 * math.pi) - math.pi
+            assert abs(mismatch) < 1e-8 + abs(total) * 1e-12
 
     def test_requires_half_turn(self):
         with pytest.raises(ConfigError):

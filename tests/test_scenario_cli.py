@@ -680,6 +680,32 @@ class TestCliErrors:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "cmd, config_name, field, value",
+        [
+            ("tomo", "tomo_full.json", "depolarization", 1.5),
+            ("tomo", "tomo_full.json", "depolarization", math.nan),
+            ("simulate", "smoke.json", "duration_s", -1.0),
+            ("simulate", "smoke.json", "duration_s", math.inf),
+        ],
+    )
+    def test_values_are_checked_by_their_model(
+        self, scenario_dir, tmp_path, capsys, cmd, config_name, field, value
+    ):
+        # Each value is checked once, by the scenario model that owns it.
+        cfg = dict(json.loads((scenario_dir / config_name).read_text()), **{field: value})
+        config = write_json(tmp_path / "bad.json", cfg)
+        assert cli_main([cmd, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert f"config error: {field} must" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_tag_format_is_checked_by_its_flag(self, scenario_dir, tmp_path, capsys):
+        argv = ["simulate", "--config", str(scenario_dir / "smoke.json"), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--tag-format", "hdf5"])
+        assert exc.value.code == 2
+        assert "--tag-format: invalid choice: 'hdf5'" in capsys.readouterr().err
+
     def test_config_error_names_field(self, tmp_path, capsys):
         cfg = {
             "duration_s": 10.0,

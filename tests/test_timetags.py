@@ -72,6 +72,15 @@ class TestTimeTagStream:
         with pytest.raises(OverflowError):
             TimeTagStream(times([1 << 62, 0]), np.zeros(2, dtype=np.uint32))
 
+    @pytest.mark.parametrize(
+        "timestamps, channels",
+        [([1, 2, 3], [0, 0]), ([[1, 2]], [[0, 0]])],
+        ids=["unequal_lengths", "two_dimensional"],
+    )
+    def test_rejects_arrays_of_the_wrong_shape(self, timestamps, channels):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            TimeTagStream(np.array(timestamps, dtype=np.int64), np.array(channels, dtype=np.uint32))
+
     def test_merge_orders_ties_by_channel(self):
         ts, ch = merge_streams((times([5, 10]), 1), (times([5, 7]), 0))
         assert list(ts) == [5, 5, 7, 10]
@@ -400,6 +409,11 @@ class TestApplyClock:
         with pytest.raises(OverflowError):
             apply_clock(*labelled([(1 << 62) - 500]), ClockModel(offset_ps=1000))
 
+    def test_drift_past_the_timestamp_range_is_a_hard_error(self):
+        # 1000 ppb fast: the last reading, 2**62 - 1 scaled by 1 + 1e-6, passes 2**62.
+        with pytest.raises(OverflowError, match="clock transform overflows"):
+            apply_clock(*labelled([0, (1 << 62) - 1]), ClockModel(drift_ppb=1000.0))
+
 
 class TestFileFormats:
     def test_binary_roundtrip(self, tmp_path):
@@ -436,6 +450,20 @@ class TestFileFormats:
         path.write_bytes(path.read_bytes()[:-8])
         message = f"^truncated record at byte offset {16 * _IO_CHUNK} in "
         with pytest.raises(StreamFormatError, match=message):
+            read_tags_binary(path)
+
+    def test_short_read_reports_offset(self, tmp_path, monkeypatch):
+        # The file shrinks after its length is taken: fstat reports five records, three remain.
+        path = tmp_path / "tags.tt"
+        write_tags_binary(make_stream([1, 2, 3]), path)
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):
+            info = real_fstat(fd)
+            return mock.Mock(st_mode=info.st_mode, st_size=info.st_size + 2 * RECORD_DTYPE.itemsize)
+
+        monkeypatch.setattr(timetags.os, "fstat", stale_fstat)
+        with pytest.raises(StreamFormatError, match="^truncated record at byte offset 48 in "):
             read_tags_binary(path)
 
     def test_binary_tags_from_a_pipe_are_refused(self):
@@ -509,6 +537,13 @@ class TestFileFormats:
         empty = make_stream([])
         write_tags_csv(empty, path)
         assert path.read_bytes() == tags_csv_reference(empty)
+
+    def test_csv_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_text("timestamp_ps,channel\n\n0,1\n  \n7,2\n\n")
+        back = read_tags_csv(path)
+        assert back.timestamps_ps.tolist() == [0, 7]
+        assert back.channels.tolist() == [1, 2]
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "tags.csv"

@@ -269,6 +269,16 @@ class TestFidelity:
         source[0, 0] = 5.0
         assert rho.matrix[0, 0] == 0.25
 
+    def test_counts_table_rejects_negative_counts(self):
+        counts = np.full(36, 5, dtype=np.int64)
+        counts[7] = -1
+        with pytest.raises(ConfigError, match="counts must be non-negative"):
+            CountsTable(counts)
+
+    def test_counts_table_rejects_negative_accidental_rate(self):
+        with pytest.raises(ConfigError, match="accidental_rate_per_setting must be >= 0"):
+            CountsTable(np.full(36, 5, dtype=np.int64), accidental_rate_per_setting=-0.5)
+
     def test_counts_table_keeps_its_checked_copy(self):
         source = np.full(36, 5, dtype=np.int64)
         table = CountsTable(source)
