@@ -103,13 +103,17 @@ class CountsTable:
 def expected_counts(
     rho: DensityMatrix, n_per_setting: float, accidentals: float = 0.0
 ) -> np.ndarray:
-    """Mean counts per setting: n * <P_a x P_b> + accidentals."""
+    """Mean counts per setting: n * <P_a x P_b> + accidentals.
+
+    A probability below 1e-14 is round-off of 0 and counts as 0: numpy's Poisson
+    draw takes a uniform for any positive mean, which would shift every later draw.
+    """
     if n_per_setting <= 0:
         raise ConfigError("n_per_setting must be > 0")
     if accidentals < 0:
         raise ConfigError("accidentals must be >= 0")
     probs = (_SETTING_TRACE @ rho.matrix.reshape(16)).real
-    return n_per_setting * np.clip(probs, 0.0, None) + accidentals
+    return n_per_setting * np.where(probs < 1e-14, 0.0, probs) + accidentals
 
 
 def sample_counts(

@@ -1,7 +1,12 @@
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from entsync import tomography
 from entsync.errors import ConfigError, ReconstructionError
@@ -327,6 +332,62 @@ class TestMonteCarlo:
         payload = dist.to_json()
         assert set(payload) == {"samples", "mean", "ci95_low", "ci95_high"}
         assert payload["mean"] == pytest.approx(0.7)
+
+
+def tomo_run_files(config: dict) -> dict:
+    """The files of a tomo run, by name; summary.json parsed."""
+    with tempfile.TemporaryDirectory(prefix="tomo-") as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        run_tomo_scenario(path, Path(tmp) / "out")
+        files = {p.name: p.read_bytes() for p in (Path(tmp) / "out").iterdir()}
+    files["summary.json"] = json.loads(files["summary.json"])
+    return files
+
+
+class TestAttackInvisibility:
+    @given(
+        wavelength_nm=st.floats(400.0, 1600.0),
+        n0=st.floats(1.1, 2.5),
+        length_d_m=st.floats(1e-4, 0.1),
+        depolarization=st.floats(0.0, 0.5),
+        accidentals=st.floats(0.0, 100.0),
+        counts=st.floats(1e3, 1e6),
+        seed=st.integers(0, 2**31),
+        theta_rad=st.floats(0.5, 1.2),
+    )
+    # Each example runs three tomo scenarios, so a failing one is reported unshrunk.
+    @settings(
+        max_examples=10, deadline=None, derandomize=True, phases=[Phase.explicit, Phase.generate]
+    )
+    def test_full_attack_draws_the_unattacked_tables(
+        self, wavelength_nm, n0, length_d_m, depolarization, accidentals, counts, seed, theta_rad
+    ):
+        # At the half turn the circulators multiply the state by a global phase,
+        # so every drawn table and fit equals the no-attack run's.
+        faraday = {
+            "wavelength_nm": wavelength_nm,
+            "n0": n0,
+            "length_d_m": length_d_m,
+            "rotation_VBd_rad": -math.pi,
+        }
+        config = {
+            "seed": seed,
+            "faraday": faraday,
+            "depolarization": depolarization,
+            "accidentals_per_setting": accidentals,
+            "counts_per_setting": counts,
+            "reps": 2,
+        }
+        none = tomo_run_files(dict(config, attack="none"))
+        full = tomo_run_files(dict(config, attack="full"))
+        none_config, full_config = (run["summary.json"].pop("config") for run in (none, full))
+        assert full == none
+        assert dict(full_config, attack="none") == none_config
+        # The naive geometric model at 0.5-1.2 rad keeps at most 0.86 of the singlet.
+        naive = tomo_run_files(dict(config, attack="naive", theta_rad=theta_rad))
+        assert naive["counts_before.csv"] == none["counts_before.csv"]
+        assert naive["counts_after.csv"] != none["counts_after.csv"]
 
 
 @pytest.fixture(scope="module")
