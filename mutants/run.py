@@ -143,6 +143,36 @@ MUTANTS = (
         ("tests/test_calibration.py::test_offset_z_scores_are_calibrated",),
     ),
     Mutant(
+        "channel delay truncated instead of rounded",
+        "src/entsync/channel.py",
+        "return int(round(self.delay_ps(direction)))",
+        "return int(self.delay_ps(direction))",
+        (
+            "tests/test_calibration.py"
+            "::test_one_way_extension_moves_offset_by_half_the_delay_difference",
+        ),
+    ),
+    Mutant(
+        "companion's dynamic phase loses its sign below the equator",
+        "src/entsync/polarization.py",
+        "p.phase_kn0d_rad - p.rotation_VBd_rad * math.cos(theta_rad),",
+        "p.phase_kn0d_rad - p.rotation_VBd_rad * abs(math.cos(theta_rad)),",
+        (
+            "tests/test_polarization.py::TestPhaseDecomposition"
+            "::test_total_matches_traversal_eigenphase",
+        ),
+    ),
+    Mutant(
+        "expected counts keep round-off probabilities",
+        "src/entsync/tomography.py",
+        "np.where(probs < 1e-14, 0.0, probs)",
+        "np.clip(probs, 0.0, None)",
+        (
+            "tests/test_tomography.py::TestAttackInvisibility"
+            "::test_full_attack_draws_the_unattacked_tables",
+        ),
+    ),
+    Mutant(
         "per-setting total sums the wrong axes",
         "src/entsync/tomography.py",
         "reshape(3, 2, 3, 2).sum(axis=(1, 3))",
