@@ -222,9 +222,9 @@ def parse_config(cls, data, path: str = ""):
     number, ``int`` an integer (integer-valued floats included), a nested
     dataclass an object and ``tuple[X, ...]`` a list. A field is required
     exactly when the dataclass gives it no default, and keys that are not
-    fields are rejected. A whole config is the object ``read_config`` returns. The dataclass checks its own values when built;
+    fields are rejected. The dataclass checks its own values when built;
     errors name the field by its path, e.g.
-    ``schedule[1].channel.base_length_m``.
+    ``schedule[1].channel.base_length_m``. ``read_config`` checks the top level.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"field {path} must be an object")
