@@ -59,6 +59,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "stream shape check lets a 0-d input through",
+        "src/entsync/timetags.py",
+        "if len(shape) != 1 or",
+        "if len(shape) > 1 or",
+        (
+            "tests/test_timetags.py::TestTimeTagStream"
+            "::test_rejects_arrays_of_the_wrong_shape[zero_dimensional]",
+        ),
+    ),
+    Mutant(
+        "arrival times warn when their running sum overflows",
+        "src/entsync/timetags.py",
+        'with np.errstate(over="ignore"):',
+        'with np.errstate(over="warn"):',
+        ("tests/test_timetags.py::TestGeneratePairs::test_streams_always_sorted",),
+    ),
+    Mutant(
         "detector jitter truncated instead of rounded",
         "src/entsync/timetags.py",
         "dest[:] = np.rint(jitter, out=jitter)",
@@ -153,14 +170,28 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "companion's dynamic phase loses its sign below the equator",
+        "dynamic phase loses its sign below the equator",
         "src/entsync/polarization.py",
-        "p.phase_kn0d_rad - p.rotation_VBd_rad * math.cos(theta_rad),",
-        "p.phase_kn0d_rad - p.rotation_VBd_rad * abs(math.cos(theta_rad)),",
+        "return p.phase_kn0d_rad + p.rotation_VBd_rad * math.cos(theta_rad)",
+        "return p.phase_kn0d_rad + p.rotation_VBd_rad * abs(math.cos(theta_rad))",
         (
             "tests/test_polarization.py::TestPhaseDecomposition"
             "::test_total_matches_traversal_eigenphase",
         ),
+    ),
+    Mutant(
+        "channel delay ignores the configured group index",
+        "src/entsync/channel.py",
+        "propagation_delay_ps(self.length_m(direction), self.group_index)",
+        "propagation_delay_ps(self.length_m(direction), DEFAULT_GROUP_INDEX)",
+        ("tests/test_calibration.py::test_estimates_match_the_link_across_configurations",),
+    ),
+    Mutant(
+        "a nested model's error loses its field path",
+        "src/entsync/scenario.py",
+        'raise ConfigError(f"{prefix}{exc}") from None',
+        "raise",
+        ("tests/test_cli_fuzz.py::test_every_field_value_is_accepted_or_named",),
     ),
     Mutant(
         "expected counts keep round-off probabilities",

@@ -30,17 +30,8 @@ class Direction(Enum):
     B_TO_A = "BtoA"
 
 
-def _check_group_index(group_index: float):
-    # 1 is a vacuum or free-space link, a real channel; no medium is faster.
-    if not math.isfinite(group_index) or group_index < 1.0:
-        raise ConfigError("group_index must be finite and >= 1")
-
-
 def propagation_delay_ps(length_m: float, group_index: float) -> float:
     """Light travel time through length_m of medium with the given group index."""
-    if not math.isfinite(length_m) or length_m < 0:
-        raise ConfigError("length_m must be finite and >= 0")
-    _check_group_index(group_index)
     return length_m * group_index / C_M_PER_PS
 
 
@@ -58,7 +49,9 @@ class ChannelConfig:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ConfigError(f"{name} must be finite and >= 0")
-        _check_group_index(self.group_index)
+        # 1 is a vacuum or free-space link, a real channel; no medium is faster.
+        if not math.isfinite(self.group_index) or self.group_index < 1.0:
+            raise ConfigError("group_index must be finite and >= 1")
         for direction in Direction:
             # Two finite lengths can still sum to inf.
             length = self.length_m(direction)

@@ -123,15 +123,6 @@ class FaradayParams:
         return 2.0 * math.pi / (self.wavelength_nm * 1e-9)
 
     @property
-    def index_r(self) -> float:
-        """Index seen by |R>: n0 + VB/k."""
-        return self.n0 + self.rotation_VBd_rad / (self.wavenumber_rad_per_m * self.length_d_m)
-
-    @property
-    def index_l(self) -> float:
-        return self.n0 - self.rotation_VBd_rad / (self.wavenumber_rad_per_m * self.length_d_m)
-
-    @property
     def phase_kn0d_rad(self) -> float:
         return self.wavenumber_rad_per_m * self.n0 * self.length_d_m
 
@@ -238,27 +229,14 @@ class PhaseDecomposition:
         return self.geometric_beta_rad + self.dynamic_gamma_rad
 
 
-def orthogonal_state(theta_rad: float) -> JonesState:
-    """The companion state -sin(theta/2)|R> + cos(theta/2)|L>."""
-    return JonesState.from_rl([-math.sin(theta_rad / 2.0), math.cos(theta_rad / 2.0)])
-
-
-def phase_decomposition(
-    p: FaradayParams, theta_rad: float, orthogonal: bool = False
-) -> PhaseDecomposition:
+def phase_decomposition(p: FaradayParams, theta_rad: float) -> PhaseDecomposition:
     """Split the half-turn traversal phase into geometric and dynamic parts.
 
     The theta dependence of the two parts cancels: the total is k*n0*d - pi
-    for every input state, and k*n0*d + pi (the same angle) for the
-    orthogonal companion, whose geometric phase has the opposite sign.
+    for every input state, the orthogonal companion at pi - theta included.
     The tests cross-check the total against the eigenphase of the traversal
     matrix, ``circulator_unitary``.
     """
     p.require_half_turn()
-    if orthogonal:
-        return PhaseDecomposition(
-            -geometric_phase(theta_rad),
-            p.phase_kn0d_rad - p.rotation_VBd_rad * math.cos(theta_rad),
-        )
     return PhaseDecomposition(geometric_phase(theta_rad), dynamic_phase(p, theta_rad))
 

@@ -108,10 +108,6 @@ def expected_counts(
     A probability below 1e-14 is round-off of 0 and counts as 0: numpy's Poisson
     draw takes a uniform for any positive mean, which would shift every later draw.
     """
-    if n_per_setting <= 0:
-        raise ConfigError("n_per_setting must be > 0")
-    if accidentals < 0:
-        raise ConfigError("accidentals must be >= 0")
     probs = (_SETTING_TRACE @ rho.matrix.reshape(16)).real
     return n_per_setting * np.where(probs < 1e-14, 0.0, probs) + accidentals
 
@@ -123,8 +119,6 @@ def sample_counts(
 ) -> CountsTable:
     """Independent Poisson draws around the expected counts."""
     means = np.asarray(expected, dtype=np.float64).reshape(36)
-    if np.any(means < 0):
-        raise ConfigError("expected counts must be >= 0")
     draws = np.random.default_rng(seed).poisson(means)
     return CountsTable(draws, accidental_rate_per_setting)
 
@@ -206,7 +200,9 @@ def mle_reconstruct(counts: CountsTable) -> DensityMatrix:
     not configured. L-BFGS-B searches the 32 real parameters of a full complex
     factor A (the factorization of James et al., PRA 64, 052312 (2001), without
     its triangular constraint), starting from the least-squares estimate, with
-    the analytic gradient of the Poisson negative log-likelihood.
+    the analytic gradient of the Poisson negative log-likelihood. It searches
+    once: a search that stops short of convergence raises
+    ``ReconstructionError``.
     """
     if counts.counts.sum() <= 0:
         raise ReconstructionError("all counts are zero; nothing to reconstruct")
@@ -214,11 +210,6 @@ def mle_reconstruct(counts: CountsTable) -> DensityMatrix:
     objective = _nll_and_gradient(counts)
     options = {"maxfun": _EVAL_LIMIT, "maxiter": _EVAL_LIMIT, "ftol": 1e-12, "gtol": 1e-10}
     result = optimize.minimize(objective, t0, jac=True, method="L-BFGS-B", options=options)
-    if not result.success:
-        # One restart from the best point recovers most line-search stalls.
-        result = optimize.minimize(
-            objective, result.x, jac=True, method="L-BFGS-B", options=options
-        )
     if not result.success:
         raise ReconstructionError(f"likelihood search did not converge: {result.message}")
     rho = _rho_from_params(result.x)
@@ -286,9 +277,6 @@ def monte_carlo_fidelity(
     records their mutual fidelity. Failed reconstructions are skipped; more
     than 20% failures aborts the run.
     """
-    if reps < 2:
-        raise ConfigError("reps must be >= 2")
-
     samples = []
     for r in range(reps):
         resampled = [

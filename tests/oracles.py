@@ -229,8 +229,8 @@ def poisson_nll(rho, counts) -> float:
 def mle_reconstruct_fd_reference(counts, max_evals: int = 100_000):
     """The likelihood fit with L-BFGS-B's own finite-difference gradient.
 
-    Same start, factor, objective, options and restart as mle_reconstruct, but
-    no jac: each gradient costs 33 likelihood evaluations. The analytic-gradient
+    Same start, factor, objective and options as mle_reconstruct, plus one
+    restart, but no jac: each gradient costs 33 likelihood evaluations. The analytic-gradient
     fit must reach at least this likelihood and the same density matrix.
     """
     def negative_log_likelihood(t):
@@ -241,7 +241,7 @@ def mle_reconstruct_fd_reference(counts, max_evals: int = 100_000):
 
 
 def _lbfgsb_density(objective, t0, rho_from_params, jac: bool, max_evals: int):
-    """mle_reconstruct's search, one restart and scrub for any parameterization."""
+    """mle_reconstruct's search and scrub, plus one restart, for any parameterization."""
     options = {"maxfun": max_evals, "maxiter": max_evals, "ftol": 1e-12, "gtol": 1e-10}
     result = optimize.minimize(objective, t0, jac=jac, method="L-BFGS-B", options=options)
     if not result.success:
@@ -369,7 +369,7 @@ def _cholesky_nll_and_gradient(counts):
 
 def mle_reconstruct_cholesky_reference(counts, max_evals: int = 100_000):
     """The likelihood fit over the lower-triangular factor, with its analytic
-    gradient and mle_reconstruct's options and restart."""
+    gradient, mle_reconstruct's options and one restart."""
     if counts.counts.sum() <= 0:
         raise ReconstructionError("all counts are zero; nothing to reconstruct")
     t0 = _cholesky_params_from_rho(_linear_inversion(counts, _estimate_n_per_setting(counts)))

@@ -14,12 +14,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from entsync.channel import Direction
+from entsync.channel import ChannelConfig, Direction
 from entsync.correlation import analyze_block
-from entsync.scenario import load_timing_scenario, simulate_timing
-from entsync.timetags import PS_PER_S
+from entsync.scenario import Detectors, load_timing_scenario, simulate_timing
+from entsync.timetags import PS_PER_S, ClockModel, DetectorModel, PairSourceModel
 
 SEEDS = range(1, 31)
 
@@ -138,3 +140,62 @@ def test_shifting_the_second_record_moves_only_the_offset(same_seed_runs, run):
     diff = same_seed_runs[run] - same_seed_runs["1/1"]
     assert np.abs(diff[:, 0] - SHIFT_PS).max() <= SHIFT_TOL_PS
     assert np.abs(diff[:, 1]).max() <= SHIFT_TOL_PS
+
+
+# Links drawn inside the default +-1 us window: at most 85 m of fiber each way
+# at group index 2 (567 ns) plus a clock-offset difference of at most 300 ns
+# puts each peak more than 100 ns inside it, and a base of at least 1.5 m keeps
+# the peaks 10 ns apart, twice min_separation_ps. Emission jitter of at least
+# 50 ps spreads each peak over several 16 ps bins, so binning moves no centroid.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    base_m=st.floats(1.5, 45.0),
+    eve_ab_m=st.floats(0.0, 40.0),
+    eve_ba_m=st.floats(0.0, 40.0),
+    group_index=st.floats(1.0, 2.0),
+    alice_offset_ps=st.integers(-150_000, 150_000),
+    bob_offset_ps=st.integers(-150_000, 150_000),
+    rate_hz=st.floats(2000.0, 4000.0),
+    emission_sigma_ps=st.floats(50.0, 150.0),
+    detector=st.builds(
+        DetectorModel,
+        jitter_sigma_ps=st.floats(0.0, 50.0),
+        efficiency=st.floats(0.5, 1.0),
+        dark_rate_hz=st.floats(0.0, 5000.0),
+        dead_time_ps=st.integers(0, 100_000),
+    ),
+    seed=st.integers(0, 2**31),
+)
+def test_estimates_match_the_link_across_configurations(
+    scenario_dir, base_m, eve_ab_m, eve_ba_m, group_index, alice_offset_ps, bob_offset_ps,
+    rate_hz, emission_sigma_ps, detector, seed,
+):
+    smoke = load_timing_scenario(scenario_dir / "smoke.json")
+    source = PairSourceModel(rate_hz, emission_sigma_ps)
+    sc = dataclasses.replace(
+        smoke,
+        duration_s=2.0,
+        block_s=1.0,
+        seed=seed,
+        alice_source=source,
+        bob_source=source,
+        channel=ChannelConfig(base_m, eve_ab_m, eve_ba_m, group_index),
+        alice_clock=ClockModel(alice_offset_ps),
+        bob_clock=ClockModel(bob_offset_ps),
+        detectors=Detectors(detector, detector, detector, detector),
+    )
+    # The rounded one-way delays, computed here rather than by the channel model.
+    d_ab, d_ba = (
+        round((base_m + eve_m) * group_index / C_M_PER_PS) for eve_m in (eve_ab_m, eve_ba_m)
+    )
+    truth = bob_offset_ps - alice_offset_ps + (d_ab - d_ba) / 2.0
+    alice, bob = simulate_timing(sc)
+    block_ps = round(sc.block_s * PS_PER_S)
+    for k in range(sc.n_blocks()):
+        _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis)
+        assert est is not None, f"block {k} gave no estimate"
+        # delta reads about 0.5 ps high (the bin-position bias); the round
+        # trip's sigma is twice delta's.
+        bound = 4.0 * est.delta_sigma_ps
+        assert -bound <= est.delta_ps - truth <= bound + 0.5
+        assert abs(est.round_trip_ps - (d_ab + d_ba)) <= 2.0 * bound

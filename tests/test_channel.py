@@ -32,14 +32,6 @@ class TestPropagationDelay:
         assert delay == pytest.approx(50481.590167288334, rel=1e-12)
         assert abs(delay - 50480.0) <= 10.0
 
-    def test_negative_length_rejected(self):
-        with pytest.raises(ConfigError):
-            propagation_delay_ps(-1.0, 1.5)
-
-    def test_subunity_index_rejected(self):
-        with pytest.raises(ConfigError):
-            propagation_delay_ps(1.0, 0.9)
-
     def test_vacuum_channel_accepted(self):
         cfg = ChannelConfig(base_length_m=1.0, group_index=1.0)
         assert cfg.delay_ps(Direction.A_TO_B) == propagation_delay_ps(1.0, 1.0)

@@ -18,7 +18,6 @@ from entsync.polarization import (
     dynamic_phase,
     faraday_propagate,
     geometric_phase,
-    orthogonal_state,
     phase_decomposition,
     poincare_state,
     state_fidelity,
@@ -123,12 +122,6 @@ class TestPhases:
         for theta in (0.1, 0.7, 1.3, 2.9):
             total = dynamic_phase(HALF_TURN, theta) + dynamic_phase(HALF_TURN, math.pi - theta)
             assert total == pytest.approx(2.0 * HALF_TURN.phase_kn0d_rad, abs=1e-8)
-
-    def test_refractive_indices(self):
-        p = HALF_TURN
-        k = p.wavenumber_rad_per_m
-        assert p.index_r == pytest.approx(p.n0 + p.rotation_VBd_rad / (k * p.length_d_m))
-        assert p.index_r + p.index_l == pytest.approx(2.0 * p.n0, abs=1e-12)
 
 
 class TestFaradayPropagate:
@@ -244,17 +237,6 @@ class TestPhaseDecomposition:
             assert abs(decomp.total_rad - expected) < 1e-10
             assert decomp.total_rad == decomp.geometric_beta_rad + decomp.dynamic_gamma_rad
 
-    def test_orthogonal_state_total_is_two_pi_higher(self):
-        theta = 0.9
-        direct = phase_decomposition(HALF_TURN, theta)
-        companion = phase_decomposition(HALF_TURN, theta, orthogonal=True)
-        assert companion.total_rad == pytest.approx(
-            HALF_TURN.phase_kn0d_rad + math.pi, abs=1e-10
-        )
-        assert companion.total_rad - direct.total_rad == pytest.approx(
-            2.0 * math.pi, abs=1e-10
-        )
-
     def test_equator_split(self):
         decomp = phase_decomposition(HALF_TURN, math.pi / 2.0)
         assert decomp.geometric_beta_rad == pytest.approx(-math.pi, abs=1e-12)
@@ -269,12 +251,14 @@ class TestPhaseDecomposition:
     def test_total_matches_traversal_eigenphase(self, p, orthogonal):
         # The eigenphase <psi|U|psi> of the full-traversal matrix, against the
         # geometric + dynamic split, modulo 2 pi, over a grid of Poincare angles.
+        # The orthogonal companion of poincare_state(theta) is the antipode
+        # poincare_state(pi - theta, pi).
         u = circulator_unitary(p)
         for theta in np.linspace(0.0, math.pi, 37):
-            state = orthogonal_state(theta) if orthogonal else poincare_state(theta)
-            psi = state.rl
+            theta, phi = (math.pi - theta, math.pi) if orthogonal else (float(theta), 0.0)
+            psi = poincare_state(theta, phi).rl
             eigenphase = cmath.phase(complex(np.vdot(psi, u @ psi)))
-            total = phase_decomposition(p, float(theta), orthogonal).total_rad
+            total = phase_decomposition(p, theta).total_rad
             mismatch = (total - eigenphase + math.pi) % (2.0 * math.pi) - math.pi
             assert abs(mismatch) < 1e-8 + abs(total) * 1e-12
 
@@ -285,6 +269,6 @@ class TestPhaseDecomposition:
     def test_orthogonal_state_is_orthogonal(self):
         for theta in (0.2, 1.0, 2.4):
             psi = poincare_state(theta)
-            perp = orthogonal_state(theta)
+            perp = poincare_state(math.pi - theta, math.pi)
             assert abs(psi.overlap(perp)) < 1e-12
 

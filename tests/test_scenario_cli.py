@@ -687,13 +687,24 @@ class TestCliErrors:
             ("tomo", "tomo_full.json", "depolarization", math.nan),
             ("simulate", "smoke.json", "duration_s", -1.0),
             ("simulate", "smoke.json", "duration_s", math.inf),
+            ("tomo", "tomo_full.json", "counts_per_setting", 0.0),
+            ("tomo", "tomo_full.json", "counts_per_setting", math.nan),
+            ("tomo", "tomo_full.json", "accidentals_per_setting", -1.0),
+            ("tomo", "tomo_full.json", "reps", 1),
+            ("simulate", "smoke.json", "channel.group_index", 0.9),
+            ("simulate", "smoke.json", "channel.base_length_m", -1.0),
         ],
     )
     def test_values_are_checked_by_their_model(
         self, scenario_dir, tmp_path, capsys, cmd, config_name, field, value
     ):
         # Each value is checked once, by the scenario model that owns it.
-        cfg = dict(json.loads((scenario_dir / config_name).read_text()), **{field: value})
+        cfg = json.loads((scenario_dir / config_name).read_text())
+        *parents, name = field.split(".")
+        node = cfg
+        for parent in parents:
+            node = node[parent]
+        node[name] = value
         config = write_json(tmp_path / "bad.json", cfg)
         assert cli_main([cmd, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
         assert f"config error: {field} must" in capsys.readouterr().err

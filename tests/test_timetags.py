@@ -74,8 +74,8 @@ class TestTimeTagStream:
 
     @pytest.mark.parametrize(
         "timestamps, channels",
-        [([1, 2, 3], [0, 0]), ([[1, 2]], [[0, 0]])],
-        ids=["unequal_lengths", "two_dimensional"],
+        [([1, 2, 3], [0, 0]), ([[1, 2]], [[0, 0]]), (5, 0)],
+        ids=["unequal_lengths", "two_dimensional", "zero_dimensional"],
     )
     def test_rejects_arrays_of_the_wrong_shape(self, timestamps, channels):
         with pytest.raises(ValueError, match="1-d arrays of equal length"):
@@ -160,8 +160,6 @@ class TestGeneratePairs:
             ((float("nan"),), 1.0),
             ((100.0, -5.0), 1.0),
             ((100.0, 0.0, 1.5), 1.0),
-            ((100.0,), 0.0),
-            ((100.0,), float("inf")),
         ],
     )
     def test_invalid_configuration_raises(self, source, duration):
@@ -174,6 +172,8 @@ class TestGeneratePairs:
         eff=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**31),
     )
+    # Gaps near the largest float, whose running sum overflows to inf.
+    @example(rate=1.458164220654077e-296, sigma=0.0, eff=0.0, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_streams_always_sorted(self, rate, sigma, eff, seed):
         source = PairSourceModel(rate, sigma, eff)

@@ -87,12 +87,6 @@ class TestExpectedCounts:
         exp = expected_counts(MIXED, 1000.0)
         assert np.allclose(exp, 250.0, atol=1e-9)
 
-    def test_bad_inputs(self):
-        with pytest.raises(ConfigError):
-            expected_counts(SINGLET, 0.0)
-        with pytest.raises(ConfigError):
-            expected_counts(SINGLET, 10.0, accidentals=-1.0)
-
 
 class TestSampleCounts:
     def test_zero_means_all_zero(self):
@@ -110,10 +104,6 @@ class TestSampleCounts:
         other = sample_counts(means, 10)
         assert np.array_equal(one.counts, two.counts)
         assert not np.array_equal(one.counts, other.counts)
-
-    def test_negative_means_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_counts(np.full(36, -1.0), 0)
 
     def test_resampling_uses_observed_counts_as_means(self):
         observed = table_for(SINGLET, 1e5)
@@ -321,11 +311,6 @@ class TestMonteCarlo:
         empty = CountsTable(np.zeros(36, dtype=np.int64))
         with pytest.raises(ReconstructionError):
             monte_carlo_fidelity(empty, empty, reps=5, seed=0)
-
-    def test_reps_lower_bound(self):
-        table = table_for(SINGLET, 100.0)
-        with pytest.raises(ConfigError):
-            monte_carlo_fidelity(table, table, reps=1, seed=0)
 
     def test_distribution_json_schema(self):
         dist = FidelityDistribution.from_samples(np.array([0.5, 0.7, 0.9]))
