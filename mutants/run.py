@@ -187,6 +187,34 @@ MUTANTS = (
         ("tests/test_calibration.py::test_estimates_match_the_link_across_configurations",),
     ),
     Mutant(
+        "ideal span check removed",
+        "src/entsync/scenario.py",
+        "        if not ends[1] < MAX_TIMESTAMP_PS:\n"
+        '            raise ConfigError("duration_s + the longest delay + 64 s must be < 2**62 ps")\n',
+        "",
+        ("tests/test_cli_fuzz.py::test_ideal_times_past_the_timestamp_range_exit_1",),
+    ),
+    Mutant(
+        "pair rate bound removed",
+        "src/entsync/timetags.py",
+        "if not 0 <= self.pair_rate_hz <= PS_PER_S:",
+        "if not 0 <= self.pair_rate_hz:",
+        (
+            "tests/test_scenario_cli.py::TestCliErrors::test_values_are_checked_by_their_model"
+            "[simulate-fig2a.json-alice_source.pair_rate_hz-1e+300]",
+        ),
+    ),
+    Mutant(
+        "dark rate bound removed",
+        "src/entsync/timetags.py",
+        "if not 0 <= self.dark_rate_hz <= PS_PER_S:",
+        "if not 0 <= self.dark_rate_hz:",
+        (
+            "tests/test_scenario_cli.py::TestCliErrors::test_values_are_checked_by_their_model"
+            "[simulate-fig2a.json-detectors.alice_local.dark_rate_hz-1e+300]",
+        ),
+    ),
+    Mutant(
         "a nested model's error loses its field path",
         "src/entsync/scenario.py",
         'raise ConfigError(f"{prefix}{exc}") from None',

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError
-from .timetags import MAX_TIMESTAMP_PS, check_timestamp_range
+from .timetags import MAX_TIMESTAMP_PS
 
 # Vacuum speed of light in metres per picosecond.
 C_M_PER_PS = 0.000299792458
@@ -95,7 +95,7 @@ def apply_channel(
         # Both terms are below 2**62, so the sum cannot wrap.
         np.add(timestamps[lo:hi], cfg.delay_rounded_ps(direction), out=out[lo:hi])
     out.sort(kind="stable")
-    return check_timestamp_range(out)
+    return out
 
 
 def predicted_offset_error_ps(cfg: ChannelConfig) -> float:

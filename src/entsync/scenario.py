@@ -81,9 +81,9 @@ _DETECTORS = {
 # Most analysis blocks in one run: a day of one-second blocks. Each block
 # writes its own histogram file, so this also bounds the output directory.
 _MAX_BLOCKS = 100_000
-# Room left for jitter on both sides of the ideal event times when a clock's
-# readings are checked: 64 times the largest jitter sigma allowed (1 s), which
-# no Gaussian draw of a source or detector jitter reaches.
+# Room left for jitter on both sides of the ideal event times when their span
+# and a clock's readings are checked: 64 times the largest jitter sigma
+# allowed (1 s), which no Gaussian draw of a source or detector jitter reaches.
 _JITTER_MARGIN_PS = 64 * int(MAX_JITTER_SIGMA_PS)
 
 
@@ -99,10 +99,12 @@ def _block_ps(block_s: float) -> int:
 
 
 def _check_blocks(block_ps: int, n_blocks: int, params: SyncAnalysisParams):
-    """Each block must span the g2 window, and a run may have at most _MAX_BLOCKS."""
+    """Each block must span the g2 window, and a run may have 0 to _MAX_BLOCKS of them."""
     window_ps = params.tau_max_ps - params.tau_min_ps
     if block_ps < window_ps:
         raise ConfigError(f"block_s must be at least the g2 window, {window_ps} ps")
+    if n_blocks < 0:
+        raise ConfigError("n_blocks must be >= 0")
     if n_blocks > _MAX_BLOCKS:
         raise ConfigError(
             f"{n_blocks} blocks of block_s in this run; at most {_MAX_BLOCKS} allowed"
@@ -173,12 +175,14 @@ class TimingScenario:
                     f"detectors.{key}.jitter_sigma_ps and {source}.emission_jitter_sigma_ps"
                     " must combine in quadrature to at most 1e12"
                 )
-        # A clock maps time forward, so the readings of the earliest and the
-        # latest event bound all of them.
+        # Every ideal event time lies inside this span, and a clock maps time
+        # forward, so the readings of its two ends bound all of them.
         latest_ps = round(self.duration_s * PS_PER_S) + max(
             cfg.delay_rounded_ps(d) for _, _, cfg in self.channel_segments() for d in Direction
         )
         ends = (-_JITTER_MARGIN_PS, latest_ps + _JITTER_MARGIN_PS)
+        if not ends[1] < MAX_TIMESTAMP_PS:
+            raise ConfigError("duration_s + the longest delay + 64 s must be < 2**62 ps")
         for name in ("alice_clock", "bob_clock"):
             if not all(_reads_in_range(getattr(self, name), t_ps) for t_ps in ends):
                 raise ConfigError(

@@ -20,7 +20,7 @@ from scipy import stats
 
 from entsync.channel import ChannelConfig, Direction
 from entsync.correlation import analyze_block
-from entsync.scenario import Detectors, load_timing_scenario, simulate_timing
+from entsync.scenario import Detectors, ScheduleEntry, load_timing_scenario, simulate_timing
 from entsync.timetags import PS_PER_S, ClockModel, DetectorModel, PairSourceModel
 
 SEEDS = range(1, 31)
@@ -147,12 +147,20 @@ def test_shifting_the_second_record_moves_only_the_offset(same_seed_runs, run):
 # puts each peak more than 100 ns inside it, and a base of at least 1.5 m keeps
 # the peaks 10 ns apart, twice min_separation_ps. Emission jitter of at least
 # 50 ps spreads each peak over several 16 ps bins, so binning moves no centroid.
+LINKS = st.builds(
+    ChannelConfig,
+    base_length_m=st.floats(1.5, 45.0),
+    eve_length_ab_m=st.floats(0.0, 40.0),
+    eve_length_ba_m=st.floats(0.0, 40.0),
+    group_index=st.floats(1.0, 2.0),
+)
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(
-    base_m=st.floats(1.5, 45.0),
-    eve_ab_m=st.floats(0.0, 40.0),
-    eve_ba_m=st.floats(0.0, 40.0),
-    group_index=st.floats(1.0, 2.0),
+    channel=LINKS,
+    # Up to two changes of the link, each at the start of block 1 or 2 of 3.
+    changes=st.dictionaries(st.sampled_from([1, 2]), LINKS, max_size=2),
     alice_offset_ps=st.integers(-150_000, 150_000),
     bob_offset_ps=st.integers(-150_000, 150_000),
     rate_hz=st.floats(2000.0, 4000.0),
@@ -167,31 +175,38 @@ def test_shifting_the_second_record_moves_only_the_offset(same_seed_runs, run):
     seed=st.integers(0, 2**31),
 )
 def test_estimates_match_the_link_across_configurations(
-    scenario_dir, base_m, eve_ab_m, eve_ba_m, group_index, alice_offset_ps, bob_offset_ps,
-    rate_hz, emission_sigma_ps, detector, seed,
+    scenario_dir, channel, changes, alice_offset_ps, bob_offset_ps, rate_hz, emission_sigma_ps,
+    detector, seed,
 ):
     smoke = load_timing_scenario(scenario_dir / "smoke.json")
     source = PairSourceModel(rate_hz, emission_sigma_ps)
     sc = dataclasses.replace(
         smoke,
-        duration_s=2.0,
+        duration_s=3.0,
         block_s=1.0,
         seed=seed,
         alice_source=source,
         bob_source=source,
-        channel=ChannelConfig(base_m, eve_ab_m, eve_ba_m, group_index),
+        channel=channel,
+        schedule=tuple(ScheduleEntry(float(k), changes[k]) for k in sorted(changes)),
         alice_clock=ClockModel(alice_offset_ps),
         bob_clock=ClockModel(bob_offset_ps),
         detectors=Detectors(detector, detector, detector, detector),
     )
-    # The rounded one-way delays, computed here rather than by the channel model.
-    d_ab, d_ba = (
-        round((base_m + eve_m) * group_index / C_M_PER_PS) for eve_m in (eve_ab_m, eve_ba_m)
-    )
-    truth = bob_offset_ps - alice_offset_ps + (d_ab - d_ba) / 2.0
+    # Each block's link: the last change at or before its start.
+    links = [channel]
+    for k in (1, 2):
+        links.append(changes.get(k, links[-1]))
     alice, bob = simulate_timing(sc)
     block_ps = round(sc.block_s * PS_PER_S)
-    for k in range(sc.n_blocks()):
+    assert sc.n_blocks() == len(links)
+    for k, link in enumerate(links):
+        # The rounded one-way delays of the block's link, computed here rather than by the model.
+        d_ab, d_ba = (
+            round((link.base_length_m + eve_m) * link.group_index / C_M_PER_PS)
+            for eve_m in (link.eve_length_ab_m, link.eve_length_ba_m)
+        )
+        truth = bob_offset_ps - alice_offset_ps + (d_ab - d_ba) / 2.0
         _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis)
         assert est is not None, f"block {k} gave no estimate"
         # delta reads about 0.5 ps high (the bin-position bias); the round

@@ -241,7 +241,7 @@ class TestConfigValidation:
             (
                 "detectors",
                 {"bob_local": {"dark_rate_hz": -1.0}},
-                r"detectors\.bob_local\.dark_rate_hz must be finite and >= 0",
+                r"detectors\.bob_local\.dark_rate_hz must be in \[0, 1e12\]",
             ),
             (
                 "detectors",
@@ -260,7 +260,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: PairSourceModel(-1.0), "pair_rate_hz must be finite and >= 0"),
+            (lambda: PairSourceModel(-1.0), r"pair_rate_hz must be in \[0, 1e12\]"),
             (lambda: DetectorModel(efficiency=1.5), r"efficiency must be in \[0, 1\]"),
             (lambda: ClockModel(drift_ppb=math.nan), "drift_ppb must be finite"),
             (lambda: ChannelConfig(group_index=0.9), "group_index must be finite and >= 1"),
@@ -693,6 +693,9 @@ class TestCliErrors:
             ("tomo", "tomo_full.json", "reps", 1),
             ("simulate", "smoke.json", "channel.group_index", 0.9),
             ("simulate", "smoke.json", "channel.base_length_m", -1.0),
+            # Past one event per picosecond; numpy's draws would refuse the rate.
+            ("simulate", "fig2a.json", "alice_source.pair_rate_hz", 1e300),
+            ("simulate", "fig2a.json", "detectors.alice_local.dark_rate_hz", 1e300),
         ],
     )
     def test_values_are_checked_by_their_model(
@@ -821,6 +824,7 @@ class TestCliErrors:
                 ["analyze", *tags, "--n-blocks", "100001"],
                 "100001 blocks of block_s in this run; at most 100000 allowed",
             ),
+            (["analyze", *tags, "--n-blocks", "-3"], "n_blocks must be >= 0"),
         ]
         for argv, message in runs:
             assert cli_main(argv + ["--out", str(tmp_path / "o")]) == 1
