@@ -15,7 +15,7 @@ fails loudly instead of passing silently.
 A mutation survives when any of its listed tests passes. The exit code is 0
 when every mutation is killed, 1 when one survives and 2 when the table or
 the unchanged copy is unusable. Only the standard library and the test suite's
-own dependencies are used; the run takes a minute or two, so it is not part of
+own dependencies are used; the run takes a few minutes, so it is not part of
 the tier-1 suite.
 """
 from __future__ import annotations
@@ -111,6 +111,34 @@ MUTANTS = (
         ("tests/test_timetags.py::TestApplyDetector::test_dead_time_filter_matches_event_loop",),
     ),
     Mutant(
+        "clock scales the whole time in float",
+        "src/entsync/timetags.py",
+        "out = np.rint(timestamps * (clock.drift_ppb * 1e-9)).astype(np.int64)\n"
+        "        out += timestamps\n",
+        "out = np.rint(timestamps * (1.0 + clock.drift_ppb * 1e-9)).astype(np.int64)\n",
+        (
+            "tests/test_timetags.py::TestApplyClock"
+            "::test_reading_is_within_1ps_of_the_exact_reading",
+        ),
+    ),
+    Mutant(
+        "slow clock's readings may step back",
+        "src/entsync/timetags.py",
+        "        np.maximum.accumulate(out, out=out)\n",
+        "",
+        (
+            "tests/test_timetags.py::TestApplyClock"
+            "::test_steep_slow_clock_keeps_order_past_2_53_ps",
+        ),
+    ),
+    Mutant(
+        "tag-file error drops the record position",
+        "src/entsync/timetags.py",
+        'message = f"{exc} in {path}: {where(exc.record)}"',
+        'message = f"{exc} in {path}"',
+        ("tests/test_cli_fuzz.py::test_broken_tag_file_is_an_io_error_naming_it",),
+    ),
+    Mutant(
         "tags CSV takes a label's cell by its value",
         "src/entsync/timetags.py",
         "cells[np.searchsorted(labels, stream.channels[part])]",
@@ -144,6 +172,14 @@ MUTANTS = (
         "(idx[turns[peaks] + 1] + idx[turns[peaks + 1]]) // 2",
         "(idx[turns[peaks] + 1] + idx[turns[peaks + 1]] + 1) // 2",
         ("tests/test_correlation.py::TestLocalMaxima::test_matches_find_peaks_above_threshold",),
+    ),
+    Mutant(
+        "histogram centre written with .10g",
+        "src/entsync/correlation.py",
+        '    column = column.astype(f"S{np.char.str_len(column).max(initial=1)}")\n',
+        "    centers = _bin_centers_ps(tau_min_ps, bin_width_ps, 0, n_bins).tolist()\n"
+        '    column = np.array([f"{c:.10g}," for c in centers], dtype=np.bytes_)\n',
+        ("tests/test_correlation.py::TestExports::test_histogram_centres_are_exact_far_from_zero",),
     ),
     Mutant(
         "cached histogram centre column is writeable",
@@ -213,6 +249,13 @@ MUTANTS = (
             "tests/test_scenario_cli.py::TestCliErrors::test_values_are_checked_by_their_model"
             "[simulate-fig2a.json-detectors.alice_local.dark_rate_hz-1e+300]",
         ),
+    ),
+    Mutant(
+        "summary forgives a block a nanosecond across a segment edge",
+        "src/entsync/scenario.py",
+        "if lo_ps <= e.block_index * block_ps and",
+        "if lo_ps - 1000 <= e.block_index * block_ps and",
+        ("tests/test_scenario_cli.py::TestRunScenario::test_blocks_and_segments_share_the_ps_grid",),
     ),
     Mutant(
         "a nested model's error loses its field path",

@@ -359,9 +359,21 @@ def complete_blocks(a_ts: np.ndarray, b_ts: np.ndarray, block_ps: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def _center_column(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
-    """The histogram CSV's "tau_ps," cells; every block of a run shares them."""
-    centers = _bin_centers_ps(tau_min_ps, bin_width_ps, 0, n_bins).tolist()
-    column = np.array([f"{c:.10g}," for c in centers], dtype=np.bytes_)
+    """The histogram CSV's "tau_ps," cells; every block of a run shares them.
+
+    Each cell is its bin's exact centre: an integer, or one ending in .5 for an
+    odd bin width. The cells are as wide as the longest, so rows join fast.
+    """
+    # The centre's floor; every value lies within the bins' edges, so none wraps.
+    floor = np.arange(n_bins, dtype=np.int64) * bin_width_ps + (tau_min_ps + bin_width_ps // 2)
+    if bin_width_ps % 2 == 0:
+        column = np.char.add(floor.astype(np.bytes_), b",")
+    else:
+        # floor + 0.5 is written by its magnitude: -998 + 0.5 is "-997.5".
+        negative = floor < 0
+        magnitude = np.where(negative, -1 - floor, floor).astype(np.bytes_)
+        column = np.char.add(np.where(negative, b"-", b""), np.char.add(magnitude, b".5,"))
+    column = column.astype(f"S{np.char.str_len(column).max(initial=1)}")
     column.flags.writeable = False
     return column
 

@@ -111,14 +111,6 @@ def _check_blocks(block_ps: int, n_blocks: int, params: SyncAnalysisParams):
         )
 
 
-def _reads_in_range(clock: ClockModel, t_ps: int) -> bool:
-    """Whether apply_clock's reading of ideal time ``t_ps`` is below 2**62 ps in magnitude."""
-    scaled = t_ps * (1.0 + clock.drift_ppb * 1e-9)
-    if not abs(scaled) < MAX_TIMESTAMP_PS:
-        return False
-    return abs(round(scaled) + clock.offset_ps) < MAX_TIMESTAMP_PS
-
-
 @dataclass(frozen=True)
 class ScheduleEntry:
     time_s: float
@@ -165,16 +157,13 @@ class TimingScenario:
                 raise ConfigError(f"schedule[{i}].time_s must be strictly increasing")
             previous = entry.time_s
         for key, (_, _, source) in _DETECTORS.items():
-            # The arm's one jitter, as arm_detector composes it.
-            sigma = math.hypot(
-                getattr(self, source).emission_jitter_sigma_ps,
-                getattr(self.detectors, key).jitter_sigma_ps,
-            )
-            if sigma > MAX_JITTER_SIGMA_PS:
+            try:
+                arm_detector(getattr(self, source), getattr(self.detectors, key))
+            except ConfigError:
                 raise ConfigError(
                     f"detectors.{key}.jitter_sigma_ps and {source}.emission_jitter_sigma_ps"
                     " must combine in quadrature to at most 1e12"
-                )
+                ) from None
         # Every ideal event time lies inside this span, and a clock maps time
         # forward, so the readings of its two ends bound all of them.
         latest_ps = round(self.duration_s * PS_PER_S) + max(
@@ -184,15 +173,15 @@ class TimingScenario:
         if not ends[1] < MAX_TIMESTAMP_PS:
             raise ConfigError("duration_s + the longest delay + 64 s must be < 2**62 ps")
         for name in ("alice_clock", "bob_clock"):
-            if not all(_reads_in_range(getattr(self, name), t_ps) for t_ps in ends):
+            if not all(getattr(self, name).reads_in_range(t_ps) for t_ps in ends):
                 raise ConfigError(
                     f"{name} must read below 2**62 ps in magnitude from -64 s"
                     " to duration_s + the longest delay + 64 s"
                 )
 
     def n_blocks(self) -> int:
-        """Complete analysis blocks inside the configured duration."""
-        return int(math.floor(self.duration_s / self.block_s + 1e-9))
+        """Complete blocks [k * block_ps, (k + 1) * block_ps) inside the configured duration."""
+        return round(self.duration_s * PS_PER_S) // _block_ps(self.block_s)
 
     def channel_segments(self) -> list[tuple[float, float, ChannelConfig]]:
         """(start_s, end_s, config) pieces covering [0, duration_s)."""
@@ -291,7 +280,7 @@ def simulate_timing(sc: TimingScenario) -> tuple[TimeTagStream, TimeTagStream]:
     most one party's record, both sources' emission times and a few arms are
     alive at once.
     """
-    schedule = [(int(round(start * PS_PER_S)), cfg) for start, _, cfg in sc.channel_segments()]
+    schedule = [(round(start * PS_PER_S), cfg) for start, _, cfg in sc.channel_segments()]
 
     def detect(key: str, timestamps: np.ndarray) -> tuple[np.ndarray, int]:
         channel, stream_index, source = _DETECTORS[key]
@@ -368,13 +357,15 @@ def _group_stats(estimates: list[SyncEstimate], round_trip: bool = False) -> tup
 
 
 def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> dict:
+    block_ps = _block_ps(sc.block_s)
+
     def within(lo_s: float, hi_s: float) -> list[SyncEstimate]:
-        """Estimates whose block lies inside [lo_s, hi_s], to 1e-9 s."""
+        """Estimates whose block lies inside [lo_s, hi_s] on the ps grid the channel switches on."""
+        lo_ps, hi_ps = round(lo_s * PS_PER_S), round(hi_s * PS_PER_S)
         return [
             e
             for e in estimates
-            if e.block_index * sc.block_s >= lo_s - 1e-9
-            and (e.block_index + 1) * sc.block_s <= hi_s + 1e-9
+            if lo_ps <= e.block_index * block_ps and (e.block_index + 1) * block_ps <= hi_ps
         ]
 
     segments = [
@@ -404,8 +395,8 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
     measured_shift = None
     shift_sigma = None
     if change_times:
-        before = within(-math.inf, change_times[0])
-        after = within(change_times[-1], math.inf)
+        before = within(0.0, change_times[0])
+        after = within(change_times[-1], sc.duration_s)
         if before and after:
             (mean_b, sem_b), (mean_a, sem_a) = _group_stats(before), _group_stats(after)
             measured_shift = mean_a - mean_b

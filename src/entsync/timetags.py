@@ -1,12 +1,16 @@
 """Time-tag stream generation and detector/clock models.
 
 Timestamps are integer picoseconds throughout: analysis bins are 16 ps, and
-integers keep multi-hundred-second runs free of float accumulation error.
-Gaussian jitter is drawn in double precision and rounded once.
+each later stage (jitter, channel delay, clock) adds an integer to an exact
+time. Gaussian jitter is drawn in double precision and rounded once. Emission
+times are the float64 running sum of exponential gaps, so past 2**53 ps
+(2.5 h) they fall on a grid of 2 ps or coarser; both photons of a pair share
+that time, so the pair's tau is unaffected.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import stat
@@ -30,9 +34,19 @@ CH_BOB_LOCAL = 2
 CH_BOB_REMOTE = 3
 
 
+def _at_record(exc: Exception, index: int) -> Exception:
+    """``exc``, naming the index of the first bad record as ``exc.record``."""
+    exc.record = index
+    return exc
+
+
 @dataclass(frozen=True)
 class TimeTagStream:
-    """Sorted detection timestamps (integer ps) with per-event channel labels."""
+    """Sorted detection timestamps (integer ps) with per-event channel labels.
+
+    An out-of-range or unsorted record raises an error whose ``record`` is the
+    index of the first such record: out of range, or below the one before it.
+    """
 
     timestamps_ps: np.ndarray
     channels: np.ndarray
@@ -44,10 +58,13 @@ class TimeTagStream:
             raise ValueError("timestamps and channels must be 1-d arrays of equal length")
         ts = np.ascontiguousarray(self.timestamps_ps, dtype=np.int64)
         ch = np.ascontiguousarray(self.channels, dtype=np.uint32)
+        # Each index is searched for only once its check has failed.
         if ts.size and max(-int(ts.min()), int(ts.max())) >= MAX_TIMESTAMP_PS:
-            raise OverflowError("timestamp magnitude exceeds 2**62 ps")
+            first = np.argmax((ts >= MAX_TIMESTAMP_PS) | (ts <= -MAX_TIMESTAMP_PS))
+            raise _at_record(OverflowError("timestamp magnitude exceeds 2**62 ps"), int(first))
         if np.any(ts[1:] < ts[:-1]):
-            raise StreamFormatError("stream is not sorted by timestamp")
+            first = np.argmax(ts[1:] < ts[:-1]) + 1
+            raise _at_record(StreamFormatError("stream is not sorted by timestamp"), int(first))
         ts.flags.writeable = False
         ch.flags.writeable = False
         object.__setattr__(self, "timestamps_ps", ts)
@@ -115,10 +132,11 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class ClockModel:
-    """Local clock: reading = ideal * (1 + drift_ppb * 1e-9) + offset_ps.
+    """Local clock: reading = t + round(t * (drift_ppb * 1e-9)) + offset_ps.
 
-    The clock must run forward (drift_ppb > -1e9), so readings keep the
-    order of the events.
+    Only the drift term is rounded, so up to ±1e6 ppb every reading is exact
+    to 1 ps. The clock must run forward (drift_ppb > -1e9), so readings keep
+    the order of the events.
     """
 
     offset_ps: int = 0
@@ -131,6 +149,10 @@ class ClockModel:
             raise ConfigError("drift_ppb must be > -1e9")
         if abs(int(self.offset_ps)) >= MAX_TIMESTAMP_PS:
             raise ConfigError("offset_ps magnitude must be < 2**62")
+
+    def reads_in_range(self, t_ps: int) -> bool:
+        """Whether apply_clock's reading of ideal time ``t_ps`` is below 2**62 ps in magnitude."""
+        return abs(t_ps + round(t_ps * (self.drift_ppb * 1e-9)) + self.offset_ps) < MAX_TIMESTAMP_PS
 
 
 def _poisson_arrivals_ps(rng: np.random.Generator, rate_hz: float, duration_ps: float) -> np.ndarray:
@@ -281,17 +303,19 @@ def apply_clock(
 ) -> TimeTagStream:
     """A party's record: its sorted ideal timestamps mapped to this clock's readings.
 
-    reading = round(t * (1 + drift_ppb * 1e-9)) + offset_ps. With zero drift
-    the mapping is an exact integer translation. The record is built, and its
-    range and order checked, here.
+    The reading is ``ClockModel``'s. Past 2**53 ps a slow clock's float64 drift
+    term can step back by more than t advanced, so each reading is held at least
+    at the one before it. The record is built, and its range and order checked, here.
     """
     offset = np.int64(clock.offset_ps)
     if clock.drift_ppb == 0.0:
         out = timestamps + offset
     else:
-        scaled = np.rint(timestamps.astype(np.float64) * (1.0 + clock.drift_ppb * 1e-9))
-        out = scaled.astype(np.int64) + offset
-    # TimingScenario keeps both terms below 2**62; TimeTagStream checks their sum.
+        out = np.rint(timestamps * (clock.drift_ppb * 1e-9)).astype(np.int64)
+        out += timestamps
+        out += offset
+        np.maximum.accumulate(out, out=out)
+    # TimingScenario proves t, offset_ps and their reading below 2**62; TimeTagStream checks it.
     return TimeTagStream(out, channels)
 
 
@@ -362,17 +386,33 @@ def read_tags_binary(path) -> TimeTagStream:
                 raise StreamFormatError(f"truncated record at byte offset {offset} in {path}")
             timestamps[part] = buf["timestamp_ps"]
             channels[part] = buf["channel"]
-    return _stream_from_file(path, timestamps, channels)
+    return _stream_from_file(
+        path, timestamps, channels, lambda i: f"record at byte offset {i * size}"
+    )
 
 
-def _stream_from_file(path, timestamps, channels) -> TimeTagStream:
-    """A tag file's stream; an out-of-range or unsorted value is a format error naming the file."""
+def _int_array(values, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype``; a value it cannot hold names its index."""
     try:
-        return TimeTagStream(np.asarray(timestamps, np.int64), np.asarray(channels, np.uint32))
+        return np.asarray(values, dtype)
     except OverflowError as exc:
-        raise StreamFormatError(f"out-of-range value in {path}: {exc}") from None
+        info = np.iinfo(dtype)
+        first = next(i for i, v in enumerate(values) if not info.min <= v <= info.max)
+        raise _at_record(exc, first)
+
+
+def _stream_from_file(path, timestamps, channels, where) -> TimeTagStream:
+    """A tag file's stream; an out-of-range or unsorted value is a format error.
+
+    The error names the file and, by ``where(index)``, its first bad record.
+    """
+    try:
+        return TimeTagStream(_int_array(timestamps, np.int64), _int_array(channels, np.uint32))
+    except OverflowError as exc:
+        message = f"out-of-range value in {path}: {where(exc.record)}: {exc}"
     except StreamFormatError as exc:
-        raise StreamFormatError(f"{exc} in {path}") from None
+        message = f"{exc} in {path}: {where(exc.record)}"
+    raise StreamFormatError(message)
 
 
 def join_text_columns(*columns: np.ndarray) -> bytes:
@@ -435,7 +475,15 @@ def read_tags_csv(path) -> TimeTagStream:
                 ch.append(int(parts[1]))
             except (IndexError, ValueError):
                 raise StreamFormatError(f"malformed record at line {lineno} in {path}: {line!r}")
-    return _stream_from_file(path, ts, ch)
+    return _stream_from_file(path, ts, ch, lambda i: f"record at line {_csv_line(path, i)}")
+
+
+def _csv_line(path, index: int) -> int:
+    """The line number of a tag CSV's record ``index``, skipping blank lines as the reader does."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.readline()
+        records = (lineno for lineno, line in enumerate(fh, start=2) if line.strip())
+        return next(itertools.islice(records, index, None))
 
 
 def read_tags(path) -> TimeTagStream:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 from scipy import optimize, signal
@@ -183,18 +185,22 @@ def channel_arrivals_reference(timestamps, direction, schedule) -> np.ndarray:
     return np.sort(timestamps + delays[segment])
 
 
+def clock_reading_reference(t_ps: int, clock) -> int:
+    """A clock's reading of ideal time t_ps in exact rational arithmetic, rounded once."""
+    return t_ps + round(Fraction(t_ps) * Fraction(clock.drift_ppb) / 10**9) + clock.offset_ps
+
+
 def histogram_csv_reference(hist) -> bytes:
     """Row-by-row text of a G2Histogram's CSV; the vectorised writer must match it.
 
     g2 is the count over the accidentals per bin, and 0 when there are none.
     """
-    centers = hist.bin_centers_ps()
     acc = hist.accidentals_per_bin
     lines = ["tau_ps,counts,g2"]
-    lines.extend(
-        f"{c:.10g},{int(n)},{n / acc if acc > 0 else 0.0:.10g}"
-        for c, n in zip(centers, hist.counts)
-    )
+    for i, n in enumerate(hist.counts):
+        # The exact centre, in decimal: an integer or a half-integer.
+        centre = Decimal(2 * hist.tau_min_ps + (2 * i + 1) * hist.bin_width_ps) / 2
+        lines.append(f"{centre:f},{int(n)},{n / acc if acc > 0 else 0.0:.10g}")
     return ("\n".join(lines) + "\n").encode()
 
 

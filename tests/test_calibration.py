@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -156,7 +156,10 @@ LINKS = st.builds(
 )
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+# Each example simulates a run, so a failing one is reported unshrunk.
+@settings(
+    max_examples=40, derandomize=True, deadline=None, phases=[Phase.explicit, Phase.generate]
+)
 @given(
     channel=LINKS,
     # Up to two changes of the link, each at the start of block 1 or 2 of 3.

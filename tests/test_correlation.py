@@ -30,7 +30,7 @@ from entsync.correlation import (
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
-from entsync.timetags import ClockModel, PairSourceModel, TimeTagStream
+from entsync.timetags import PS_PER_S, ClockModel, PairSourceModel, TimeTagStream
 
 from oracles import (
     fit_peak_gaussian,
@@ -522,7 +522,7 @@ class TestExports:
             shift = 3 * 10**10
             far_b = b + shift
             hist = compute_g2(a, far_b, window(shift - 5_000, shift + 5_000, 3), span_ps)
-            expected_text = b"\n2.9999995e+10,"
+            expected_text = b"\n29999995001.5,"
         elif case == "zero_duration":
             hist = compute_g2(a, b, window(-100, 100, 4), 0)
             assert hist.counts.any() and hist.accidentals_per_bin == 0.0
@@ -546,6 +546,16 @@ class TestExports:
         write_histogram_csv(hist, path)
         assert path.read_bytes() == histogram_csv_reference(hist)
         assert expected_text in path.read_bytes()
+
+    def test_histogram_centres_are_exact_far_from_zero(self, tmp_path):
+        # A window 0.3 s out, where the peaks of taggers started apart lie:
+        # each of the 125 bins gets its own tau_ps, its centre written exactly.
+        hist = G2Histogram(3 * 10**11, 16, np.arange(125), 10, 10, PS_PER_S)
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(hist, path)
+        taus = [line.split(b",")[0] for line in path.read_bytes().splitlines()[1:]]
+        assert len(set(taus)) == hist.n_bins
+        assert [int(t) for t in taus] == [3 * 10**11 + 16 * i + 8 for i in range(hist.n_bins)]
 
     def test_histogram_centre_column_is_read_only(self):
         column = _center_column(-1_000, 16, 125)

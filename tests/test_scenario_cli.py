@@ -12,14 +12,16 @@ import pytest
 from entsync import cli, scenario, tomography
 from entsync.channel import ChannelConfig
 from entsync.cli import main as cli_main
-from entsync.correlation import SyncAnalysisParams, complete_blocks
+from entsync.correlation import SyncAnalysisParams, SyncEstimate, complete_blocks
 from entsync.errors import ConfigError, ReconstructionError
 from entsync.polarization import FaradayParams
 from entsync.scenario import (
     Detectors,
+    ScheduleEntry,
     TimingScenario,
     TomoScenario,
     analyze_files,
+    build_timing_summary,
     load_timing_scenario,
     load_tomo_scenario,
     parse_config,
@@ -367,6 +369,23 @@ class TestRunScenario:
         assert set(payload[0]) == {"block_index", "delta_ps", "round_trip_ps", "delta_sigma_ps"}
         for entry in payload:
             assert abs(entry["delta_ps"] - 137000.0) < 10.0
+
+    def test_blocks_and_segments_share_the_ps_grid(self):
+        # The channel switches 500 ps after block 1 starts, so block 1 lies in
+        # neither segment; a run 500 ps short of 3 s holds two whole blocks.
+        sc = TimingScenario(
+            duration_s=3.0,
+            seed=1,
+            alice_source=PairSourceModel(1.0),
+            bob_source=PairSourceModel(1.0),
+            channel=ChannelConfig(),
+            schedule=(ScheduleEntry(1.0000000005, ChannelConfig(eve_length_ab_m=10.0)),),
+            block_s=1.0,
+        )
+        summary = build_timing_summary(sc, [SyncEstimate(k, 0.0, 0.0, 1.0) for k in range(3)])
+        assert summary["n_blocks"] == 3
+        assert [seg["n_blocks_used"] for seg in summary["segments"]] == [1, 1]
+        assert dataclasses.replace(sc, duration_s=2.9999999995).n_blocks() == 2
 
     def test_seed_override_changes_output(self, scenario_dir, tmp_path):
         summary = run_scenario(scenario_dir / "smoke.json", tmp_path / "a", seed=99)

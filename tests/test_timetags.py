@@ -38,6 +38,7 @@ from entsync.timetags import (
 
 from oracles import (
     apply_detector_reference,
+    clock_reading_reference,
     dead_time_keep_reference,
     merge_reference,
     tags_csv_reference,
@@ -409,6 +410,39 @@ class TestApplyClock:
         with pytest.raises(OverflowError):
             apply_clock(*labelled([(1 << 62) - 500]), ClockModel(offset_ps=1000))
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        ideal=st.lists(
+            st.one_of(st.integers(-(10**13), 10**13), st.integers(-(2**62) + 1, 2**62 - 1)),
+            min_size=1,
+            max_size=8,
+        ),
+        drift_ppb=st.floats(-1e6, 1e6),
+        offset_ps=st.one_of(st.integers(-(10**13), 10**13), st.integers(-(2**62) + 1, 2**62 - 1)),
+    )
+    def test_reading_is_within_1ps_of_the_exact_reading(self, ideal, drift_ppb, offset_ps):
+        # Ideal times over the whole range; ClockModel.reads_in_range must agree
+        # with apply_clock's range check, and every reading in range is exact to 1 ps.
+        clock = ClockModel(offset_ps, drift_ppb)
+        ts = np.sort(np.array(ideal, dtype=np.int64))
+        ch = np.zeros(ts.size, dtype=np.uint32)
+        if not all(clock.reads_in_range(t) for t in ts.tolist()):
+            with pytest.raises(OverflowError):
+                apply_clock(ts, ch, clock)
+            return
+        readings = apply_clock(ts, ch, clock).timestamps_ps.tolist()
+        exact = [clock_reading_reference(t, clock) for t in ts.tolist()]
+        assert max(abs(r - e) for r, e in zip(readings, exact)) <= 1
+
+    def test_steep_slow_clock_keeps_order_past_2_53_ps(self):
+        # At half speed near 2**61 ps a float64 time moves in 512 ps steps, so
+        # its drift term steps back by 256 ps while the time advances by 1 ps.
+        ts, ch = labelled(np.arange(2**61, 2**61 + 5_000))
+        out = apply_clock(ts, ch, ClockModel(drift_ppb=-5e8)).timestamps_ps
+        exact = [clock_reading_reference(t, ClockModel(drift_ppb=-5e8)) for t in ts.tolist()]
+        assert np.all(np.diff(out) >= 0)
+        assert np.max(np.abs(out - np.array(exact))) <= 256
+
 
 class TestFileFormats:
     def test_binary_roundtrip(self, tmp_path):
@@ -539,6 +573,16 @@ class TestFileFormats:
         back = read_tags_csv(path)
         assert back.timestamps_ps.tolist() == [0, 7]
         assert back.channels.tolist() == [1, 2]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("5,0", "stream is not sorted by timestamp in "), (f"{2**62},0", "out-of-range value in ")],
+    )
+    def test_csv_record_error_names_its_line_past_blank_lines(self, tmp_path, row, message):
+        path = tmp_path / "tags.csv"
+        path.write_text(f"timestamp_ps,channel\n\n10,1\n  \n{row}\n\n20,2\n")
+        with pytest.raises(StreamFormatError, match=f"^{message}.*tags\\.csv: record at line 5"):
+            read_tags_csv(path)
 
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "tags.csv"
