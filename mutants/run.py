@@ -177,9 +177,21 @@ MUTANTS = (
         "histogram centre written with .10g",
         "src/entsync/correlation.py",
         '    column = column.astype(f"S{np.char.str_len(column).max(initial=1)}")\n',
-        "    centers = _bin_centers_ps(tau_min_ps, bin_width_ps, 0, n_bins).tolist()\n"
+        "    centers = (floor + half).tolist()\n"
         '    column = np.array([f"{c:.10g}," for c in centers], dtype=np.bytes_)\n',
         ("tests/test_correlation.py::TestExports::test_histogram_centres_are_exact_far_from_zero",),
+    ),
+    Mutant(
+        "bin position at the interval midpoint",
+        "src/entsync/correlation.py",
+        "        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, start, stop)\n"
+        "        return floor + half\n",
+        "        return self.tau_min_ps + (np.arange(start, stop) + 0.5) * self.bin_width_ps\n",
+        (
+            "tests/test_correlation.py::TestFindTwoPeaks"
+            "::test_centroids_match_the_sample_mean_of_integer_peaks",
+            "tests/test_calibration.py::test_swapping_the_records_negates_the_offset",
+        ),
     ),
     Mutant(
         "cached histogram centre column is writeable",

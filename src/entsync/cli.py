@@ -133,6 +133,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # A run the models accept can still need more memory than the machine has.
+        print(f"config error: not enough memory for this run: {exc}", file=sys.stderr)
+        return 1
     except (StreamFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

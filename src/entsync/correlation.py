@@ -33,9 +33,11 @@ _G2_CHUNK = 1 << 16
 MAX_G2_BINS = 1 << 22
 
 
-def _bin_centers_ps(tau_min_ps: int, bin_width_ps: int, start: int, stop: int) -> np.ndarray:
-    """Centres of bins ``start`` to ``stop - 1``; each centre is computed the same way."""
-    return tau_min_ps + (np.arange(start, stop) + 0.5) * bin_width_ps
+def _bin_positions(tau_min_ps: int, bin_width_ps: int, start: int, stop: int):
+    """Bin k holds the integers e_k = tau_min_ps + k W to e_k + W - 1 and lies at their centre:
+    for k in [start, stop), an exact int64 floor plus a half (0.5 for an even W, else 0)."""
+    k = np.arange(start, stop, dtype=np.int64)
+    return tau_min_ps + (bin_width_ps - 1) // 2 + k * bin_width_ps, 0.5 * (bin_width_ps % 2 == 0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,10 @@ class G2Histogram:
     def n_bins(self) -> int:
         return int(self.counts.size)
 
-    def bin_centers_ps(self) -> np.ndarray:
-        return _bin_centers_ps(self.tau_min_ps, self.bin_width_ps, 0, self.n_bins)
+    def bin_centers_ps(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+        stop = self.n_bins if stop is None else stop
+        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, start, stop)
+        return floor + half
 
     def summary(self) -> dict:
         return {
@@ -220,7 +224,7 @@ def _refine_centroid(
     n = hist.n_bins
     cur = int(peak_bin)
     visited = set()
-    centroid = float(_bin_centers_ps(hist.tau_min_ps, hist.bin_width_ps, cur, cur + 1)[0])
+    centroid = float(hist.bin_centers_ps(cur, cur + 1)[0])
     sigma = float(hist.bin_width_ps)
     peak = 0
     for _ in range(25):
@@ -231,7 +235,7 @@ def _refine_centroid(
         wsum = float(w.sum())
         if wsum <= 0.0:
             break
-        tau = _bin_centers_ps(hist.tau_min_ps, hist.bin_width_ps, lo, hi)
+        tau = hist.bin_centers_ps(lo, hi)
         centroid = float(np.dot(w, tau) / wsum)
         var = float(np.dot(w, (tau - centroid) ** 2) / wsum)
         sigma = math.sqrt(max(var, hist.bin_width_ps**2 / 12.0) / wsum)
@@ -359,14 +363,10 @@ def complete_blocks(a_ts: np.ndarray, b_ts: np.ndarray, block_ps: int) -> int:
 
 @functools.lru_cache(maxsize=4)
 def _center_column(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
-    """The histogram CSV's "tau_ps," cells; every block of a run shares them.
-
-    Each cell is its bin's exact centre: an integer, or one ending in .5 for an
-    odd bin width. The cells are as wide as the longest, so rows join fast.
-    """
-    # The centre's floor; every value lies within the bins' edges, so none wraps.
-    floor = np.arange(n_bins, dtype=np.int64) * bin_width_ps + (tau_min_ps + bin_width_ps // 2)
-    if bin_width_ps % 2 == 0:
+    """The histogram CSV's "tau_ps," cells, which every block of a run shares: each bin's
+    exact position, in cells as wide as the longest so rows join fast."""
+    floor, half = _bin_positions(tau_min_ps, bin_width_ps, 0, n_bins)
+    if not half:
         column = np.char.add(floor.astype(np.bytes_), b",")
     else:
         # floor + 0.5 is written by its magnitude: -998 + 0.5 is "-997.5".

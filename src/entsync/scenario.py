@@ -429,14 +429,17 @@ def run_scenario(
     seed: int | None = None,
     tag_format: str = "binary",
 ) -> dict:
-    """Simulate a timing scenario and write tags, histograms, and estimates."""
+    """Simulate a timing scenario and write tags, histograms, and estimates.
+
+    The tags are simulated before the output directory is made, so a run that
+    fails there, for want of memory say, leaves no directory behind.
+    """
     sc = load_timing_scenario(config_path)
     if seed is not None:
         sc = dataclasses.replace(sc, seed=seed)
+    alice, bob = simulate_timing(sc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    alice, bob = simulate_timing(sc)
     if tag_format == "csv":
         write_tags_csv(alice, out / "alice.csv")
         write_tags_csv(bob, out / "bob.csv")

@@ -195,11 +195,12 @@ def histogram_csv_reference(hist) -> bytes:
 
     g2 is the count over the accidentals per bin, and 0 when there are none.
     """
-    acc = hist.accidentals_per_bin
+    acc, width = hist.accidentals_per_bin, hist.bin_width_ps
     lines = ["tau_ps,counts,g2"]
     for i, n in enumerate(hist.counts):
-        # The exact centre, in decimal: an integer or a half-integer.
-        centre = Decimal(2 * hist.tau_min_ps + (2 * i + 1) * hist.bin_width_ps) / 2
+        # The exact centre of the integers the bin holds, in decimal: an integer
+        # or a half-integer.
+        centre = Decimal(2 * hist.tau_min_ps + 2 * i * width + width - 1) / 2
         lines.append(f"{centre:f},{int(n)},{n / acc if acc > 0 else 0.0:.10g}")
     return ("\n".join(lines) + "\n").encode()
 

@@ -75,10 +75,12 @@ SHIFT_PS = 1600
 # 1-8 (10 blocks each) with this setup:
 #   attack:    delta 0.054 ps, round trip 0.11 ps;
 #   extension: delta 0.22 ps, round trip 0.44 ps;
-#   shift:     0.0 ps for both, by either route.
+#   shift:     0.0 ps for both, by either route;
+#   swap:      delta(a, b) + delta(b, a) -0.102 to +0.049 ps, round trips 0.25 ps apart.
 ATTACK_TOL_PS = (0.1, 0.2)
 EXTENSION_TOL_PS = (0.4, 0.8)
 SHIFT_TOL_PS = 1e-6
+SWAP_TOL_PS = (0.2, 0.5)
 
 
 def rounded_delay_ps(eve_length_m: float) -> int:
@@ -91,19 +93,21 @@ def same_seed_runs(scenario_dir):
 
     Each run has one constant channel, named by its extra lengths A-to-B /
     B-to-A in metres; "shifted" adds SHIFT_PS to the second record of the
-    1 m / 1 m run, and "clock" adds it to bob_clock.offset_ps instead.
+    1 m / 1 m run, and "clock" adds it to bob_clock.offset_ps instead;
+    "swapped" analyzes the 1 m / 1 m run with the two records exchanged.
     """
     fig3 = load_timing_scenario(scenario_dir / "fig3.json")
     base = dataclasses.replace(fig3, duration_s=400.0, schedule=())
     block_ps = round(base.block_s * PS_PER_S)
 
-    def estimates(ab_m, ba_m, bob_shift_ps=0, **changes):
+    def estimates(ab_m, ba_m, bob_shift_ps=0, swap=False, **changes):
         channel = dataclasses.replace(base.channel, eve_length_ab_m=ab_m, eve_length_ba_m=ba_m)
         alice, bob = simulate_timing(dataclasses.replace(base, channel=channel, **changes))
-        b_ts = bob.timestamps_ps + bob_shift_ps
+        records = (alice.timestamps_ps, bob.timestamps_ps + bob_shift_ps)
+        first, second = records[::-1] if swap else records
         rows = []
         for k in range(base.n_blocks()):
-            _, est = analyze_block(alice.timestamps_ps, b_ts, k, block_ps, base.analysis)
+            _, est = analyze_block(first, second, k, block_ps, base.analysis)
             assert est is not None, f"{ab_m} m / {ba_m} m block {k} gave no estimate"
             rows.append((est.delta_ps, est.round_trip_ps))
         return np.array(rows)
@@ -117,6 +121,7 @@ def same_seed_runs(scenario_dir):
         "6/6": estimates(6.0, 6.0),
         "shifted": estimates(1.0, 1.0, bob_shift_ps=SHIFT_PS),
         "clock": estimates(1.0, 1.0, bob_clock=shifted_clock),
+        "swapped": estimates(1.0, 1.0, swap=True),
     }
 
 
@@ -140,6 +145,15 @@ def test_shifting_the_second_record_moves_only_the_offset(same_seed_runs, run):
     diff = same_seed_runs[run] - same_seed_runs["1/1"]
     assert np.abs(diff[:, 0] - SHIFT_PS).max() <= SHIFT_TOL_PS
     assert np.abs(diff[:, 1]).max() <= SHIFT_TOL_PS
+
+
+def test_swapping_the_records_negates_the_offset(same_seed_runs):
+    # tau = t_b - t_a changes sign, so the peaks trade places: delta(b, a) =
+    # -delta(a, b), and the round trip stays. The blocks now follow the second
+    # party's clock, 137 ns off the first's, so a few pairs change block.
+    straight, swapped = same_seed_runs["1/1"], same_seed_runs["swapped"]
+    assert np.abs(swapped[:, 0] + straight[:, 0]).max() <= SWAP_TOL_PS[0]
+    assert np.abs(swapped[:, 1] - straight[:, 1]).max() <= SWAP_TOL_PS[1]
 
 
 # Links drawn inside the default +-1 us window: at most 85 m of fiber each way
@@ -212,8 +226,7 @@ def test_estimates_match_the_link_across_configurations(
         truth = bob_offset_ps - alice_offset_ps + (d_ab - d_ba) / 2.0
         _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis)
         assert est is not None, f"block {k} gave no estimate"
-        # delta reads about 0.5 ps high (the bin-position bias); the round
-        # trip's sigma is twice delta's.
+        # The round trip's sigma is twice delta's.
         bound = 4.0 * est.delta_sigma_ps
-        assert -bound <= est.delta_ps - truth <= bound + 0.5
+        assert abs(est.delta_ps - truth) <= bound
         assert abs(est.round_trip_ps - (d_ab + d_ba)) <= 2.0 * bound

@@ -314,6 +314,24 @@ class TestFindTwoPeaks:
         assert abs(peaks.tau_ba_ps + 20_000.0) < 3.0 * peaks.sigma_ba_ps
         assert peaks.height_ab > peaks.height_ba > 100.0
 
+    def test_centroids_match_the_sample_mean_of_integer_peaks(self):
+        # Pair differences are whole picoseconds, so a 16 ps bin holds 16 integers
+        # and the centroid must sit at the sample mean, without a half-picosecond
+        # bias. 20 histograms of two peaks, each of 200 000 integer differences
+        # (sigma 212 ps, no background). Measured: centroid minus sample mean is
+        # -0.094 to +0.104 ps; placing each bin at its interval midpoint instead
+        # gives +0.406 to +0.604 ps.
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            means = (rng.uniform(20_000, 30_000), rng.uniform(-30_000, -20_000))
+            diffs = [np.rint(rng.normal(mu, 212.0, 200_000)).astype(np.int64) for mu in means]
+            counts = np.bincount(
+                (np.concatenate(diffs) - PARAMS.tau_min_ps) // 16, minlength=125_000
+            )
+            peaks = find_two_peaks(G2Histogram(PARAMS.tau_min_ps, 16, counts, 1, 1, 1), PARAMS)
+            assert abs(peaks.tau_ab_ps - diffs[0].mean()) <= 0.2
+            assert abs(peaks.tau_ba_ps - diffs[1].mean()) <= 0.2
+
     def test_later_peak_is_always_tau_ab(self):
         hist = self.synthetic_histogram(amp_hi=2000.0, amp_lo=6000.0)
         peaks = find_two_peaks(hist, PARAMS)
@@ -352,10 +370,11 @@ class TestFindTwoPeaks:
 
     def test_centroid_without_weight_stays_on_its_start_bin(self):
         # A background above every count leaves no weight in the window, so the
-        # centroid is the start bin's centre, its sigma one bin and its height 0.
+        # centroid is the start bin's position (the centre of -16 ... -1), its
+        # sigma one bin and its height 0.
         counts = np.array([0, 3, 7, 4, 1, 0], dtype=np.int64)
         hist = G2Histogram(-48, 16, counts, 1000, 1000, 10**9)
-        assert _refine_centroid(hist, 2, 2, background=8.0) == (-8.0, 16.0, 0.0)
+        assert _refine_centroid(hist, 2, 2, background=8.0) == (-8.5, 16.0, 0.0)
 
 
 class TestEstimateSync:
@@ -517,12 +536,12 @@ class TestExports:
         expected_text = b""
         if case == "odd_bin_width":
             hist = compute_g2(a, b, window(-1_001, 1_000, 7), span_ps)
-            expected_text = b"\n-997.5,"
+            expected_text = b"\n-998,"
         elif case == "exponent_centres":
             shift = 3 * 10**10
             far_b = b + shift
             hist = compute_g2(a, far_b, window(shift - 5_000, shift + 5_000, 3), span_ps)
-            expected_text = b"\n29999995001.5,"
+            expected_text = b"\n29999995001,"
         elif case == "zero_duration":
             hist = compute_g2(a, b, window(-100, 100, 4), 0)
             assert hist.counts.any() and hist.accidentals_per_bin == 0.0
@@ -538,7 +557,7 @@ class TestExports:
                 n_b=4_000,
                 duration_ps=4_000,
             )
-            expected_text = b"\n5,1,3.333333333e-05\n15,0,0\n25,12345678901,411522.63\n"
+            expected_text = b"\n4.5,1,3.333333333e-05\n14.5,0,0\n24.5,12345678901,411522.63\n"
         else:
             hist = G2Histogram(0, 16, np.zeros(0, np.int64), 0, 0, 10)
             expected_text = b"tau_ps,counts,g2\n"
@@ -549,13 +568,13 @@ class TestExports:
 
     def test_histogram_centres_are_exact_far_from_zero(self, tmp_path):
         # A window 0.3 s out, where the peaks of taggers started apart lie:
-        # each of the 125 bins gets its own tau_ps, its centre written exactly.
+        # each of the 125 bins gets its own tau_ps, its position written exactly.
         hist = G2Histogram(3 * 10**11, 16, np.arange(125), 10, 10, PS_PER_S)
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
         taus = [line.split(b",")[0] for line in path.read_bytes().splitlines()[1:]]
         assert len(set(taus)) == hist.n_bins
-        assert [int(t) for t in taus] == [3 * 10**11 + 16 * i + 8 for i in range(hist.n_bins)]
+        assert taus == [b"%d.5" % (3 * 10**11 + 16 * i + 7) for i in range(hist.n_bins)]
 
     def test_histogram_centre_column_is_read_only(self):
         column = _center_column(-1_000, 16, 125)

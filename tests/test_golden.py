@@ -14,6 +14,9 @@ moved into its detector's one thinning and one Gaussian draw. The scheduled
 run's bob.csv, the one record read by a drifting clock, was re-recorded alone
 when a clock stopped scaling the whole time in float64 and rounded only its
 drift term: 20 of its 128 606 readings moved by 1 ps to the exact reading.
+Every run's estimates, summary and histograms (not its tags) were re-recorded
+when a bin's position moved from its interval midpoint to the centre of the
+integer differences it holds, half a picosecond lower.
 """
 import hashlib
 import json
@@ -24,10 +27,10 @@ from entsync.scenario import analyze_files, run_scenario, run_tomo_scenario
 SMOKE_DIGESTS = {
     "alice.tt": "763cc2ad50f49ecc4c820b226fa47acdda4bb781826285b5a07e919dcab09110",
     "bob.tt": "cc706b5187275aecc0c417a6b811325da1766868e22378a1b211bdfb808721eb",
-    "estimates.json": "8678f76f33687736574f5319a631d4cf0903024b9a08523cc744d23739a65d13",
-    "g2_block_000.csv": "54eb0e0b0a7680f33692294ce5072b177ba7a2a9d4a0346053e84a542037ebe6",
-    "g2_block_001.csv": "deb8892be44439cf59483cc5ab98d5b9bd8c3c89d0b110f0f25613c8540d30de",
-    "summary.json": "eb10e948be46ffb5287ece57097bb152086a5a58d285d47baa142119fcecc248",
+    "estimates.json": "eb0ec86aa7a41373eda5607e6578858ae6d2a3d55b662b363bd3af560ec7ee00",
+    "g2_block_000.csv": "19786a1574f394213929958108a8582f7b0f0ffb364ebced3778fa5c5f281c44",
+    "g2_block_001.csv": "4a6ce41821fc46d09d8360206ac57b9fba7270639a693089fce4cd1fdb4eb165",
+    "summary.json": "cf12691494d945f8d3900b0f52939cfb39fa04e8ea38b20bcf3f3feeba9e8aa1",
 }
 
 # analyze_files on the smoke run's tags writes the same histograms and
@@ -63,10 +66,10 @@ DETECTOR_CONFIG = {
 DETECTOR_DIGESTS = {
     "alice.tt": "0c3601ff5525a4cea96e0a274e2cd0012e3741ff361b284166ae3f8a81544640",
     "bob.tt": "f04370a1385189cfe5bcc982f8f86919cf061780f7e35528a8b15ae7b3c3a9ec",
-    "estimates.json": "9b7950772eb2f2ef44e2d309cfb59f63b2605ac0dc0b949f01bd591a62bc7248",
-    "g2_block_000.csv": "7dce8cfd7af4cc975ac775c7286c753fa606a64aa9a50534f0def5d6f9dd6e48",
-    "g2_block_001.csv": "ca8bd7a51c57282c062365ff218b3f4ba67f214d66b2d20ddac8643ac38b3cf1",
-    "summary.json": "58be02e59dae8d4edbd2d734a79c6ad7ca1777ff1bf866fc4aa76b4f9277599b",
+    "estimates.json": "f8a9fe68598a0bfb984595a7a7a2ca47363195f31d0685a18ba6681c291f07c7",
+    "g2_block_000.csv": "c5b2219d45e3e4b5c6b207e90df7718f6141a2490f6357fc9e043903623672ad",
+    "g2_block_001.csv": "41a0d93b3824fa59d9fd17f1ed0e1424a11dff27730839698ff0ab68bfcaaec0",
+    "summary.json": "2ba29cc6e3e5671dd8a61364e52f6fe51ba137d195715bd5b0c6994c1a132168",
 }
 
 # A staged attack recorded as CSV: the A-to-B path drops by 399 m between two
@@ -98,12 +101,12 @@ SCHEDULED_CONFIG = {
 SCHEDULED_DIGESTS = {
     "alice.csv": "5d37a4cc7a53f61e39e6fd489f9300bdf21a3ffd6217f5ac8fb8de7aa57f6f2a",
     "bob.csv": "cbfea6396b9efce1102e34337868b08328681b0307d6b2ef1808b652f822b66a",
-    "estimates.json": "3fe931893a17a18f9466071a53e1af7bcabc4627e0c00182dbd16175ecf709c6",
-    "g2_block_000.csv": "209f6f34fa23d8e0dbfaa8fe27869df27382a0777d9b965befefce9c559ddde2",
-    "g2_block_001.csv": "57ccfa8ec87c6606de1e7ba1438622fbc6a9cedf294586af177d7c6ff9d3f812",
-    "g2_block_002.csv": "43d22d1c9fc77c8c3883d5d4b384101dd3a84f0812c0d30ac16d6272d21a71f6",
-    "g2_block_003.csv": "a0c36a2364102b80a6aec8aded8dea0585b291b49f73c4ca731d53c4604256b3",
-    "summary.json": "f28e0cafab295f5608f2a607f7c38b24a04ae96e6ad56e6edad9fca352530b83",
+    "estimates.json": "a296a3d871693dd068414add9ca769cb3d6909b4d03c79c42c4ab7a367220473",
+    "g2_block_000.csv": "2aeb132fcfa0102620aed91f33bfbb12576a9eb92ba33643d364fd8ce633e2ca",
+    "g2_block_001.csv": "906864741876654a95239941a9a50af034c2226246d56f1a2d1985e0c9a0b4aa",
+    "g2_block_002.csv": "7e93454d670f2288c3755b8a6ca9378b720605cb51da00da0a571688be11f9e0",
+    "g2_block_003.csv": "49480ea8696fc9d825f008d0aa6f1ec127887190ebf45e141082b7fe83474465",
+    "summary.json": "e039241b020ea321b90584141c5b0ca9c58555416bc54efa2c2d95d0c71c1d13",
 }
 
 # The benchmark's high_rate run (fig2c's channel, 100 kHz per source, realistic
@@ -119,10 +122,10 @@ HIGH_RATE_DETECTOR = {
 HIGH_RATE_DIGESTS = {
     "alice.tt": "af48ee72fcdd1bc3d92ae647bbcc7a10fc0df25971e01f7a1d3e16393a723417",
     "bob.tt": "0421a45141fc16b36a292cb8d3228a443854b0785fce8960f6cfeed56a923df6",
-    "estimates.json": "9fe3b68309c6f7e7959eba472ae852a59aaa983ab12587272c2f3d2526c7bb36",
-    "g2_block_000.csv": "ec91c9935ba276f2da32a33c0fefdc6f4a9cfd1098cd14ca02b618908111a6d8",
-    "g2_block_001.csv": "623c2ba3d1068904b9fb320b26618881f97b8470d9e046740f1efedb2a1ed019",
-    "summary.json": "bc7e94902787e1bdd5bcf799ac4e4cd44f17a73642118dc9c0a05be3744fb9e2",
+    "estimates.json": "151e10c8178a4763667a5feba4a614117a16f50a203ac40c2e0e5f3dafb32320",
+    "g2_block_000.csv": "55afbd6afac7eb4c6855154c0347b77fc7c8b9f327d3d7e5c14110b44f288189",
+    "g2_block_001.csv": "138f446fa82e05470fdd2130d4daac10df68fa579cd1d33f9e7e7377dfdaea99",
+    "summary.json": "4016f4499054dbd85a82ba7dc8bdbd6c2b97773f884e227848c24f165ac67916",
 }
 
 # analyze_files on these tags writes the same histograms and estimates.

@@ -732,6 +732,18 @@ class TestCliErrors:
         assert f"config error: {field} must" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_run_past_memory_exits_1_and_leaves_no_directory(
+        self, scenario_dir, tmp_path, capsys
+    ):
+        # 1e12 pairs/s for 300 s passes every model check, but its first array
+        # needs petabytes, more than any address space, so numpy refuses it at once.
+        cfg = json.loads((scenario_dir / "fig2a.json").read_text())
+        cfg["alice_source"]["pair_rate_hz"] = 1e12
+        config = write_json(tmp_path / "big.json", cfg)
+        assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: not enough memory for this run: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_tag_format_is_checked_by_its_flag(self, scenario_dir, tmp_path, capsys):
         argv = ["simulate", "--config", str(scenario_dir / "smoke.json"), "--out", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
