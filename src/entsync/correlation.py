@@ -8,7 +8,6 @@ visible block by block.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -29,15 +28,15 @@ from .timetags import (
 # Events of the first record swept per step of compute_g2, which bounds its
 # temporaries whatever the block's length.
 _G2_CHUNK = 1 << 16
-# Most bins in one g2 histogram: 32 MiB of counts, and one CSV row each per block.
+# Most bins in one g2 histogram: 32 MiB of counts per block, and so at most
+# that many rows in its CSV, which lists only the occupied bins.
 MAX_G2_BINS = 1 << 22
 
 
-def _bin_positions(tau_min_ps: int, bin_width_ps: int, start: int, stop: int):
+def _bin_positions(tau_min_ps: int, bin_width_ps: int, bins: np.ndarray):
     """Bin k holds the integers e_k = tau_min_ps + k W to e_k + W - 1 and lies at their centre:
-    for k in [start, stop), an exact int64 floor plus a half (0.5 for an even W, else 0)."""
-    k = np.arange(start, stop, dtype=np.int64)
-    return tau_min_ps + (bin_width_ps - 1) // 2 + k * bin_width_ps, 0.5 * (bin_width_ps % 2 == 0)
+    for each k of ``bins``, an exact int64 floor plus a half (0.5 for an even W, else 0)."""
+    return tau_min_ps + (bin_width_ps - 1) // 2 + bins * bin_width_ps, 0.5 * (bin_width_ps % 2 == 0)
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ class G2Histogram:
 
     def bin_centers_ps(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
         stop = self.n_bins if stop is None else stop
-        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, start, stop)
+        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, np.arange(start, stop))
         return floor + half
 
     def summary(self) -> dict:
@@ -361,40 +360,35 @@ def complete_blocks(a_ts: np.ndarray, b_ts: np.ndarray, block_ps: int) -> int:
     return int((last + tolerance) // block_ps)
 
 
-@functools.lru_cache(maxsize=4)
-def _center_column(tau_min_ps: int, bin_width_ps: int, n_bins: int) -> np.ndarray:
-    """The histogram CSV's "tau_ps," cells, which every block of a run shares: each bin's
-    exact position, in cells as wide as the longest so rows join fast."""
-    floor, half = _bin_positions(tau_min_ps, bin_width_ps, 0, n_bins)
-    if not half:
-        column = np.char.add(floor.astype(np.bytes_), b",")
-    else:
-        # floor + 0.5 is written by its magnitude: -998 + 0.5 is "-997.5".
-        negative = floor < 0
-        magnitude = np.where(negative, -1 - floor, floor).astype(np.bytes_)
-        column = np.char.add(np.where(negative, b"-", b""), np.char.add(magnitude, b".5,"))
-    column = column.astype(f"S{np.char.str_len(column).max(initial=1)}")
-    column.flags.writeable = False
-    return column
-
-
 def write_histogram_csv(hist: G2Histogram, path):
-    """Write ``tau_ps,counts,g2`` rows: bin centre, raw count, normalised g2.
+    """Write ``tau_ps,counts,g2`` rows for the occupied bins, in tau order: bin centre, raw
+    count, normalised g2. A bin without a row holds 0.
 
-    g2 is the count over the accidentals per bin, or 0 when there are none.
+    The centre of bin i, as ``_bin_positions`` gives it, is written exactly: an
+    integer, or one ending in ``.5`` for an even bin width. g2 is the count over
+    the accidentals per bin, or 0 when there are none.
     """
     acc = hist.accidentals_per_bin
 
     def count_and_g2(n: int) -> str:
         return f"{n},{n / acc:.10g}\n" if acc > 0 else f"{n},0\n"
 
-    centers = _center_column(hist.tau_min_ps, hist.bin_width_ps, hist.n_bins)
-    cells, inverse = format_each_distinct(hist.counts, count_and_g2)
+    def centres(bins: np.ndarray) -> np.ndarray:
+        floor, half = _bin_positions(hist.tau_min_ps, hist.bin_width_ps, bins)
+        if not half:
+            return np.char.add(floor.astype(np.bytes_), b",")
+        # floor + 0.5 is written by its magnitude: -998 + 0.5 is "-997.5".
+        negative = floor < 0
+        magnitude = np.where(negative, -1 - floor, floor).astype(np.bytes_)
+        return np.char.add(np.where(negative, b"-", b""), np.char.add(magnitude, b".5,"))
+
+    occupied = np.flatnonzero(hist.counts)
+    cells, inverse = format_each_distinct(hist.counts[occupied], count_and_g2)
 
     def rows():
         yield b"tau_ps,counts,g2\n"
-        for part in chunk_slices(hist.n_bins, _TEXT_ROWS):
-            yield join_text_columns(centers[part], cells[inverse[part]])
+        for part in chunk_slices(occupied.size, _TEXT_ROWS):
+            yield join_text_columns(centres(occupied[part]), cells[inverse[part]])
 
     atomic_write_bytes(path, rows())
 

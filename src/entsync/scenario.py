@@ -79,7 +79,7 @@ _DETECTORS = {
 
 
 # Most analysis blocks in one run: a day of one-second blocks. Each block
-# writes its own histogram file, so this also bounds the output directory.
+# writes its own histogram file, so this bounds how many files a run writes.
 _MAX_BLOCKS = 100_000
 # Room left for jitter on both sides of the ideal event times when their span
 # and a clock's readings are checked: 64 times the largest jitter sigma

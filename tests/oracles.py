@@ -193,11 +193,14 @@ def clock_reading_reference(t_ps: int, clock) -> int:
 def histogram_csv_reference(hist) -> bytes:
     """Row-by-row text of a G2Histogram's CSV; the vectorised writer must match it.
 
-    g2 is the count over the accidentals per bin, and 0 when there are none.
+    Only the occupied bins have a row. g2 is the count over the accidentals per
+    bin, and 0 when there are none.
     """
     acc, width = hist.accidentals_per_bin, hist.bin_width_ps
     lines = ["tau_ps,counts,g2"]
     for i, n in enumerate(hist.counts):
+        if n == 0:
+            continue
         # The exact centre of the integers the bin holds, in decimal: an integer
         # or a half-integer.
         centre = Decimal(2 * hist.tau_min_ps + 2 * i * width + width - 1) / 2

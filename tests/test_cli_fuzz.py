@@ -216,13 +216,14 @@ MAX_LENGTH_M = MAX_TIMESTAMP_PS * C_M_PER_PS
 def _slow_clocks() -> dict:
     """smoke.json with clocks that read every event below 2**62 ps, though its ideal times pass it.
 
-    1 Hz sources for 1000 s over 2**62 - 10**14 ps of link at group index 1: the
-    last arrivals lie about 9e14 ps past 2**62, and both clocks run at half speed.
+    1 Hz sources for 200 s over 2**62 - 10**14 ps of link at group index 1: the
+    last arrivals lie about 1e14 ps past 2**62, and both clocks run 100 ppm slow,
+    which takes about 4.6e14 ps off a reading there.
     """
     cfg = json.loads((SCENARIO_DIR / "smoke.json").read_text())
-    source, clock = {"pair_rate_hz": 1.0}, {"drift_ppb": -5e8}
+    source, clock = {"pair_rate_hz": 1.0}, {"drift_ppb": -1e5}
     cfg.update(
-        duration_s=1000.0, alice_source=source, bob_source=source, alice_clock=clock,
+        duration_s=200.0, alice_source=source, bob_source=source, alice_clock=clock,
         bob_clock=clock,
         channel={"base_length_m": (MAX_TIMESTAMP_PS - 10**14) * C_M_PER_PS, "group_index": 1.0},
     )
@@ -279,7 +280,7 @@ def extreme_timing_configs(draw):
         }
 
     def clock():
-        drift = st.floats(-1e9, 1e12, exclude_min=True)
+        drift = st.floats(-1e5, 1e5)
         return {
             "offset_ps": draw(st.one_of(
                 st.integers(-(10**13), 10**13), st.integers(-(2**62) + 1, 2**62 - 1)

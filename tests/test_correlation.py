@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from entsync.channel import ChannelConfig
 from entsync.correlation import (
     MAX_G2_BINS,
     G2Histogram,
-    _center_column,
     _local_maxima_above,
     _refine_centroid,
     PeakPair,
@@ -514,16 +514,29 @@ class TestPipeline:
 
 class TestExports:
     def test_histogram_csv_roundtrip(self, tmp_path):
-        hist = compute_g2(times([0, 50]), times([10, 60]), window(0, 100, 10), 100)
-        path = tmp_path / "hist.csv"
-        write_histogram_csv(hist, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "tau_ps,counts,g2"
-        assert len(lines) == 1 + hist.n_bins
-        taus, counts, g2s = zip(*(line.split(",") for line in lines[1:]))
-        assert [int(c) for c in counts] == hist.counts.tolist()
-        assert np.allclose([float(t) for t in taus], hist.bin_centers_ps())
-        assert np.allclose([float(g) for g in g2s], hist.counts / hist.accidentals_per_bin)
+        # The file lists the occupied bins; bin i lies at tau_min_ps + i W + (W - 1)/2,
+        # so the dense counts come back from the grid, with 0 in every bin not listed.
+        pairs = (times([0, 50]), times([10, 60]))
+        for hist in (
+            compute_g2(*pairs, window(-20, 100, 10), 100),
+            compute_g2(*pairs, window(-20, 100, 7), 100),
+            G2Histogram(-20, 10, np.zeros(12, np.int64), 2, 2, 100),
+        ):
+            path = tmp_path / "hist.csv"
+            write_histogram_csv(hist, path)
+            lines = path.read_text().splitlines()
+            assert lines[0] == "tau_ps,counts,g2"
+            assert len(lines) == 1 + np.count_nonzero(hist.counts)
+            dense = np.zeros(hist.n_bins, np.int64)
+            for line in lines[1:]:
+                tau, count, g2 = line.split(",")
+                i = (Fraction(tau) - hist.tau_min_ps - Fraction(hist.bin_width_ps - 1, 2)) / (
+                    hist.bin_width_ps
+                )
+                assert i.denominator == 1 and 0 <= i < hist.n_bins and dense[int(i)] == 0
+                dense[int(i)] = int(count)
+                assert float(g2) == pytest.approx(int(count) / hist.accidentals_per_bin)
+            assert np.array_equal(dense, hist.counts)
 
     @pytest.mark.parametrize(
         "case",
@@ -536,12 +549,12 @@ class TestExports:
         expected_text = b""
         if case == "odd_bin_width":
             hist = compute_g2(a, b, window(-1_001, 1_000, 7), span_ps)
-            expected_text = b"\n-998,"
+            expected_text = b"\n-893,3,"
         elif case == "exponent_centres":
             shift = 3 * 10**10
             far_b = b + shift
             hist = compute_g2(a, far_b, window(shift - 5_000, shift + 5_000, 3), span_ps)
-            expected_text = b"\n29999995001,"
+            expected_text = b"\n29999999108,1,"
         elif case == "zero_duration":
             hist = compute_g2(a, b, window(-100, 100, 4), 0)
             assert hist.counts.any() and hist.accidentals_per_bin == 0.0
@@ -557,7 +570,7 @@ class TestExports:
                 n_b=4_000,
                 duration_ps=4_000,
             )
-            expected_text = b"\n4.5,1,3.333333333e-05\n14.5,0,0\n24.5,12345678901,411522.63\n"
+            expected_text = b"\n4.5,1,3.333333333e-05\n24.5,12345678901,411522.63\n"
         else:
             hist = G2Histogram(0, 16, np.zeros(0, np.int64), 0, 0, 10)
             expected_text = b"tau_ps,counts,g2\n"
@@ -568,19 +581,13 @@ class TestExports:
 
     def test_histogram_centres_are_exact_far_from_zero(self, tmp_path):
         # A window 0.3 s out, where the peaks of taggers started apart lie:
-        # each of the 125 bins gets its own tau_ps, its position written exactly.
-        hist = G2Histogram(3 * 10**11, 16, np.arange(125), 10, 10, PS_PER_S)
+        # each of the 125 occupied bins gets its own tau_ps, its position written exactly.
+        hist = G2Histogram(3 * 10**11, 16, np.arange(1, 126), 10, 10, PS_PER_S)
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
         taus = [line.split(b",")[0] for line in path.read_bytes().splitlines()[1:]]
         assert len(set(taus)) == hist.n_bins
         assert taus == [b"%d.5" % (3 * 10**11 + 16 * i + 7) for i in range(hist.n_bins)]
-
-    def test_histogram_centre_column_is_read_only(self):
-        column = _center_column(-1_000, 16, 125)
-        assert not column.flags.writeable
-        with pytest.raises(ValueError):
-            column[0] = b"0,"
 
     def test_estimates_json_schema(self, tmp_path):
         est = estimate_sync(PeakPair(10.0, -10.0, 1.0, 1.0, 5.0, 5.0), block_index=3)

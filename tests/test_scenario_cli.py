@@ -193,8 +193,8 @@ class TestConfigValidation:
             # Blocks that round to 0 ps or overflow integer ps.
             ("block_s", 1e-300, BLOCK_PS_RANGE),
             ("block_s", 1e300, BLOCK_PS_RANGE),
-            # A clock that stops or runs backward would unsort its record.
-            ("bob_clock", {"drift_ppb": -1e9}, r"bob_clock\.drift_ppb must be > -1e9"),
+            # Past 100 ppm a clock's float64 drift term can step its readings back.
+            ("bob_clock", {"drift_ppb": -2e5}, r"bob_clock\.drift_ppb must be in \[-1e5, 1e5\]"),
             (
                 "alice_source",
                 {"pair_rate_hz": 1.0, "emission_jitter_sigma_ps": 1e300},
@@ -212,7 +212,11 @@ class TestConfigValidation:
                 r"channel\.AtoB delay must be < 2\*\*62 ps",
             ),
             # Valid clocks whose readings would leave the timestamp range.
-            ("bob_clock", {"drift_ppb": 1e300}, CLOCK_RANGE.format("bob_clock")),
+            (
+                "bob_clock",
+                {"drift_ppb": 1e5, "offset_ps": 2**62 - 74 * 10**12 - 10**9},
+                CLOCK_RANGE.format("bob_clock"),
+            ),
             ("alice_clock", {"offset_ps": 2**62 - 1000}, CLOCK_RANGE.format("alice_clock")),
             ("alice_clock", {"offset_ps": -(2**62) + 1000}, CLOCK_RANGE.format("alice_clock")),
             # 1 ns blocks are shorter than the 2 us window; 50 us blocks are too many.
@@ -882,7 +886,7 @@ class TestCliErrors:
     @pytest.mark.parametrize(
         "section, values, message",
         [
-            ("bob_clock", {"drift_ppb": -2e9}, "bob_clock.drift_ppb must be > -1e9"),
+            ("bob_clock", {"drift_ppb": -2e9}, "bob_clock.drift_ppb must be in [-1e5, 1e5]"),
             (
                 "alice_source",
                 {"emission_jitter_sigma_ps": 1e300},
@@ -898,7 +902,11 @@ class TestCliErrors:
                 {"base_length_m": 1e308, "eve_length_ab_m": 1e308},
                 "channel.AtoB delay must be < 2**62 ps",
             ),
-            ("bob_clock", {"drift_ppb": 1e300}, "bob_clock must read below 2**62 ps"),
+            (
+                "bob_clock",
+                {"drift_ppb": 1e5, "offset_ps": 2**62 - 144 * 10**12 - 10**9},
+                "bob_clock must read below 2**62 ps",
+            ),
             ("alice_clock", {"offset_ps": 2**62 - 1000}, "alice_clock must read below 2**62 ps"),
             *(
                 ("analysis", values, f"analysis.{message}")

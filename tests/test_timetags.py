@@ -403,8 +403,10 @@ class TestApplyClock:
 
     def test_slowest_forward_clock_keeps_order(self):
         ts, ch = labelled([0, 10**12, 10**12 + 1, 3 * 10**12])
-        out = apply_clock(ts, ch, ClockModel(drift_ppb=-1e9 + 1.0))
-        assert list(out.timestamps_ps) == [0, 1_000, 1_000, 3_000]
+        out = apply_clock(ts, ch, ClockModel(drift_ppb=-1e5))
+        # 100 ppm slow: 1 s reads 1e8 ps short.
+        slow = 10**12 - 10**8
+        assert list(out.timestamps_ps) == [0, slow, slow + 1, 3 * slow]
 
     def test_overflow_is_a_hard_error(self):
         with pytest.raises(OverflowError):
@@ -417,7 +419,7 @@ class TestApplyClock:
             min_size=1,
             max_size=8,
         ),
-        drift_ppb=st.floats(-1e6, 1e6),
+        drift_ppb=st.floats(-1e5, 1e5),
         offset_ps=st.one_of(st.integers(-(10**13), 10**13), st.integers(-(2**62) + 1, 2**62 - 1)),
     )
     def test_reading_is_within_1ps_of_the_exact_reading(self, ideal, drift_ppb, offset_ps):
@@ -434,14 +436,15 @@ class TestApplyClock:
         exact = [clock_reading_reference(t, clock) for t in ts.tolist()]
         assert max(abs(r - e) for r, e in zip(readings, exact)) <= 1
 
-    def test_steep_slow_clock_keeps_order_past_2_53_ps(self):
-        # At half speed near 2**61 ps a float64 time moves in 512 ps steps, so
-        # its drift term steps back by 256 ps while the time advances by 1 ps.
-        ts, ch = labelled(np.arange(2**61, 2**61 + 5_000))
-        out = apply_clock(ts, ch, ClockModel(drift_ppb=-5e8)).timestamps_ps
-        exact = [clock_reading_reference(t, ClockModel(drift_ppb=-5e8)) for t in ts.tolist()]
-        assert np.all(np.diff(out) >= 0)
-        assert np.max(np.abs(out - np.array(exact))) <= 256
+    def test_clocks_at_the_drift_bound_keep_order_near_2_62_ps(self):
+        # Here a float64 time moves in 1 024 ps steps, so at 100 ppm its drift
+        # term moves by about 0.1 ps per step while the time advances by 1 ps.
+        ts, ch = labelled(np.arange(2**62 - 2**50, 2**62 - 2**50 + 5_000))
+        for clock in (ClockModel(drift_ppb=-1e5), ClockModel(drift_ppb=1e5)):
+            out = apply_clock(ts, ch, clock).timestamps_ps
+            exact = [clock_reading_reference(t, clock) for t in ts.tolist()]
+            assert np.all(np.diff(out) >= 0)
+            assert np.max(np.abs(out - np.array(exact))) <= 1
 
 
 class TestFileFormats:
