@@ -182,10 +182,9 @@ MUTANTS = (
     Mutant(
         "bin position at the interval midpoint",
         "src/entsync/correlation.py",
-        "        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, np.arange(start, stop))"
-        "\n"
+        "        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, bins)\n"
         "        return floor + half\n",
-        "        return self.tau_min_ps + (np.arange(start, stop) + 0.5) * self.bin_width_ps\n",
+        "        return self.tau_min_ps + (bins + 0.5) * self.bin_width_ps\n",
         (
             "tests/test_correlation.py::TestFindTwoPeaks"
             "::test_centroids_match_the_sample_mean_of_integer_peaks",
@@ -193,13 +192,52 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "zero-count rows written",
+        "dense count keeps its empty bins",
         "src/entsync/correlation.py",
-        "    occupied = np.flatnonzero(hist.counts)\n",
-        "    occupied = np.arange(hist.n_bins)\n",
+        "bins = np.flatnonzero(dense)",
+        "bins = np.arange(n_bins)",
+        ("tests/test_correlation.py::TestComputeG2::test_counting_follows_the_accidental_rate",),
+    ),
+    Mutant(
+        "density rule inverted",
+        "src/entsync/correlation.py",
+        "if at.size * bt.size * params.bin_width_ps < duration_ps:",
+        "if at.size * bt.size * params.bin_width_ps >= duration_ps:",
         (
-            "tests/test_correlation.py::TestExports::test_histogram_csv_roundtrip",
-            "tests/test_correlation.py::TestExports::test_histogram_csv_bytes_match_row_loop",
+            "tests/test_correlation.py::TestComputeG2::test_counting_follows_the_accidental_rate",
+            "tests/test_correlation.py::TestAnalyzeBlock"
+            "::test_sparse_block_work_does_not_grow_with_n_bins",
+        ),
+    ),
+    Mutant(
+        "median of an even count takes the upper middle value",
+        "src/entsync/correlation.py",
+        "return float(lo) if n % 2 else (float(lo) + float(hi)) / 2",
+        "return float(hi)",
+        ("tests/test_correlation.py::TestBackgroundStats::test_matches_dense_median_and_mad",),
+    ),
+    Mutant(
+        "empty bins deviate from the median by 0",
+        "src/entsync/correlation.py",
+        "mad = _median_with(np.abs(hist.counts - med), med, n_empty)",
+        "mad = _median_with(np.abs(hist.counts - med), 0, n_empty)",
+        ("tests/test_correlation.py::TestBackgroundStats::test_matches_dense_median_and_mad",),
+    ),
+    Mutant(
+        "peak search reads an empty neighbour as the next held bin",
+        "src/entsync/correlation.py",
+        "x = np.where(hist.bins[pos] == idx, hist.counts[pos], 0)",
+        "x = hist.counts[pos]",
+        ("tests/test_correlation.py::TestFindTwoPeaks::test_matches_dense_reference",),
+    ),
+    Mutant(
+        "centroid places every bin of the window",
+        "src/entsync/correlation.py",
+        "tau = hist.bin_centers_ps(np.arange(lo, hi))",
+        "tau = hist.bin_centers_ps(np.arange(n))[lo:hi]",
+        (
+            "tests/test_correlation.py::TestAnalyzeBlock"
+            "::test_sparse_block_work_does_not_grow_with_n_bins",
         ),
     ),
     Mutant(
@@ -333,7 +371,28 @@ MUTANTS = (
             "tests/test_tomography.py::TestCholeskyReference::test_bundled_counts",
         ),
     ),
+    Mutant(
+        "summary parse cuts a parametrised id at its first space",
+        "mutants/run.py",
+        # Escaped, so that the table does not hold the text it replaces.
+        "line.split(\" \", 1)[1].split(\" - \", 1)[0]",
+        "line.split()[1]",
+        ("tests/test_mutants.py::test_failed_ids_keep_spaces_in_parametrised_ids",),
+    ),
 )
+
+
+def failed_ids(stdout: str) -> set[str]:
+    """The ids that pytest's short summary (``-rfE``) lists as failed or in error.
+
+    A summary line is ``FAILED <id> - <message>``, or ``FAILED <id>`` when the
+    message does not fit; a parametrised id may hold spaces.
+    """
+    return {
+        line.split(" ", 1)[1].split(" - ", 1)[0]
+        for line in stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    }
 
 
 def run_tests(copy: Path, tests) -> tuple[int, set[str]]:
@@ -343,12 +402,7 @@ def run_tests(copy: Path, tests) -> tuple[int, set[str]]:
         [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *tests],
         cwd=copy, env=env, capture_output=True, text=True,
     )
-    failed = {
-        line.split()[1]
-        for line in proc.stdout.splitlines()
-        if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1
-    }
-    return proc.returncode, failed
+    return proc.returncode, failed_ids(proc.stdout)
 
 
 def survivors(test_ids, failed) -> list[str]:

@@ -28,8 +28,9 @@ from .timetags import (
 # Events of the first record swept per step of compute_g2, which bounds its
 # temporaries whatever the block's length.
 _G2_CHUNK = 1 << 16
-# Most bins in one g2 histogram: 32 MiB of counts per block, and so at most
-# that many rows in its CSV, which lists only the occupied bins.
+# Most bins in one g2 histogram. A block that expects at least one accidental
+# per bin counts into a dense array, up to 32 MiB; a sparser block holds only
+# its pairs. Its CSV lists only the occupied bins, so at most this many rows.
 MAX_G2_BINS = 1 << 22
 
 
@@ -41,10 +42,17 @@ def _bin_positions(tau_min_ps: int, bin_width_ps: int, bins: np.ndarray):
 
 @dataclass(frozen=True)
 class G2Histogram:
-    """Binned pair-difference counts plus the singles that normalise them."""
+    """Binned pair-difference counts plus the singles that normalise them.
+
+    Only the occupied bins are held: ``bins`` are their ascending int64 indices
+    in ``[0, n_bins)`` and ``counts`` their int64 counts, each > 0. Every other
+    bin of the window holds 0.
+    """
 
     tau_min_ps: int
     bin_width_ps: int
+    n_bins: int
+    bins: np.ndarray
     counts: np.ndarray
     n_a: int
     n_b: int
@@ -60,22 +68,18 @@ class G2Histogram:
             return 0.0
         return self.n_a * self.n_b * self.bin_width_ps / self.duration_ps
 
-    @property
-    def n_bins(self) -> int:
-        return int(self.counts.size)
-
-    def bin_centers_ps(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        stop = self.n_bins if stop is None else stop
-        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, np.arange(start, stop))
+    def bin_centers_ps(self, bins: np.ndarray) -> np.ndarray:
+        """Position of each bin index in ``bins``, as ``_bin_positions`` gives it, in float64."""
+        floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, bins)
         return floor + half
 
     def summary(self) -> dict:
         return {
-            "n_bins": self.n_bins,
+            "n_bins": int(self.n_bins),
             "tau_min_ps": int(self.tau_min_ps),
             "bin_width_ps": int(self.bin_width_ps),
             "total_counts": int(self.counts.sum()),
-            "max_count": int(self.counts.max()) if self.n_bins else 0,
+            "max_count": int(self.counts.max()) if self.counts.size else 0,
             "n_a": int(self.n_a),
             "n_b": int(self.n_b),
             "duration_ps": int(self.duration_ps),
@@ -184,27 +188,60 @@ def compute_g2(
 ) -> G2Histogram:
     """Exact pair-difference histogram over tau = t_b - t_a of two sorted records.
 
-    The sweep runs over `at` in fixed chunks, each adding its pairs to one
-    count array (see `_pair_bins`). Cost is one binary search per event in a
-    cache-sized slice of `bt`, plus O(pairs), plus a few numpy calls per step
-    of the forward walk, for as many steps as the most pairs of any one event.
+    The sweep runs over `at` in fixed chunks, each giving the bins of its pairs
+    (see `_pair_bins`). Cost is one binary search per event in a cache-sized
+    slice of `bt`, plus O(pairs), plus a few numpy calls per step of the
+    forward walk, for as many steps as the most pairs of any one event.
     ``duration_ps`` is the span both records were taken over, which fixes the
     accidental rate the histogram is normalised by.
+
+    How the pairs are counted follows that rate. Below one accidental per bin,
+    the accidental pairs are fewer than n_bins, so the chunks' bins are kept
+    and counted by sorting them: no array grows with n_bins. At one or more
+    per bin, each chunk adds into one dense count array, whose occupied bins
+    are taken once at the end: on a 100 kHz block of 5.5 M pairs in 125 000
+    bins, sorting took 44 ms against 9 ms for counting.
     """
     n_bins, _ = _histogram_window(params)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for part in chunk_slices(at.size, _G2_CHUNK):
-        # Each chunk's temporaries are freed before the next chunk's are made.
-        counts += np.bincount(_pair_bins(at[part], bt, params), minlength=n_bins)
+    parts = chunk_slices(at.size, _G2_CHUNK)
+    if at.size * bt.size * params.bin_width_ps < duration_ps:
+        pair_bins = [np.empty(0, np.int64)] + [_pair_bins(at[part], bt, params) for part in parts]
+        bins, counts = np.unique(np.concatenate(pair_bins), return_counts=True)
+    else:
+        dense = np.zeros(n_bins, dtype=np.int64)
+        for part in parts:
+            # Each chunk's temporaries are freed before the next chunk's are made.
+            dense += np.bincount(_pair_bins(at[part], bt, params), minlength=n_bins)
+        bins = np.flatnonzero(dense)
+        counts = dense[bins]
     return G2Histogram(
-        params.tau_min_ps, params.bin_width_ps, counts, at.size, bt.size, duration_ps
+        params.tau_min_ps, params.bin_width_ps, n_bins, bins, counts.astype(np.int64, copy=False),
+        at.size, bt.size, duration_ps,
     )
 
 
-def _background_stats(counts: np.ndarray) -> tuple[float, float]:
-    """Robust background level and spread; peaks barely move the median."""
-    med = float(np.median(counts))
-    mad = float(np.median(np.abs(counts - med)))
+def _median_with(values: np.ndarray, fill: float, n_fill: int) -> float:
+    """``np.median`` of ``values`` with ``n_fill`` copies of ``fill`` added, bit for bit.
+
+    The middle ranks are read off the sorted distinct values and their running
+    counts; an even count takes the mean of the two middle values, as np.median does.
+    """
+    distinct, repeats = np.unique(np.append(values, fill), return_counts=True)
+    repeats[np.searchsorted(distinct, fill)] += n_fill - 1
+    ends = np.cumsum(repeats)
+    n = int(ends[-1])
+    lo, hi = distinct[np.searchsorted(ends, [(n - 1) // 2 + 1, n // 2 + 1])]
+    return float(lo) if n % 2 else (float(lo) + float(hi)) / 2
+
+
+def _background_stats(hist: G2Histogram) -> tuple[float, float]:
+    """Robust background level and spread over every bin; peaks barely move the median.
+
+    Each bin the histogram does not hold is a 0, deviating by the median itself.
+    """
+    n_empty = hist.n_bins - hist.bins.size
+    med = _median_with(hist.counts, 0, n_empty)
+    mad = _median_with(np.abs(hist.counts - med), med, n_empty)
     # sqrt floor: for sparse Poisson backgrounds the MAD collapses to 0 while
     # extreme bins still reach several counts.
     sigma = max(1.4826 * mad, math.sqrt(med + 1.0))
@@ -221,24 +258,28 @@ def _refine_centroid(
     largest count in g2 units.
     """
     n = hist.n_bins
+    bins, counts = hist.bins, hist.counts
     cur = int(peak_bin)
     visited = set()
-    centroid = float(hist.bin_centers_ps(cur, cur + 1)[0])
+    centroid = float(hist.bin_centers_ps(np.arange(cur, cur + 1))[0])
     sigma = float(hist.bin_width_ps)
     peak = 0
     for _ in range(25):
         lo = max(0, cur - halfwidth_bins)
         hi = min(n, cur + halfwidth_bins + 1)
-        w = hist.counts[lo:hi].astype(np.float64) - background
+        window = np.zeros(hi - lo, dtype=np.int64)
+        held = slice(*np.searchsorted(bins, [lo, hi]))
+        window[bins[held] - lo] = counts[held]
+        w = window.astype(np.float64) - background
         np.clip(w, 0.0, None, out=w)
         wsum = float(w.sum())
         if wsum <= 0.0:
             break
-        tau = hist.bin_centers_ps(lo, hi)
+        tau = hist.bin_centers_ps(np.arange(lo, hi))
         centroid = float(np.dot(w, tau) / wsum)
         var = float(np.dot(w, (tau - centroid) ** 2) / wsum)
         sigma = math.sqrt(max(var, hist.bin_width_ps**2 / 12.0) / wsum)
-        peak = hist.counts[lo:hi].max()
+        peak = window.max()
         nxt = int((centroid - hist.tau_min_ps) // hist.bin_width_ps)
         nxt = min(max(nxt, 0), n - 1)
         if nxt == cur or nxt in visited:
@@ -249,23 +290,31 @@ def _refine_centroid(
     return centroid, sigma, float(peak / acc) if acc > 0 else 0.0
 
 
-def _local_maxima_above(x: np.ndarray, threshold: float) -> np.ndarray:
-    """Ascending indices of the local maxima of ``x`` that exceed ``threshold``.
+def _local_maxima_above(hist: G2Histogram, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending bin indices of the histogram's local maxima that exceed ``threshold``,
+    and their counts.
 
     A peak has a strict rise before it and a strict fall after it; a plateau
     counts once, at its midpoint rounded down; an edge bin is never a peak.
-    Only the bins above the threshold and their neighbours are scanned.
+    Only the held bins above the threshold and their neighbours are scanned, a
+    neighbour the histogram does not hold reading 0. A maximum exceeds its
+    neighbours, which are at least 0, so every one is a held bin.
     """
-    above = x > threshold
-    idx = np.flatnonzero(above | np.r_[above[1:], False] | np.r_[False, above[:-1]])
+    above = hist.bins[hist.counts > threshold]
+    idx = np.unique(np.concatenate((above - 1, above, above + 1)))
+    idx = idx[(idx >= 0) & (idx < hist.n_bins)]
+    # A scanned bin exists only when some bin is held, so the clip stays in range.
+    pos = np.minimum(np.searchsorted(hist.bins, idx), hist.bins.size - 1)
+    x = np.where(hist.bins[pos] == idx, hist.counts[pos], 0)
     # +1 rise, -1 fall, 0 flat. A step across unscanned bins never completes a
     # peak: the scanned run before it ends in a fall, the run after it starts with a rise.
-    steps = np.sign(np.diff(x[idx]))
+    steps = np.sign(np.diff(x))
     turns = np.flatnonzero(steps)
     kinds = steps[turns]
     # A rise whose next non-flat step is a fall brackets one plateau.
     peaks = np.flatnonzero((kinds[:-1] > 0) & (kinds[1:] < 0))
-    return (idx[turns[peaks] + 1] + idx[turns[peaks + 1]]) // 2
+    # A plateau's bins are consecutive and equal, so its first bin gives its count.
+    return (idx[turns[peaks] + 1] + idx[turns[peaks + 1]]) // 2, x[turns[peaks] + 1]
 
 
 def find_two_peaks(hist: G2Histogram, params: SyncAnalysisParams) -> PeakPair:
@@ -278,18 +327,17 @@ def find_two_peaks(hist: G2Histogram, params: SyncAnalysisParams) -> PeakPair:
     """
     if hist.n_bins == 0:
         raise PeaksNotFoundError("peaks not found: empty histogram", hist.summary())
-    counts = hist.counts
-    med, sigma_bg = _background_stats(counts)
+    med, sigma_bg = _background_stats(hist)
     threshold = med + params.threshold_sigma * sigma_bg
 
-    candidates = _local_maxima_above(counts, threshold)
+    candidates, heights = _local_maxima_above(hist, threshold)
     if candidates.size < 2:
         raise PeaksNotFoundError(
             f"peaks not found: {candidates.size} qualifying maxima "
             f"(threshold {threshold:.2f} counts)",
             hist.summary(),
         )
-    order = candidates[np.argsort(counts[candidates])[::-1]]
+    order = candidates[np.argsort(heights)[::-1]]
     first = int(order[0])
     second = None
     for idx in order[1:]:
@@ -382,13 +430,12 @@ def write_histogram_csv(hist: G2Histogram, path):
         magnitude = np.where(negative, -1 - floor, floor).astype(np.bytes_)
         return np.char.add(np.where(negative, b"-", b""), np.char.add(magnitude, b".5,"))
 
-    occupied = np.flatnonzero(hist.counts)
-    cells, inverse = format_each_distinct(hist.counts[occupied], count_and_g2)
+    cells, inverse = format_each_distinct(hist.counts, count_and_g2)
 
     def rows():
         yield b"tau_ps,counts,g2\n"
-        for part in chunk_slices(occupied.size, _TEXT_ROWS):
-            yield join_text_columns(centres(occupied[part]), cells[inverse[part]])
+        for part in chunk_slices(hist.bins.size, _TEXT_ROWS):
+            yield join_text_columns(centres(hist.bins[part]), cells[inverse[part]])
 
     atomic_write_bytes(path, rows())
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import optimize, signal
 
-from entsync.errors import ReconstructionError
+from entsync.correlation import G2Histogram, PeakPair
+from entsync.errors import PeaksNotFoundError, ReconstructionError
 from entsync.timetags import PS_PER_S, _poisson_arrivals_ps
 from entsync.tomography import (
     _SETTING_OPS,
@@ -37,18 +38,87 @@ def g2_bruteforce(
     return counts
 
 
+def dense_counts(hist) -> np.ndarray:
+    """A G2Histogram's count in every bin of its window, 0 in each bin it does not hold."""
+    dense = np.zeros(hist.n_bins, dtype=np.int64)
+    dense[hist.bins] = hist.counts
+    return dense
+
+
+def dense_centers(hist) -> np.ndarray:
+    """The position of every bin of a G2Histogram's window."""
+    return hist.bin_centers_ps(np.arange(hist.n_bins))
+
+
+def histogram_from_dense(tau_min_ps, bin_width_ps, counts, n_a, n_b, duration_ps):
+    """The G2Histogram whose count in bin i is ``counts[i]``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    bins = np.flatnonzero(counts)
+    return G2Histogram(
+        tau_min_ps, bin_width_ps, counts.size, bins, counts[bins], n_a, n_b, duration_ps
+    )
+
+
 def local_maxima_reference(x: np.ndarray, threshold: float) -> np.ndarray:
     """scipy's local maxima of x, kept where x exceeds threshold."""
     candidates, _ = signal.find_peaks(np.asarray(x, dtype=np.float64))
     return candidates[x[candidates] > threshold]
 
 
+def find_two_peaks_reference(hist, params) -> PeakPair:
+    """The peak search on the densified histogram: np.median background, scipy's maxima
+    and each centroid window read from the dense counts. Raises PeaksNotFoundError
+    wherever the sparse search must."""
+    counts, width = dense_counts(hist), hist.bin_width_ps
+    if counts.size == 0:
+        raise PeaksNotFoundError("empty histogram", {})
+    med = float(np.median(counts))
+    mad = float(np.median(np.abs(counts - med)))
+    sigma_bg = max(1.4826 * mad, math.sqrt(med + 1.0))
+    candidates = local_maxima_reference(counts, med + params.threshold_sigma * sigma_bg)
+    if candidates.size < 2:
+        raise PeaksNotFoundError("fewer than two maxima", {})
+    order = candidates[np.argsort(counts[candidates])[::-1]]
+    first = int(order[0])
+    far = [int(i) for i in order[1:] if abs(int(i) - first) * width >= params.min_separation_ps]
+    if not far:
+        raise PeaksNotFoundError("no second maximum", {})
+    centers = dense_centers(hist)
+    acc = hist.accidentals_per_bin
+
+    def centroid(cur):
+        position, sigma, peak, visited = float(centers[cur]), float(width), 0, set()
+        for _ in range(25):
+            lo = max(0, cur - params.centroid_halfwidth_bins)
+            hi = min(counts.size, cur + params.centroid_halfwidth_bins + 1)
+            w = np.clip(counts[lo:hi].astype(np.float64) - med, 0.0, None)
+            wsum = float(w.sum())
+            if wsum <= 0.0:
+                break
+            tau = centers[lo:hi]
+            position = float(np.dot(w, tau) / wsum)
+            var = float(np.dot(w, (tau - position) ** 2) / wsum)
+            sigma = math.sqrt(max(var, width**2 / 12.0) / wsum)
+            peak = counts[lo:hi].max()
+            nxt = min(max(int((position - hist.tau_min_ps) // width), 0), counts.size - 1)
+            if nxt == cur or nxt in visited:
+                break
+            visited.add(cur)
+            cur = nxt
+        return position, sigma, float(peak / acc) if acc > 0 else 0.0
+
+    (tau1, s1, h1), (tau2, s2, h2) = centroid(first), centroid(far[0])
+    if tau1 >= tau2:
+        return PeakPair(tau1, tau2, s1, s2, h1, h2)
+    return PeakPair(tau2, tau1, s2, s1, h2, h1)
+
+
 def fit_peak_gaussian(hist, tau_guess_ps: float, halfwidth_ps: float) -> dict:
     """Least-squares Gaussian fit to a G2Histogram around one peak; reports FWHM."""
-    centers = hist.bin_centers_ps()
+    centers = dense_centers(hist)
     mask = np.abs(centers - tau_guess_ps) <= halfwidth_ps
     x = centers[mask]
-    y = hist.counts[mask].astype(np.float64)
+    y = dense_counts(hist)[mask].astype(np.float64)
     if x.size < 5 or y.max() <= 0:
         raise ValueError("not enough data around tau_guess_ps for a fit")
 
@@ -198,7 +268,7 @@ def histogram_csv_reference(hist) -> bytes:
     """
     acc, width = hist.accidentals_per_bin, hist.bin_width_ps
     lines = ["tau_ps,counts,g2"]
-    for i, n in enumerate(hist.counts):
+    for i, n in enumerate(dense_counts(hist)):
         if n == 0:
             continue
         # The exact centre of the integers the bin holds, in decimal: an integer

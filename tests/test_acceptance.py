@@ -22,7 +22,14 @@ from entsync.polarization import (
 from entsync.scenario import load_timing_scenario, run_scenario, run_tomo_scenario, simulate_timing
 from entsync.tomography import CountsTable, DensityMatrix, expected_counts, fidelity, mle_reconstruct
 
-from oracles import fit_peak_gaussian, g2_bruteforce, random_density_matrix, random_pure_state
+from oracles import (
+    dense_centers,
+    dense_counts,
+    fit_peak_gaussian,
+    g2_bruteforce,
+    random_density_matrix,
+    random_pure_state,
+)
 
 HALF_TURN = FaradayParams()
 
@@ -96,11 +103,11 @@ def test_criterion_3_peak_morphology(scenario_dir):
         fit = fit_peak_gaussian(hist, tau, 1500.0)
         assert 450.0 <= fit["fwhm_ps"] <= 550.0
         fwhms.append(fit["fwhm_ps"])
-    centers = hist.bin_centers_ps()
+    centers = dense_centers(hist)
     baseline_mask = (np.abs(centers - peaks.tau_ab_ps) > 3000.0) & (
         np.abs(centers - peaks.tau_ba_ps) > 3000.0
     )
-    baseline = float((hist.counts[baseline_mask] / hist.accidentals_per_bin).mean())
+    baseline = float((dense_counts(hist)[baseline_mask] / hist.accidentals_per_bin).mean())
     assert 0.9 <= baseline <= 1.1
     report(
         3,
@@ -184,7 +191,7 @@ def test_criterion_7_g2_oracle_equivalence():
         )
         hist = compute_g2(a, b, params, 2 * span)
         reference = g2_bruteforce(a, b, tau_min, tau_max, bin_width)
-        assert np.array_equal(hist.counts, reference), f"mismatch on trial {trial}"
+        assert np.array_equal(dense_counts(hist), reference), f"mismatch on trial {trial}"
     report(7, "sweep histogram matches all-pairs counting bin-exactly on 50 random pairs")
 
 

@@ -16,7 +16,7 @@ import entsync.correlation
 from entsync.channel import ChannelConfig
 from entsync.correlation import (
     MAX_G2_BINS,
-    G2Histogram,
+    _background_stats,
     _local_maxima_above,
     _refine_centroid,
     PeakPair,
@@ -33,9 +33,12 @@ from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simu
 from entsync.timetags import PS_PER_S, ClockModel, PairSourceModel, TimeTagStream
 
 from oracles import (
+    dense_counts,
+    find_two_peaks_reference,
     fit_peak_gaussian,
     g2_bruteforce,
     histogram_csv_reference,
+    histogram_from_dense,
     local_maxima_reference,
 )
 
@@ -99,17 +102,17 @@ class TestComputeG2:
         hist = compute_g2(times([0]), times([100]), window(0, 200, 16), 1_000)
         assert hist.n_bins == 13  # ceil(200 / 16)
         assert hist.counts.sum() == 1
-        assert hist.counts[100 // 16] == 1
+        assert dense_counts(hist)[100 // 16] == 1
 
     def test_counts_cover_whole_bins_past_tau_max(self):
         # The last bin extends to tau_min + n_bins * width even when tau_max
         # is not a multiple of the bin width.
         hist = compute_g2(times([0]), times([205]), window(0, 200, 16), 1_000)
-        assert hist.counts[12] == 1
+        assert dense_counts(hist)[12] == 1
 
     def test_window_is_half_open(self):
         hist = compute_g2(times([0]), times([-1, 0, 31, 32]), window(0, 32, 16), 100)
-        assert list(hist.counts) == [1, 1]
+        assert list(dense_counts(hist)) == [1, 1]
 
     def test_empty_stream_gives_zero_counts(self):
         hist = compute_g2(times([]), times([1, 2]), window(0, 100, 10), 100)
@@ -127,7 +130,7 @@ class TestComputeG2:
         # The last timestamp below 2**62 plus the largest window end is int64's maximum.
         edge = 2**62 - 1
         hist = compute_g2(times([edge]), times([edge]), window(-(2**62), 2**62, 2**60), 1)
-        assert list(hist.counts) == [0, 0, 0, 0, 1, 0, 0, 0]
+        assert list(dense_counts(hist)) == [0, 0, 0, 0, 1, 0, 0, 0]
         for bounds in ((0, 2**62 + 1, 1), (0, 2**62, 3)):
             with pytest.raises(ConfigError):
                 window(*bounds)
@@ -156,7 +159,7 @@ class TestComputeG2:
         tau_min, tau_max = -4096, 4096
         hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 100_000)
         reference = g2_bruteforce(a, b, tau_min, tau_max, bin_width)
-        assert np.array_equal(hist.counts, reference)
+        assert np.array_equal(dense_counts(hist), reference)
 
     @pytest.mark.parametrize("chunk", [1, 3, 8])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -168,7 +171,7 @@ class TestComputeG2:
         b = times(np.sort(rng.integers(0, 20_000, 60)))
         hist = compute_g2(a, b, window(-3000, 3000, 32), 20_000)
         assert hist.counts.dtype == np.int64
-        assert np.array_equal(hist.counts, g2_bruteforce(a, b, -3000, 3000, 32))
+        assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, -3000, 3000, 32))
 
     @pytest.mark.parametrize("chunk", [1, 3, 8])
     @given(records=g2_records())
@@ -183,7 +186,7 @@ class TestComputeG2:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(entsync.correlation, "_G2_CHUNK", chunk)
             hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1_000)
-        assert np.array_equal(hist.counts, g2_bruteforce(a, b, tau_min, tau_max, bin_width))
+        assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, tau_min, tau_max, bin_width))
 
     def test_records_spanning_the_timestamp_range_stay_exact(self):
         # One chunk spans almost 2**63 ps. After its last pair, the first event
@@ -196,7 +199,7 @@ class TestComputeG2:
         hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1_000)
         expected = g2_bruteforce(a, b, tau_min, tau_max, bin_width)
         assert expected.sum() == 7
-        assert np.array_equal(hist.counts, expected)
+        assert np.array_equal(dense_counts(hist), expected)
 
     def test_sweep_memory_does_not_grow_with_block_length(self, traced_peak):
         # Two records at a 1 us mean gap, one window's worth of pairs per event.
@@ -209,6 +212,23 @@ class TestComputeG2:
             peaks.append(peak)
         assert peaks[1] < 1.5 * peaks[0]
 
+    @pytest.mark.parametrize("side", ["sparse", "dense"])
+    def test_counting_follows_the_accidental_rate(self, traced_peak, side):
+        # 200 x 200 singles over 1 ps bins: below one accidental per bin when
+        # the duration exceeds 40 000 ps. Only the dense side makes an array of
+        # all 80 000 bins (640 KB); both must give the all-pairs counts.
+        rng = np.random.default_rng(8)
+        a, b = (times(np.sort(rng.integers(0, 2_000_000, 200))) for _ in range(2))
+        duration_ps = 200 * 200 * 1 + (side == "sparse")
+        params = window(-40_000, 40_000, 1)
+        peak, hist = traced_peak(compute_g2, a, b, params, duration_ps)
+        assert (peak < 80_000 * 8 // 4) if side == "sparse" else (peak >= 80_000 * 8)
+        assert hist.n_bins == 80_000
+        assert hist.bins.dtype == np.int64 and hist.counts.dtype == np.int64
+        assert np.all(np.diff(hist.bins) > 0) and np.all(hist.counts > 0)
+        assert 0 <= hist.bins[0] and hist.bins[-1] < hist.n_bins
+        assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, -40_000, 40_000, 1))
+
     def test_independent_poisson_streams_normalize_to_one(self):
         rng = np.random.default_rng(31)
         n = 1_000_000  # 100 kHz for 10 s
@@ -216,7 +236,7 @@ class TestComputeG2:
         b = times(np.rint(np.sort(rng.random(n)) * 1e13))
         hist = compute_g2(a, b, PARAMS, 10**13)
         total = hist.counts.sum()
-        g2 = hist.counts / hist.accidentals_per_bin
+        g2 = dense_counts(hist) / hist.accidentals_per_bin
         assert abs(g2.mean() - 1.0) < 3.0 / np.sqrt(total)
 
     def test_exchange_antisymmetry_bin_reversal(self):
@@ -228,7 +248,7 @@ class TestComputeG2:
         ba = compute_g2(b, a, window(-half_span, half_span, 1), 100_000)
         # tau = -half_span maps to +half_span, outside the window, so compare
         # interior bins only.
-        assert np.array_equal(ab.counts[1:], ba.counts[1:][::-1])
+        assert np.array_equal(dense_counts(ab)[1:], dense_counts(ba)[1:][::-1])
 
     def test_normalization_formula(self):
         a = times([0, 500, 900])
@@ -251,8 +271,27 @@ class TestAnalyzeBlock:
         assert [h.n_b for h in hists] == [8, 7]
         for k, hist in enumerate(hists):
             a_blk = a[(a >= 1_000 * k) & (a < 1_000 * (k + 1))]
-            assert np.array_equal(hist.counts, g2_bruteforce(a_blk, b, -300, 290, 50))
-        assert np.array_equal(sum(h.counts for h in hists), g2_bruteforce(a, b, -300, 290, 50))
+            assert np.array_equal(dense_counts(hist), g2_bruteforce(a_blk, b, -300, 290, 50))
+        total = sum(dense_counts(h) for h in hists)
+        assert np.array_equal(total, g2_bruteforce(a, b, -300, 290, 50))
+
+    def test_sparse_block_work_does_not_grow_with_n_bins(self, traced_peak):
+        # 300 events a second with two partners each, in a window of nearly 2**22
+        # bins: one dense array of them would be 32 MiB.
+        rng = np.random.default_rng(12)
+        a = np.sort(rng.integers(0, 10**12, 300))
+        jitter = np.rint(rng.normal(0.0, 150.0, (2, 300))).astype(np.int64)
+        b = np.sort(np.concatenate([a + 30_000 + jitter[0], a - 20_000 + jitter[1]]))
+        params = SyncAnalysisParams(tau_min_ps=-(2**25), tau_max_ps=2**25 - 128)
+        hist = compute_g2(a, b, params, 10**12)
+        assert hist.n_bins == 2**22 - 8 and hist.accidentals_per_bin < 1
+
+        def block():
+            return find_two_peaks(compute_g2(a, b, params, 10**12), params)
+
+        peak, peaks = traced_peak(block)
+        assert peak < 1 << 20
+        assert abs(peaks.tau_ab_ps - 30_000) < 50 and abs(peaks.tau_ba_ps + 20_000) < 50
 
 
 def test_timing_layers_import_without_scipy():
@@ -281,14 +320,81 @@ class TestLocalMaxima:
     @example(counts=[3, 1], threshold=0.0)
     # The threshold equals the middle plateau's value, so only the last peak counts.
     @example(counts=[0, 2, 2, 0, 3, 0], threshold=2.0)
+    # Peaks and a plateau between unheld bins, and a held edge bin.
+    @example(counts=[4, 0, 3, 0, 0, 2, 2, 0, 1], threshold=0.0)
     @settings(max_examples=300, deadline=None)
     def test_matches_find_peaks_above_threshold(self, counts, threshold):
         x = np.asarray(counts, dtype=np.int64)
-        found = _local_maxima_above(x, threshold)
+        found, heights = _local_maxima_above(histogram_from_dense(0, 16, x, 1, 1, 1), threshold)
         assert np.array_equal(found, local_maxima_reference(x, threshold))
+        assert np.array_equal(heights, x[found])
+
+
+class TestBackgroundStats:
+    @given(counts=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40))
+    # Odd and even bin counts, all bins empty, and every bin held.
+    @example(counts=[0])
+    @example(counts=[0, 0, 0, 0])
+    @example(counts=[3, 8, 1])
+    @example(counts=[1, 2, 3, 4])
+    @example(counts=[0, 7, 2, 9, 0, 0])
+    @example(counts=[0, 5, 0, 1, 0, 0, 4])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_median_and_mad(self, counts):
+        dense = np.asarray(counts, dtype=np.int64)
+        med = float(np.median(dense))
+        mad = float(np.median(np.abs(dense - med)))
+        expected = (med, max(1.4826 * mad, math.sqrt(med + 1.0)))
+        assert _background_stats(histogram_from_dense(0, 16, dense, 1, 1, 1)) == expected
+
+
+@st.composite
+def peak_histograms(draw):
+    """Dense counts of a low background with up to four plateaus (1-4 bins wide), some
+    on the edge bins and some between empty bins."""
+    n = draw(st.integers(1, 150))
+    counts = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, 4))):
+        start, width = draw(st.integers(0, n - 1)), draw(st.integers(1, 4))
+        counts[start : start + width] = [draw(st.integers(3, 60))] * len(counts[start : start + width])
+        if draw(st.booleans()):
+            for i in (start - 1, start + width):
+                if 0 <= i < n:
+                    counts[i] = 0
+    return counts
 
 
 class TestFindTwoPeaks:
+    @given(
+        counts=peak_histograms(),
+        threshold_sigma=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
+        min_separation_ps=st.sampled_from([0, 16, 48, 320]),
+        halfwidth=st.integers(1, 6),
+        n_singles=st.integers(0, 40),
+    )
+    # Two peaks between empty bins; two peaks on the edge bins.
+    @example(counts=[1, 0, 9, 0, 1, 1, 0, 7, 7, 0, 1], threshold_sigma=2.0,
+             min_separation_ps=16, halfwidth=2, n_singles=10)
+    @example(counts=[9, 1, 0, 1, 0, 1, 8], threshold_sigma=1.0,
+             min_separation_ps=0, halfwidth=3, n_singles=10)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(
+        self, counts, threshold_sigma, min_separation_ps, halfwidth, n_singles
+    ):
+        params = SyncAnalysisParams(
+            threshold_sigma=threshold_sigma,
+            min_separation_ps=min_separation_ps,
+            centroid_halfwidth_bins=halfwidth,
+        )
+        hist = histogram_from_dense(-808, 16, counts, n_singles, n_singles, 1_000)
+        try:
+            expected = find_two_peaks_reference(hist, params)
+        except PeaksNotFoundError:
+            with pytest.raises(PeaksNotFoundError):
+                find_two_peaks(hist, params)
+        else:
+            assert find_two_peaks(hist, params) == expected
+
     def synthetic_histogram(self, seed=29, amp_hi=4000.0, amp_lo=3000.0, background=5.0):
         centers = np.arange(125_000) * 16 - 1_000_000 + 8.0
         expected = (
@@ -298,13 +404,8 @@ class TestFindTwoPeaks:
         )
         counts = np.random.default_rng(seed).poisson(expected).astype(np.int64)
         # n_a * n_b * 16 ps / duration_ps = background, so g2 = counts / background.
-        return G2Histogram(
-            tau_min_ps=-1_000_000,
-            bin_width_ps=16,
-            counts=counts,
-            n_a=10**6,
-            n_b=10**6,
-            duration_ps=round(16 * 10**12 / background),
+        return histogram_from_dense(
+            -1_000_000, 16, counts, 10**6, 10**6, round(16 * 10**12 / background)
         )
 
     def test_centroids_recover_injected_positions(self):
@@ -328,7 +429,8 @@ class TestFindTwoPeaks:
             counts = np.bincount(
                 (np.concatenate(diffs) - PARAMS.tau_min_ps) // 16, minlength=125_000
             )
-            peaks = find_two_peaks(G2Histogram(PARAMS.tau_min_ps, 16, counts, 1, 1, 1), PARAMS)
+            hist = histogram_from_dense(PARAMS.tau_min_ps, 16, counts, 1, 1, 1)
+            peaks = find_two_peaks(hist, PARAMS)
             assert abs(peaks.tau_ab_ps - diffs[0].mean()) <= 0.2
             assert abs(peaks.tau_ba_ps - diffs[1].mean()) <= 0.2
 
@@ -339,14 +441,14 @@ class TestFindTwoPeaks:
 
     def test_flat_background_not_found(self):
         counts = np.random.default_rng(17).poisson(100.0, 2000).astype(np.int64)
-        hist = G2Histogram(0, 16, counts, 1000, 1000, 10**9)
+        hist = histogram_from_dense(0, 16, counts, 1000, 1000, 10**9)
         with pytest.raises(PeaksNotFoundError) as err:
             find_two_peaks(hist, PARAMS)
         assert err.value.summary["n_bins"] == 2000
 
     def test_sparse_background_not_found(self):
         counts = np.random.default_rng(23).poisson(0.1, 125_000).astype(np.int64)
-        hist = G2Histogram(0, 16, counts, 100, 100, 10**9)
+        hist = histogram_from_dense(0, 16, counts, 100, 100, 10**9)
         with pytest.raises(PeaksNotFoundError):
             find_two_peaks(hist, PARAMS)
 
@@ -354,7 +456,7 @@ class TestFindTwoPeaks:
         counts = np.zeros(10_000, dtype=np.int64)
         profile = np.rint(1000 * np.exp(-0.5 * (np.arange(-20, 21) / 13.0) ** 2))
         counts[4980:5021] = profile.astype(np.int64)
-        hist = G2Histogram(-80_000, 16, counts, 1000, 1000, 10**9)
+        hist = histogram_from_dense(-80_000, 16, counts, 1000, 1000, 10**9)
         with pytest.raises(PeaksNotFoundError):
             find_two_peaks(hist, PARAMS)
 
@@ -364,7 +466,7 @@ class TestFindTwoPeaks:
             find_two_peaks(hist, SyncAnalysisParams(min_separation_ps=200_000))
 
     def test_empty_histogram(self):
-        hist = G2Histogram(0, 16, np.zeros(0, dtype=np.int64), 0, 0, 0)
+        hist = histogram_from_dense(0, 16, np.zeros(0, dtype=np.int64), 0, 0, 0)
         with pytest.raises(PeaksNotFoundError):
             find_two_peaks(hist, PARAMS)
 
@@ -373,7 +475,7 @@ class TestFindTwoPeaks:
         # centroid is the start bin's position (the centre of -16 ... -1), its
         # sigma one bin and its height 0.
         counts = np.array([0, 3, 7, 4, 1, 0], dtype=np.int64)
-        hist = G2Histogram(-48, 16, counts, 1000, 1000, 10**9)
+        hist = histogram_from_dense(-48, 16, counts, 1000, 1000, 10**9)
         assert _refine_centroid(hist, 2, 2, background=8.0) == (-8.5, 16.0, 0.0)
 
 
@@ -520,13 +622,13 @@ class TestExports:
         for hist in (
             compute_g2(*pairs, window(-20, 100, 10), 100),
             compute_g2(*pairs, window(-20, 100, 7), 100),
-            G2Histogram(-20, 10, np.zeros(12, np.int64), 2, 2, 100),
+            histogram_from_dense(-20, 10, np.zeros(12, np.int64), 2, 2, 100),
         ):
             path = tmp_path / "hist.csv"
             write_histogram_csv(hist, path)
             lines = path.read_text().splitlines()
             assert lines[0] == "tau_ps,counts,g2"
-            assert len(lines) == 1 + np.count_nonzero(hist.counts)
+            assert len(lines) == 1 + np.count_nonzero(dense_counts(hist))
             dense = np.zeros(hist.n_bins, np.int64)
             for line in lines[1:]:
                 tau, count, g2 = line.split(",")
@@ -536,7 +638,7 @@ class TestExports:
                 assert i.denominator == 1 and 0 <= i < hist.n_bins and dense[int(i)] == 0
                 dense[int(i)] = int(count)
                 assert float(g2) == pytest.approx(int(count) / hist.accidentals_per_bin)
-            assert np.array_equal(dense, hist.counts)
+            assert np.array_equal(dense, dense_counts(hist))
 
     @pytest.mark.parametrize(
         "case",
@@ -557,22 +659,16 @@ class TestExports:
             expected_text = b"\n29999999108,1,"
         elif case == "zero_duration":
             hist = compute_g2(a, b, window(-100, 100, 4), 0)
-            assert hist.counts.any() and hist.accidentals_per_bin == 0.0
+            assert dense_counts(hist).any() and hist.accidentals_per_bin == 0.0
             expected_text = b",1,0\n"
         elif case == "hand_built":
             # 3000 x 4000 singles over 10 ps bins in 4000 ps: 3e4 accidentals per
             # bin, so a single count prints its g2 in exponent form.
-            hist = G2Histogram(
-                tau_min_ps=-40,
-                bin_width_ps=10,
-                counts=np.array([0, 0, 5, 5, 1, 0, 12345678901, 2]),
-                n_a=3_000,
-                n_b=4_000,
-                duration_ps=4_000,
-            )
+            counts = [0, 0, 5, 5, 1, 0, 12345678901, 2]
+            hist = histogram_from_dense(-40, 10, counts, 3_000, 4_000, 4_000)
             expected_text = b"\n4.5,1,3.333333333e-05\n24.5,12345678901,411522.63\n"
         else:
-            hist = G2Histogram(0, 16, np.zeros(0, np.int64), 0, 0, 10)
+            hist = histogram_from_dense(0, 16, np.zeros(0, np.int64), 0, 0, 10)
             expected_text = b"tau_ps,counts,g2\n"
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
@@ -582,7 +678,7 @@ class TestExports:
     def test_histogram_centres_are_exact_far_from_zero(self, tmp_path):
         # A window 0.3 s out, where the peaks of taggers started apart lie:
         # each of the 125 occupied bins gets its own tau_ps, its position written exactly.
-        hist = G2Histogram(3 * 10**11, 16, np.arange(1, 126), 10, 10, PS_PER_S)
+        hist = histogram_from_dense(3 * 10**11, 16, np.arange(1, 126), 10, 10, PS_PER_S)
         path = tmp_path / "hist.csv"
         write_histogram_csv(hist, path)
         taus = [line.split(b",")[0] for line in path.read_bytes().splitlines()[1:]]

@@ -40,6 +40,8 @@ from oracles import (
     apply_detector_reference,
     clock_reading_reference,
     dead_time_keep_reference,
+    dense_centers,
+    dense_counts,
     merge_reference,
     tags_csv_reference,
     two_stage_arms_reference,
@@ -239,9 +241,9 @@ class TestArmDetector:
             # standard error of width / sqrt(2 pairs).
             width = np.sqrt(2.0 * variance)
             hist = compute_g2(local, remote, params, duration_ps)
-            centers = hist.bin_centers_ps()
+            centers = dense_centers(hist)
             peak = np.abs(centers) <= 5.0 * width
-            counts, centers = hist.counts[peak], centers[peak]
+            counts, centers = dense_counts(hist)[peak], centers[peak]
             mean = np.average(centers, weights=counts)
             spread = np.average((centers - mean) ** 2, weights=counts) - params.bin_width_ps**2 / 12
             bound = 5.0 * width / np.sqrt(2.0 * counts.sum())
