@@ -372,6 +372,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "warm start drops its eigenvalue floor",
+        "src/entsync/tomography.py",
+        "w = np.clip(w, 1e-6, None)",
+        "w = np.clip(w, 0.0, None)",
+        ("tests/test_tomography.py::TestWarmStart::test_pure_start_on_depolarised_tables",),
+    ),
+    Mutant(
+        "refits start from least squares again",
+        "src/entsync/tomography.py",
+        "mle_reconstruct(table, start) for",
+        "mle_reconstruct(table) for",
+        ("tests/test_tomography.py::TestWarmStart::test_refits_skip_the_least_squares_start",),
+    ),
+    Mutant(
         "summary parse cuts a parametrised id at its first space",
         "mutants/run.py",
         # Escaped, so that the table does not hold the text it replaces.

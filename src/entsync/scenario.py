@@ -542,7 +542,9 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
         seed = rngmod.child_seed(sc.seed, stream)
         counts[which] = sample_counts(expected_counts(rho, sc.counts_per_setting, acc), seed, acc)
         rho_hat[which] = mle_reconstruct(counts[which])
-    distribution = monte_carlo_fidelity(counts["before"], counts["after"], sc.reps, sc.seed)
+    distribution = monte_carlo_fidelity(
+        counts["before"], counts["after"], sc.reps, sc.seed, rho_hat["before"], rho_hat["after"]
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,8 @@ settings. The density matrix is recovered by maximizing the Poisson
 likelihood over a complex factor A, rho = A^dagger A / Tr(A^dagger A), which
 keeps the estimate Hermitian, unit-trace and positive by construction.
 Counting-statistics error bars come from re-sampling the observed counts and
-repeating the fit.
+repeating the fit; each refit starts at the point estimate of the observed
+table, around which every resampled table is drawn.
 """
 from __future__ import annotations
 
@@ -137,6 +138,19 @@ def _rho_from_params(t: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _factor_params(rho: np.ndarray) -> np.ndarray:
+    """Parameters of the Hermitian square root of rho, its eigenvalues floored at 1e-6.
+
+    A factor with a zero eigenvalue cannot gain rank along the gradient, so a
+    search started from it can stop short of the optimum; the floor keeps every
+    direction open.
+    """
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 1e-6, None)
+    A = (v * np.sqrt(w / w.sum())) @ v.conj().T  # Tr(A^dagger A) = 1
+    return np.concatenate([A.real.reshape(16), A.imag.reshape(16)])
+
+
 def _start_params(table: CountsTable) -> np.ndarray:
     """Factor of the least-squares estimate, floored to positive, that seeds the search.
 
@@ -149,10 +163,7 @@ def _start_params(table: CountsTable) -> np.ndarray:
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     rho = np.eye(4) / 4.0 if abs(tr) < 1e-12 else rho / tr
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 1e-6, None)
-    A = (v * np.sqrt(w / w.sum())) @ v.conj().T  # Hermitian square root, Tr(A^dagger A) = 1
-    return np.concatenate([A.real.reshape(16), A.imag.reshape(16)])
+    return _factor_params(rho)
 
 
 def _nll_and_gradient(counts: CountsTable):
@@ -193,20 +204,21 @@ def _nll_and_gradient(counts: CountsTable):
 _EVAL_LIMIT = 100_000
 
 
-def mle_reconstruct(counts: CountsTable) -> DensityMatrix:
+def mle_reconstruct(counts: CountsTable, start: np.ndarray | None = None) -> DensityMatrix:
     """Density matrix maximizing the Poisson likelihood of the 36 counts.
 
     The per-setting total is estimated from the complementary basis-pair sums,
     not configured. L-BFGS-B searches the 32 real parameters of a full complex
     factor A (the factorization of James et al., PRA 64, 052312 (2001), without
-    its triangular constraint), starting from the least-squares estimate, with
-    the analytic gradient of the Poisson negative log-likelihood. It searches
-    once: a search that stops short of convergence raises
-    ``ReconstructionError``.
+    its triangular constraint), with the analytic gradient of the Poisson
+    negative log-likelihood. It starts from ``start`` (factor parameters as
+    ``_factor_params`` returns them) or, when that is None, from the
+    least-squares estimate. It searches once: a search that stops short of
+    convergence raises ``ReconstructionError``.
     """
     if counts.counts.sum() <= 0:
         raise ReconstructionError("all counts are zero; nothing to reconstruct")
-    t0 = _start_params(counts)
+    t0 = _start_params(counts) if start is None else start
     objective = _nll_and_gradient(counts)
     options = {"maxfun": _EVAL_LIMIT, "maxiter": _EVAL_LIMIT, "ftol": 1e-12, "gtol": 1e-10}
     result = optimize.minimize(objective, t0, jac=True, method="L-BFGS-B", options=options)
@@ -269,14 +281,19 @@ def monte_carlo_fidelity(
     counts_after: CountsTable,
     reps: int,
     seed: int,
+    rho_before: DensityMatrix,
+    rho_after: DensityMatrix,
 ) -> FidelityDistribution:
     """Propagate counting noise through the full reconstruction pipeline.
 
     Each repetition re-draws both tables from Poisson distributions whose
     means are the observed counts, reconstructs both density matrices, and
-    records their mutual fidelity. Failed reconstructions are skipped; more
-    than 20% failures aborts the run.
+    records their mutual fidelity. ``rho_before`` and ``rho_after`` are the
+    point estimates of the observed tables: every refit of a side starts at
+    that side's estimate, factored once with its eigenvalues floored at 1e-6.
+    Failed reconstructions are skipped; more than 20% failures aborts the run.
     """
+    starts = [_factor_params(rho.matrix) for rho in (rho_before, rho_after)]
     samples = []
     for r in range(reps):
         resampled = [
@@ -288,7 +305,9 @@ def monte_carlo_fidelity(
             for i, table in enumerate((counts_before, counts_after))
         ]
         try:
-            rho_b, rho_a = [mle_reconstruct(table) for table in resampled]
+            rho_b, rho_a = [
+                mle_reconstruct(table, start) for table, start in zip(resampled, starts)
+            ]
         except ReconstructionError:
             continue
         samples.append(fidelity(rho_b, rho_a))

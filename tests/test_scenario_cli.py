@@ -1083,11 +1083,11 @@ class TestTomoScenario:
         fits = []
         fit = tomography.mle_reconstruct
 
-        def first_fails(table):
+        def first_fails(table, start):
             fits.append(table)
             if len(fits) == 1:
                 raise ReconstructionError("forced failure")
-            return fit(table)
+            return fit(table, start)
 
         monkeypatch.setattr(tomography, "mle_reconstruct", first_fails)
         summary = run_tomo_scenario(self.small_config(tmp_path, reps=5), tmp_path / "out")

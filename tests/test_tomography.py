@@ -30,6 +30,7 @@ from entsync.tomography import (
     _PROJECTOR_VECTORS,
     _SETTING_OPS,
     _estimate_n_per_setting,
+    _factor_params,
     _nll_and_gradient,
     _rho_from_params,
 )
@@ -284,7 +285,10 @@ class TestFidelity:
 class TestMonteCarlo:
     def test_noise_floor_near_unity(self):
         table = table_for(SINGLET, 1e6)
-        dist = monte_carlo_fidelity(table, table, reps=20, seed=4)
+        rho_hat = mle_reconstruct(table)
+        dist = monte_carlo_fidelity(
+            table, table, reps=20, seed=4, rho_before=rho_hat, rho_after=rho_hat
+        )
         assert dist.mean > 0.995
         assert dist.ci95_low <= dist.mean <= dist.ci95_high
         assert dist.samples.size == 20
@@ -292,10 +296,14 @@ class TestMonteCarlo:
     def test_ci_width_shrinks_with_counts(self):
         slim = depolarize(SINGLET, 0.1)
         wide_dist = monte_carlo_fidelity(
-            table_for(slim, 1e4), table_for(SINGLET, 1e4), reps=15, seed=8
+            table_for(slim, 1e4), table_for(SINGLET, 1e4), reps=15, seed=8,
+            rho_before=mle_reconstruct(table_for(slim, 1e4)),
+            rho_after=mle_reconstruct(table_for(SINGLET, 1e4)),
         )
         narrow_dist = monte_carlo_fidelity(
-            table_for(slim, 1e6), table_for(SINGLET, 1e6), reps=15, seed=8
+            table_for(slim, 1e6), table_for(SINGLET, 1e6), reps=15, seed=8,
+            rho_before=mle_reconstruct(table_for(slim, 1e6)),
+            rho_after=mle_reconstruct(table_for(SINGLET, 1e6)),
         )
         wide = wide_dist.ci95_high - wide_dist.ci95_low
         narrow = narrow_dist.ci95_high - narrow_dist.ci95_low
@@ -303,14 +311,19 @@ class TestMonteCarlo:
 
     def test_deterministic_per_seed(self):
         table = table_for(SINGLET, 1e4)
-        one = monte_carlo_fidelity(table, table, reps=5, seed=6)
-        two = monte_carlo_fidelity(table, table, reps=5, seed=6)
+        rho_hat = mle_reconstruct(table)
+        one = monte_carlo_fidelity(
+            table, table, reps=5, seed=6, rho_before=rho_hat, rho_after=rho_hat
+        )
+        two = monte_carlo_fidelity(
+            table, table, reps=5, seed=6, rho_before=rho_hat, rho_after=rho_hat
+        )
         assert np.array_equal(one.samples, two.samples)
 
     def test_all_failures_abort(self):
         empty = CountsTable(np.zeros(36, dtype=np.int64))
         with pytest.raises(ReconstructionError):
-            monte_carlo_fidelity(empty, empty, reps=5, seed=0)
+            monte_carlo_fidelity(empty, empty, reps=5, seed=0, rho_before=MIXED, rho_after=MIXED)
 
     def test_distribution_json_schema(self):
         dist = FidelityDistribution.from_samples(np.array([0.5, 0.7, 0.9]))
@@ -462,6 +475,58 @@ class TestCholeskyReference:
         mu = expected_counts(mle_reconstruct(table), _estimate_n_per_setting(table))
         assert np.count_nonzero(mu < 1e-10) > 0
         assert_at_least_cholesky_likelihood(table)
+
+
+def assert_warm_fit_reaches_cold_likelihood(table: CountsTable, start: np.ndarray):
+    nll_warm = poisson_nll(mle_reconstruct(table, start), table)
+    nll_cold = poisson_nll(mle_reconstruct(table), table)
+    assert nll_warm <= nll_cold + 1e-9 * abs(nll_cold)
+
+
+class TestWarmStart:
+    """Monte Carlo refits start at the point estimate, and reach the likelihood
+    of a fit from the least-squares start."""
+
+    @pytest.mark.parametrize("name", ["tomo_full", "tomo_naive"])
+    def test_bundled_refits(self, bundled_counts, scenario_dir, monkeypatch, name):
+        seed = json.loads((scenario_dir / f"{name}.json").read_text())["seed"]
+        before, after = (bundled_counts[f"{name}_{which}"] for which in ("before", "after"))
+        fit = tomography.mle_reconstruct
+        refits = []
+
+        def recorded(table, start):
+            refits.append((table, start))
+            return fit(table, start)
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", recorded)
+        monte_carlo_fidelity(before, after, 10, seed, fit(before), fit(after))
+        monkeypatch.undo()
+        assert len(refits) == 20
+        for table, start in refits:
+            assert_warm_fit_reaches_cold_likelihood(table, start)
+
+    def test_pure_start_on_depolarised_tables(self):
+        # A pure state's factor has three zero eigenvalues, and a search from a
+        # rank-one factor stays rank one: only the floor lets it reach the
+        # full-rank optimum of a depolarised table.
+        rng = np.random.default_rng(5)
+        for seed in range(20):
+            pure = DensityMatrix.from_pure(random_pure_state(rng))
+            table = sample_counts(expected_counts(depolarize(pure, 0.05), 1e4, 5.0), seed, 5.0)
+            assert_warm_fit_reaches_cold_likelihood(table, _factor_params(pure.matrix))
+
+    def test_refits_skip_the_least_squares_start(self, monkeypatch):
+        table = table_for(depolarize(SINGLET, 0.1), 1e4)
+        rho_hat = mle_reconstruct(table)
+
+        def least_squares_start(_):
+            raise AssertionError("a Monte Carlo refit computed a least-squares start")
+
+        monkeypatch.setattr(tomography, "_start_params", least_squares_start)
+        dist = monte_carlo_fidelity(
+            table, table, reps=5, seed=3, rho_before=rho_hat, rho_after=rho_hat
+        )
+        assert dist.samples.size == 5
 
 
 def criterion_6_tables() -> list[CountsTable]:
