@@ -136,11 +136,15 @@ MUTANTS = (
         ("tests/test_cli_fuzz.py::test_broken_tag_file_is_an_io_error_naming_it",),
     ),
     Mutant(
-        "tags CSV takes a label's cell by its value",
+        "a CSV row takes its value's cell by that value",
         "src/entsync/timetags.py",
-        "cells[np.searchsorted(labels, stream.channels[part])]",
-        "cells[stream.channels[part] % labels.size]",
-        ("tests/test_timetags.py::TestFileFormats::test_csv_bytes_match_row_loop",),
+        "cells[np.searchsorted(distinct, values[part])]",
+        "cells[values[part] % distinct.size]",
+        (
+            "tests/test_timetags.py::TestFileFormats::test_csv_bytes_match_row_loop",
+            "tests/test_correlation.py::TestExports::test_histogram_csv_bytes_match_row_loop",
+            "tests/test_tomography.py::TestSerialization::test_counts_csv_roundtrip",
+        ),
     ),
     Mutant(
         "circular amplitudes enter through the inverse basis change",

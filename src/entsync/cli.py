@@ -1,6 +1,6 @@
 """Command-line front end: simulate scenarios, analyze tag files, predict.
 
-Exit codes: 0 success, 1 configuration error, 2 analysis failure, 3 I/O error.
+Exit codes: 0 success, 1 configuration error, 2 reconstruction failure, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import typing
 
 from .channel import ChannelConfig, Direction, predicted_offset_error_ps
 from .correlation import SyncAnalysisParams
-from .errors import ConfigError, PeaksNotFoundError, ReconstructionError, StreamFormatError
+from .errors import ConfigError, ReconstructionError, StreamFormatError
 from .scenario import (
     TimingScenario,
     analyze_files,
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     except (StreamFormatError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (PeaksNotFoundError, ReconstructionError) as exc:
+    except ReconstructionError as exc:
         print(f"analysis failure: {exc}", file=sys.stderr)
         return 2
 

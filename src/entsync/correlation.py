@@ -16,14 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, PeaksNotFoundError
-from .timetags import (
-    _TEXT_ROWS,
-    MAX_TIMESTAMP_PS,
-    atomic_write_bytes,
-    chunk_slices,
-    format_each_distinct,
-    join_text_columns,
-)
+from .timetags import MAX_TIMESTAMP_PS, atomic_write_bytes, chunk_slices, write_csv
 
 # Events of the first record swept per step of compute_g2, which bounds its
 # temporaries whatever the block's length.
@@ -60,12 +53,7 @@ class G2Histogram:
 
     @property
     def accidentals_per_bin(self) -> float:
-        """Mean count per bin of two independent Poisson streams; g2 = counts / this.
-
-        0.0 when the histogram has no duration.
-        """
-        if self.duration_ps <= 0:
-            return 0.0
+        """Mean count per bin of two independent Poisson streams; g2 = counts / this."""
         return self.n_a * self.n_b * self.bin_width_ps / self.duration_ps
 
     def bin_centers_ps(self, bins: np.ndarray) -> np.ndarray:
@@ -325,8 +313,6 @@ def find_two_peaks(hist: G2Histogram, params: SyncAnalysisParams) -> PeakPair:
     background by ``params.threshold_sigma`` spreads. Positions are refined
     by an intensity-weighted centroid; the later tau is the A-source peak.
     """
-    if hist.n_bins == 0:
-        raise PeaksNotFoundError("peaks not found: empty histogram", hist.summary())
     med, sigma_bg = _background_stats(hist)
     threshold = med + params.threshold_sigma * sigma_bg
 
@@ -421,8 +407,8 @@ def write_histogram_csv(hist: G2Histogram, path):
     def count_and_g2(n: int) -> str:
         return f"{n},{n / acc:.10g}\n" if acc > 0 else f"{n},0\n"
 
-    def centres(bins: np.ndarray) -> np.ndarray:
-        floor, half = _bin_positions(hist.tau_min_ps, hist.bin_width_ps, bins)
+    def centres(part: slice) -> np.ndarray:
+        floor, half = _bin_positions(hist.tau_min_ps, hist.bin_width_ps, hist.bins[part])
         if not half:
             return np.char.add(floor.astype(np.bytes_), b",")
         # floor + 0.5 is written by its magnitude: -998 + 0.5 is "-997.5".
@@ -430,14 +416,7 @@ def write_histogram_csv(hist: G2Histogram, path):
         magnitude = np.where(negative, -1 - floor, floor).astype(np.bytes_)
         return np.char.add(np.where(negative, b"-", b""), np.char.add(magnitude, b".5,"))
 
-    cells, inverse = format_each_distinct(hist.counts, count_and_g2)
-
-    def rows():
-        yield b"tau_ps,counts,g2\n"
-        for part in chunk_slices(hist.bins.size, _TEXT_ROWS):
-            yield join_text_columns(centres(hist.bins[part]), cells[inverse[part]])
-
-    atomic_write_bytes(path, rows())
+    write_csv(path, "tau_ps,counts,g2", hist.counts, count_and_g2, centres)
 
 
 def write_estimates_json(estimates: list[SyncEstimate], path):

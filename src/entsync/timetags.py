@@ -10,7 +10,6 @@ that time, so the pair's tau is unaffected.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import os
 import stat
@@ -158,7 +157,7 @@ class ClockModel:
 
 def _poisson_arrivals_ps(rng: np.random.Generator, rate_hz: float, duration_ps: float) -> np.ndarray:
     """Homogeneous Poisson arrival times in [0, duration_ps), integer ps, sorted."""
-    if rate_hz == 0.0 or duration_ps <= 0:
+    if rate_hz == 0.0:
         return np.empty(0, dtype=np.int64)
     mean_gap_ps = PS_PER_S / rate_hz
     expected = duration_ps / mean_gap_ps
@@ -293,7 +292,7 @@ def apply_detector(
     dark *= PS_PER_S
     out[m:] = np.rint(dark, out=dark)
     out.sort(kind="stable")
-    if det.dead_time_ps > 0 and out.size:
+    if det.dead_time_ps > 0:
         out = out[_dead_time_filter(out, det.dead_time_ps)]
 
     return out
@@ -328,7 +327,7 @@ RECORD_DTYPE = np.dtype([("timestamp_ps", "<i8"), ("channel", "<u4"), ("reserved
 
 # Binary tag records read or written per step: 1 MB.
 _IO_CHUNK = 1 << 16
-# Text rows formatted and written per step by the CSV writers: under 1 MB of
+# Text rows formatted and written per step by write_csv: under 1 MB of
 # fixed-width cells, as a row's cells take at most 64 bytes.
 _TEXT_ROWS = 1 << 14
 
@@ -349,6 +348,30 @@ def atomic_write_bytes(path, chunks):
         for chunk in chunks:
             fh.write(chunk)
     os.replace(tmp, path)
+
+
+def write_csv(path, header: str, values: np.ndarray, fmt, first_column):
+    """Write a header line, then one row per integer of ``values``, through ``atomic_write_bytes``.
+
+    Row i is ``first_column(part)``'s cell for it, separator included, then
+    ``fmt(values[i])``, the rest of the row with its newline. ``first_column``
+    takes a slice of at most ``_TEXT_ROWS`` rows and gives their cells as a
+    bytes-string array. ``fmt`` runs once per distinct value, so equal values
+    share one cell, found by a binary search into the sorted distinct values.
+    Fixed-width numpy strings are NUL-padded and formatted numbers never
+    contain NUL, so dropping every NUL byte leaves exactly the text.
+    """
+    distinct = np.unique(values)
+    cells = np.array([fmt(v) for v in distinct.tolist()], dtype=np.bytes_)
+
+    def rows():
+        yield f"{header}\n".encode()
+        for part in chunk_slices(values.size, _TEXT_ROWS):
+            # np.char.add is np.strings.add on numpy 2 and also exists on numpy 1.24.
+            text = np.char.add(first_column(part), cells[np.searchsorted(distinct, values[part])])
+            yield text.tobytes().translate(None, b"\0")
+
+    atomic_write_bytes(path, rows())
 
 
 def write_tags_binary(stream: TimeTagStream, path):
@@ -414,44 +437,14 @@ def _stream_from_file(path, timestamps, channels, where) -> TimeTagStream:
     raise StreamFormatError(message)
 
 
-def join_text_columns(*columns: np.ndarray) -> bytes:
-    """Concatenate equal-length bytes-string columns row by row into one payload.
-
-    Each row is its cells back to back, so the columns carry their own
-    separators. Fixed-width numpy strings are NUL-padded and formatted numbers
-    never contain NUL, so dropping every NUL byte leaves exactly the text.
-    """
-    rows = columns[0]
-    for column in columns[1:]:
-        # np.char.add is np.strings.add on numpy 2 and also exists on numpy 1.24.
-        rows = np.char.add(rows, column)
-    return rows.tobytes().translate(None, b"\0")
-
-
-def format_each_distinct(values: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
-    """``fmt(v)`` encoded once per distinct value, and each value's index into those cells.
-
-    ``cells[inverse]`` is every value's text, so a writer can take it a slice
-    at a time. The values are integers, so equal values have equal text.
-    """
-    distinct, inverse = np.unique(values, return_inverse=True)
-    cells = np.array([fmt(v) for v in distinct.tolist()], dtype=np.bytes_)
-    return cells, inverse
-
-
 def write_tags_csv(stream: TimeTagStream, path):
-    labels = np.unique(stream.channels)
-    cells = np.array([f"{c}\n" for c in labels.tolist()], dtype=np.bytes_)
-
-    def rows():
-        yield b"timestamp_ps,channel\n"
-        for part in chunk_slices(len(stream), _TEXT_ROWS):
-            yield join_text_columns(
-                np.char.add(stream.timestamps_ps[part].astype(np.bytes_), b","),
-                cells[np.searchsorted(labels, stream.channels[part])],
-            )
-
-    atomic_write_bytes(path, rows())
+    write_csv(
+        path,
+        "timestamp_ps,channel",
+        stream.channels,
+        lambda c: f"{c}\n",
+        lambda part: np.char.add(stream.timestamps_ps[part].astype(np.bytes_), b","),
+    )
 
 
 def read_tags_csv(path) -> TimeTagStream:
@@ -461,10 +454,11 @@ def read_tags_csv(path) -> TimeTagStream:
         header = fh.readline().strip()
         if header.replace(" ", "") != "timestamp_ps,channel":
             raise StreamFormatError(f"bad CSV header at line 1 in {path}: {header!r}")
-        ts, ch = [], []
+        ts, ch, blanks = [], [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
+                blanks.append(lineno)
                 continue
             parts = line.split(",")
             try:
@@ -472,15 +466,15 @@ def read_tags_csv(path) -> TimeTagStream:
                 ch.append(int(parts[1]))
             except (IndexError, ValueError):
                 raise StreamFormatError(f"malformed record at line {lineno} in {path}: {line!r}")
-    return _stream_from_file(path, ts, ch, lambda i: f"record at line {_csv_line(path, i)}")
 
+    def where(index: int) -> str:
+        # Record i is on line i + 2, moved down by each blank line at or before it.
+        line = index + 2
+        for blank in blanks:
+            line += blank <= line
+        return f"record at line {line}"
 
-def _csv_line(path, index: int) -> int:
-    """The line number of a tag CSV's record ``index``, skipping blank lines as the reader does."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        fh.readline()
-        records = (lineno for lineno, line in enumerate(fh, start=2) if line.strip())
-        return next(itertools.islice(records, index, None))
+    return _stream_from_file(path, ts, ch, where)
 
 
 def read_tags(path) -> TimeTagStream:

@@ -19,7 +19,7 @@ from scipy import optimize
 from . import rng as rngmod
 from .errors import ConfigError, ReconstructionError
 from .polarization import BASIS_HV
-from .timetags import atomic_write_bytes
+from .timetags import write_csv
 
 PROJECTOR_LABELS = "HVDALR"
 
@@ -321,12 +321,14 @@ def monte_carlo_fidelity(
 
 # --- serialization --------------------------------------------------------
 
+# The counts file's first two cells of each row, in setting order.
+_SETTING_CELLS = np.array([f"{a},{b}," for a, b in setting_labels()], dtype=np.bytes_)
+
 
 def write_counts_csv(table: CountsTable, path):
-    lines = ["alice,bob,counts"]
-    for idx, (a, b) in enumerate(setting_labels()):
-        lines.append(f"{a},{b},{int(table.counts[idx])}")
-    atomic_write_bytes(path, [("\n".join(lines) + "\n").encode()])
+    write_csv(
+        path, "alice,bob,counts", table.counts, lambda n: f"{n}\n", lambda rows: _SETTING_CELLS[rows]
+    )
 
 
 def density_to_json(rho: DensityMatrix) -> dict:

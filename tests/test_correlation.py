@@ -30,7 +30,7 @@ from entsync.correlation import (
 )
 from entsync.errors import ConfigError, PeaksNotFoundError
 from entsync.scenario import ScheduleEntry, TimingScenario, analyze_blocks, simulate_timing
-from entsync.timetags import PS_PER_S, ClockModel, PairSourceModel, TimeTagStream
+from entsync.timetags import _TEXT_ROWS, PS_PER_S, ClockModel, PairSourceModel, TimeTagStream
 
 from oracles import (
     dense_counts,
@@ -465,11 +465,6 @@ class TestFindTwoPeaks:
         with pytest.raises(PeaksNotFoundError):
             find_two_peaks(hist, SyncAnalysisParams(min_separation_ps=200_000))
 
-    def test_empty_histogram(self):
-        hist = histogram_from_dense(0, 16, np.zeros(0, dtype=np.int64), 0, 0, 0)
-        with pytest.raises(PeaksNotFoundError):
-            find_two_peaks(hist, PARAMS)
-
     def test_centroid_without_weight_stays_on_its_start_bin(self):
         # A background above every count leaves no weight in the window, so the
         # centroid is the start bin's position (the centre of -16 ... -1), its
@@ -642,7 +637,10 @@ class TestExports:
 
     @pytest.mark.parametrize(
         "case",
-        ["odd_bin_width", "exponent_centres", "zero_duration", "hand_built", "zero_bins"],
+        [
+            "odd_bin_width", "exponent_centres", "hand_built", "no_singles", "two_write_steps",
+            "zero_bins",
+        ],
     )
     def test_histogram_csv_bytes_match_row_loop(self, case, tmp_path):
         a = times([0, 37, 50, 900, 901])
@@ -657,16 +655,23 @@ class TestExports:
             far_b = b + shift
             hist = compute_g2(a, far_b, window(shift - 5_000, shift + 5_000, 3), span_ps)
             expected_text = b"\n29999999108,1,"
-        elif case == "zero_duration":
-            hist = compute_g2(a, b, window(-100, 100, 4), 0)
-            assert dense_counts(hist).any() and hist.accidentals_per_bin == 0.0
-            expected_text = b",1,0\n"
         elif case == "hand_built":
             # 3000 x 4000 singles over 10 ps bins in 4000 ps: 3e4 accidentals per
             # bin, so a single count prints its g2 in exponent form.
             counts = [0, 0, 5, 5, 1, 0, 12345678901, 2]
             hist = histogram_from_dense(-40, 10, counts, 3_000, 4_000, 4_000)
             expected_text = b"\n4.5,1,3.333333333e-05\n24.5,12345678901,411522.63\n"
+        elif case == "no_singles":
+            # Counts without singles, as the peak-search strategies draw: no
+            # accidentals, so g2 is written as 0.
+            hist = histogram_from_dense(-40, 10, [0, 3, 1], 0, 4_000, 4_000)
+            expected_text = b"\n-25.5,3,0\n-15.5,1,0\n"
+        elif case == "two_write_steps":
+            # More occupied bins than one write step, an even bin width and centres
+            # on both sides of 0, so a chunk edge falls inside the half-integer column.
+            counts = np.random.default_rng(5).poisson(2.0, 2 * _TEXT_ROWS) + 1
+            hist = histogram_from_dense(-16 * _TEXT_ROWS, 16, counts, 4_000, 5_000, 10**9)
+            expected_text = b"\n-8.5,"
         else:
             hist = histogram_from_dense(0, 16, np.zeros(0, np.int64), 0, 0, 10)
             expected_text = b"tau_ps,counts,g2\n"

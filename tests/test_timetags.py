@@ -327,6 +327,7 @@ class TestApplyDetector:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(arrivals=[], det=DetectorModel(), duration=1e-6, seed=0)
+    @example(arrivals=[], det=DetectorModel(dead_time_ps=25), duration=1e-6, seed=0)
     @example(arrivals=[], det=DetectorModel(40.0, 0.7, 1e7, 25), duration=1e-6, seed=3)
     @example(arrivals=[0, 5, 5, 9], det=DetectorModel(), duration=1e-6, seed=1)
     @example(
@@ -335,7 +336,7 @@ class TestApplyDetector:
     @settings(max_examples=200, deadline=None)
     def test_matches_copying_reference(self, arrivals, det, duration, seed):
         # Efficiency 0, 1 and between; jitter, darks and dead time each on or off;
-        # an empty input and darks only.
+        # an empty input, with and without dead time, and darks only.
         ts = times(sorted(arrivals))
         ref = apply_detector_reference(ts, det, duration, seed)
         # Chunked draws equal whole ones: no chunk size changes a byte.
