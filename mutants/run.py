@@ -136,6 +136,20 @@ MUTANTS = (
         ("tests/test_cli_fuzz.py::test_broken_tag_file_is_an_io_error_naming_it",),
     ),
     Mutant(
+        "CSV tag reader drops cells past the second",
+        "src/entsync/timetags.py",
+        't, c = line.split(",")',
+        't, c = line.split(",")[:2]',
+        ("tests/test_cli_fuzz.py::test_broken_tag_file_is_an_io_error_naming_it",),
+    ),
+    Mutant(
+        "binary tag reader skips the reserved word",
+        "src/entsync/timetags.py",
+        "if reserved.size:",
+        "if False:",
+        ("tests/test_cli_fuzz.py::test_broken_tag_file_is_an_io_error_naming_it",),
+    ),
+    Mutant(
         "a CSV row takes its value's cell by that value",
         "src/entsync/timetags.py",
         "cells[np.searchsorted(distinct, values[part])]",

@@ -1,6 +1,8 @@
 """Command-line front end: simulate scenarios, analyze tag files, predict.
 
-Exit codes: 0 success, 1 configuration error, 2 reconstruction failure, 3 I/O error.
+Exit codes: 0 success, 1 configuration error, 2 reconstruction failure or a usage
+error from argparse (an unknown flag, a bad choice or a value of the wrong type),
+3 I/O error.
 """
 from __future__ import annotations
 

@@ -61,18 +61,6 @@ class G2Histogram:
         floor, half = _bin_positions(self.tau_min_ps, self.bin_width_ps, bins)
         return floor + half
 
-    def summary(self) -> dict:
-        return {
-            "n_bins": int(self.n_bins),
-            "tau_min_ps": int(self.tau_min_ps),
-            "bin_width_ps": int(self.bin_width_ps),
-            "total_counts": int(self.counts.sum()),
-            "max_count": int(self.counts.max()) if self.counts.size else 0,
-            "n_a": int(self.n_a),
-            "n_b": int(self.n_b),
-            "duration_ps": int(self.duration_ps),
-        }
-
 
 @dataclass(frozen=True)
 class PeakPair:
@@ -244,14 +232,17 @@ def _refine_centroid(
     The window re-centers on the running centroid until stable, which removes
     the jitter of the starting maximum bin. The height is the final window's
     largest count in g2 units.
+
+    ``peak_bin``'s count must exceed ``background`` and the histogram must have
+    singles, as at every maximum the peak search passes. Each later window then
+    has weight too: its centre, the last centroid's bin, lies (to a bin of
+    round-off) between the last window's outermost weighted bins, which are at
+    most 2 ``halfwidth_bins`` apart, so one of them is inside it.
     """
     n = hist.n_bins
     bins, counts = hist.bins, hist.counts
     cur = int(peak_bin)
     visited = set()
-    centroid = float(hist.bin_centers_ps(np.arange(cur, cur + 1))[0])
-    sigma = float(hist.bin_width_ps)
-    peak = 0
     for _ in range(25):
         lo = max(0, cur - halfwidth_bins)
         hi = min(n, cur + halfwidth_bins + 1)
@@ -261,8 +252,6 @@ def _refine_centroid(
         w = window.astype(np.float64) - background
         np.clip(w, 0.0, None, out=w)
         wsum = float(w.sum())
-        if wsum <= 0.0:
-            break
         tau = hist.bin_centers_ps(np.arange(lo, hi))
         centroid = float(np.dot(w, tau) / wsum)
         var = float(np.dot(w, (tau - centroid) ** 2) / wsum)
@@ -274,8 +263,7 @@ def _refine_centroid(
             break
         visited.add(cur)
         cur = nxt
-    acc = hist.accidentals_per_bin
-    return centroid, sigma, float(peak / acc) if acc > 0 else 0.0
+    return centroid, sigma, float(peak / hist.accidentals_per_bin)
 
 
 def _local_maxima_above(hist: G2Histogram, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -320,8 +308,7 @@ def find_two_peaks(hist: G2Histogram, params: SyncAnalysisParams) -> PeakPair:
     if candidates.size < 2:
         raise PeaksNotFoundError(
             f"peaks not found: {candidates.size} qualifying maxima "
-            f"(threshold {threshold:.2f} counts)",
-            hist.summary(),
+            f"(threshold {threshold:.2f} counts)"
         )
     order = candidates[np.argsort(heights)[::-1]]
     first = int(order[0])
@@ -331,10 +318,7 @@ def find_two_peaks(hist: G2Histogram, params: SyncAnalysisParams) -> PeakPair:
             second = int(idx)
             break
     if second is None:
-        raise PeaksNotFoundError(
-            "peaks not found: no second maximum beyond the minimum separation",
-            hist.summary(),
-        )
+        raise PeaksNotFoundError("peaks not found: no second maximum beyond the minimum separation")
 
     (tau1, s1, h1), (tau2, s2, h2) = (
         _refine_centroid(hist, b, params.centroid_halfwidth_bins, med) for b in (first, second)
@@ -400,12 +384,9 @@ def write_histogram_csv(hist: G2Histogram, path):
 
     The centre of bin i, as ``_bin_positions`` gives it, is written exactly: an
     integer, or one ending in ``.5`` for an even bin width. g2 is the count over
-    the accidentals per bin, or 0 when there are none.
+    the accidentals per bin.
     """
     acc = hist.accidentals_per_bin
-
-    def count_and_g2(n: int) -> str:
-        return f"{n},{n / acc:.10g}\n" if acc > 0 else f"{n},0\n"
 
     def centres(part: slice) -> np.ndarray:
         floor, half = _bin_positions(hist.tau_min_ps, hist.bin_width_ps, hist.bins[part])
@@ -416,7 +397,7 @@ def write_histogram_csv(hist: G2Histogram, path):
         magnitude = np.where(negative, -1 - floor, floor).astype(np.bytes_)
         return np.char.add(np.where(negative, b"-", b""), np.char.add(magnitude, b".5,"))
 
-    write_csv(path, "tau_ps,counts,g2", hist.counts, count_and_g2, centres)
+    write_csv(path, "tau_ps,counts,g2", hist.counts, lambda n: f"{n},{n / acc:.10g}\n", centres)
 
 
 def write_estimates_json(estimates: list[SyncEstimate], path):

@@ -10,11 +10,7 @@ class StreamFormatError(ValueError):
 
 
 class PeaksNotFoundError(RuntimeError):
-    """Fewer than two qualifying coincidence peaks in a histogram."""
-
-    def __init__(self, message: str, summary: dict | None = None):
-        super().__init__(message)
-        self.summary = summary or {}
+    """Fewer than two qualifying coincidence peaks in a histogram; the message says why."""
 
 
 class ReconstructionError(RuntimeError):

@@ -406,6 +406,12 @@ def read_tags_binary(path) -> TimeTagStream:
             if got != buf.nbytes:
                 offset = (part.start + got // size) * size
                 raise StreamFormatError(f"truncated record at byte offset {offset} in {path}")
+            reserved = np.flatnonzero(buf["reserved"])
+            if reserved.size:
+                offset = (part.start + int(reserved[0])) * size
+                raise StreamFormatError(
+                    f"non-zero reserved word in record at byte offset {offset} in {path}"
+                )
             timestamps[part] = buf["timestamp_ps"]
             channels[part] = buf["channel"]
     return _stream_from_file(
@@ -460,11 +466,11 @@ def read_tags_csv(path) -> TimeTagStream:
             if not line:
                 blanks.append(lineno)
                 continue
-            parts = line.split(",")
             try:
-                ts.append(int(parts[0]))
-                ch.append(int(parts[1]))
-            except (IndexError, ValueError):
+                t, c = line.split(",")
+                ts.append(int(t))
+                ch.append(int(c))
+            except ValueError:
                 raise StreamFormatError(f"malformed record at line {lineno} in {path}: {line!r}")
 
     def where(index: int) -> str:

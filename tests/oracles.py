@@ -71,18 +71,18 @@ def find_two_peaks_reference(hist, params) -> PeakPair:
     wherever the sparse search must."""
     counts, width = dense_counts(hist), hist.bin_width_ps
     if counts.size == 0:
-        raise PeaksNotFoundError("empty histogram", {})
+        raise PeaksNotFoundError("empty histogram")
     med = float(np.median(counts))
     mad = float(np.median(np.abs(counts - med)))
     sigma_bg = max(1.4826 * mad, math.sqrt(med + 1.0))
     candidates = local_maxima_reference(counts, med + params.threshold_sigma * sigma_bg)
     if candidates.size < 2:
-        raise PeaksNotFoundError("fewer than two maxima", {})
+        raise PeaksNotFoundError("fewer than two maxima")
     order = candidates[np.argsort(counts[candidates])[::-1]]
     first = int(order[0])
     far = [int(i) for i in order[1:] if abs(int(i) - first) * width >= params.min_separation_ps]
     if not far:
-        raise PeaksNotFoundError("no second maximum", {})
+        raise PeaksNotFoundError("no second maximum")
     centers = dense_centers(hist)
     acc = hist.accidentals_per_bin
 

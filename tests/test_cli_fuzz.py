@@ -150,7 +150,8 @@ def broken_tag_files(draw):
 
     ts = VALID_TAGS.timestamps_ps.tolist()
     ch = VALID_TAGS.channels.tolist()
-    kinds = ["truncate", "swap", "range"] + (["cell"] if suffix == ".csv" else [])
+    own_kinds = ["cell", "extra"] if suffix == ".csv" else ["reserved"]
+    kinds = ["truncate", "swap", "range"] + own_kinds
     kind = draw(st.sampled_from(kinds))
     r = draw(st.integers(0, len(ts) - 1))
     if kind == "swap":
@@ -168,6 +169,9 @@ def broken_tag_files(draw):
     if suffix == ".tt":
         rec = np.zeros(len(ts), dtype=RECORD_DTYPE)
         rec["timestamp_ps"], rec["channel"] = ts, ch
+        if kind == "reserved":
+            rec["reserved"][r] = draw(st.sampled_from([1, 2**31, 2**32 - 1]))
+            expected = f"non-zero reserved word in record at {record_at(r)} in {{path}}"
         data = rec.tobytes()
         if kind == "truncate":
             # Inside record r: a cut at a record boundary leaves a valid shorter file.
@@ -179,13 +183,16 @@ def broken_tag_files(draw):
     cells = [[str(t), str(c)] for t, c in zip(ts, ch)]
     if kind == "cell":
         cells[r][draw(st.integers(0, 1))] = draw(st.sampled_from(NON_INTEGERS))
+    elif kind == "extra":
+        # A third cell, empty or not, is not a record either.
+        cells[r].append(draw(st.sampled_from(["", "0", "garbage"])))
     lines = ["timestamp_ps,channel\n"] + [",".join(row) + "\n" for row in cells]
     data = "".join(lines).encode()
     if kind == "truncate":
         # Inside row r's timestamp cell or just after its comma, so the row loses its channel.
         start = len("".join(lines[: r + 1]))
         data = data[: start + draw(st.integers(1, len(cells[r][0]) + 1))]
-    if kind in ("cell", "truncate"):
+    if kind in ("cell", "extra", "truncate"):
         expected = f"malformed record at line {r + 2} in {{path}}"
     return suffix, data, expected
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from entsync.correlation import (
     MAX_G2_BINS,
     _background_stats,
     _local_maxima_above,
-    _refine_centroid,
     PeakPair,
     SyncAnalysisParams,
     analyze_block,
@@ -258,7 +258,52 @@ class TestComputeG2:
         assert hist.n_a == 3 and hist.n_b == 2 and hist.duration_ps == 10_000
 
 
+@st.composite
+def planted_blocks(draw):
+    """(a, b, params, block_ps): two planted pair sets plus uniform noise in one small block.
+
+    Each pair set puts a jittered copy of some of a's events into b at its own
+    delay, one after a and one before it. The noise and pair counts reach from
+    none at all to more than one accidental per bin, so both of compute_g2's
+    ways of counting are swept, across small peak-search settings.
+    """
+    block_ps = 50_000
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, block_ps, draw(st.integers(0, 100)))
+    b = [rng.integers(-2_000, block_ps + 2_000, draw(st.integers(0, 100)))]
+    for delay in (draw(st.integers(200, 1_800)), -draw(st.integers(200, 1_800))):
+        sent = a[: draw(st.integers(0, a.size))]
+        jitter = np.rint(rng.normal(0.0, draw(st.sampled_from([0.0, 5.0, 40.0])), sent.size))
+        b.append(sent + delay + jitter.astype(np.int64))
+    params = SyncAnalysisParams(
+        tau_min_ps=-2_000,
+        tau_max_ps=2_000,
+        bin_width_ps=draw(st.integers(1, 16)),
+        min_separation_ps=draw(st.sampled_from([0, 16, 320])),
+        threshold_sigma=draw(st.sampled_from([0.0, 1.0, 2.0, 5.0])),
+        centroid_halfwidth_bins=draw(st.integers(1, 6)),
+    )
+    return times(np.sort(a)), times(np.sort(np.concatenate(b))), params, block_ps
+
+
 class TestAnalyzeBlock:
+    @given(block=planted_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_every_swept_histogram_is_searched_and_written_cleanly(self, block):
+        # Warnings fail this suite, so a centroid window without weight or a g2
+        # over no singles, which divide by 0, cannot pass unseen.
+        a, b, params, block_ps = block
+        hist, estimate = analyze_block(a, b, 0, block_ps, params)
+        try:
+            expected = estimate_sync(find_two_peaks_reference(hist, params))
+        except PeaksNotFoundError:
+            expected = None
+        assert estimate == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "hist.csv"
+            write_histogram_csv(hist, path)
+            assert path.read_bytes() == histogram_csv_reference(hist)
+
     def test_block_edges_are_half_open(self):
         # Two 1000 ps blocks. The window's bins end at hi_edge = 300, past
         # tau_max = 290; a's event at 1000 sits exactly on block 0's end.
@@ -370,7 +415,8 @@ class TestFindTwoPeaks:
         threshold_sigma=st.sampled_from([0.0, 1.0, 2.0, 5.0]),
         min_separation_ps=st.sampled_from([0, 16, 48, 320]),
         halfwidth=st.integers(1, 6),
-        n_singles=st.integers(0, 40),
+        # A pair needs an event on each side, so counts never come without singles.
+        n_singles=st.integers(1, 40),
     )
     # Two peaks between empty bins; two peaks on the edge bins.
     @example(counts=[1, 0, 9, 0, 1, 1, 0, 7, 7, 0, 1], threshold_sigma=2.0,
@@ -442,9 +488,8 @@ class TestFindTwoPeaks:
     def test_flat_background_not_found(self):
         counts = np.random.default_rng(17).poisson(100.0, 2000).astype(np.int64)
         hist = histogram_from_dense(0, 16, counts, 1000, 1000, 10**9)
-        with pytest.raises(PeaksNotFoundError) as err:
+        with pytest.raises(PeaksNotFoundError):
             find_two_peaks(hist, PARAMS)
-        assert err.value.summary["n_bins"] == 2000
 
     def test_sparse_background_not_found(self):
         counts = np.random.default_rng(23).poisson(0.1, 125_000).astype(np.int64)
@@ -464,14 +509,6 @@ class TestFindTwoPeaks:
         hist = self.synthetic_histogram()
         with pytest.raises(PeaksNotFoundError):
             find_two_peaks(hist, SyncAnalysisParams(min_separation_ps=200_000))
-
-    def test_centroid_without_weight_stays_on_its_start_bin(self):
-        # A background above every count leaves no weight in the window, so the
-        # centroid is the start bin's position (the centre of -16 ... -1), its
-        # sigma one bin and its height 0.
-        counts = np.array([0, 3, 7, 4, 1, 0], dtype=np.int64)
-        hist = histogram_from_dense(-48, 16, counts, 1000, 1000, 10**9)
-        assert _refine_centroid(hist, 2, 2, background=8.0) == (-8.5, 16.0, 0.0)
 
 
 class TestEstimateSync:
@@ -638,8 +675,7 @@ class TestExports:
     @pytest.mark.parametrize(
         "case",
         [
-            "odd_bin_width", "exponent_centres", "hand_built", "no_singles", "two_write_steps",
-            "zero_bins",
+            "odd_bin_width", "exponent_centres", "hand_built", "two_write_steps", "zero_bins",
         ],
     )
     def test_histogram_csv_bytes_match_row_loop(self, case, tmp_path):
@@ -661,11 +697,6 @@ class TestExports:
             counts = [0, 0, 5, 5, 1, 0, 12345678901, 2]
             hist = histogram_from_dense(-40, 10, counts, 3_000, 4_000, 4_000)
             expected_text = b"\n4.5,1,3.333333333e-05\n24.5,12345678901,411522.63\n"
-        elif case == "no_singles":
-            # Counts without singles, as the peak-search strategies draw: no
-            # accidentals, so g2 is written as 0.
-            hist = histogram_from_dense(-40, 10, [0, 3, 1], 0, 4_000, 4_000)
-            expected_text = b"\n-25.5,3,0\n-15.5,1,0\n"
         elif case == "two_write_steps":
             # More occupied bins than one write step, an even bin width and centres
             # on both sides of 0, so a chunk edge falls inside the half-integer column.
