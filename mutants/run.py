@@ -138,9 +138,16 @@ MUTANTS = (
     Mutant(
         "CSV tag reader drops cells past the second",
         "src/entsync/timetags.py",
-        't, c = line.split(",")',
-        't, c = line.split(",")[:2]',
+        "record = _CSV_RECORD.fullmatch(line)",
+        "record = _CSV_RECORD.match(line)",
         ("tests/test_cli_fuzz.py::test_broken_tag_file_is_an_io_error_naming_it",),
+    ),
+    Mutant(
+        "CSV tag reader takes whatever int() reads as an integer",
+        "src/entsync/timetags.py",
+        '_CSV_RECORD = re.compile(r"(-?[0-9]+),(-?[0-9]+)")',
+        '_CSV_RECORD = re.compile(r"([^,]*),([^,]*)")',
+        ("tests/test_cli_fuzz.py::test_csv_cell_outside_the_record_grammar_is_malformed",),
     ),
     Mutant(
         "binary tag reader skips the reserved word",
@@ -326,6 +333,32 @@ MUTANTS = (
         "if lo_ps <= e.block_index * block_ps and",
         "if lo_ps - 1000 <= e.block_index * block_ps and",
         ("tests/test_scenario_cli.py::TestRunScenario::test_blocks_and_segments_share_the_ps_grid",),
+    ),
+    Mutant(
+        "analyze reads the tags before it checks its block flags",
+        "src/entsync/scenario.py",
+        "    _check_blocks(_block_ps(block_s), n_blocks or 0, params)\n",
+        "",
+        ("tests/test_scenario_cli.py::TestCliErrors::test_bad_block_flag_rejected_before_reading",),
+    ),
+    Mutant(
+        "a failed run leaves its private directory",
+        "src/entsync/scenario.py",
+        "        shutil.rmtree(private)\n",
+        "        pass\n",
+        ("tests/test_publish.py::test_a_run_that_fails_mid_write_leaves_nothing",),
+    ),
+    Mutant(
+        "a run writes into --out as it finds it",
+        "src/entsync/scenario.py",
+        '    private = out.parent / f".{out.name}.{secrets.token_hex(8)}"\n'
+        "    private.mkdir()\n",
+        "    private = out\n"
+        "    private.mkdir(exist_ok=True)\n",
+        (
+            "tests/test_publish.py::test_rerun_into_a_used_directory_exits_3_and_leaves_it",
+            "tests/test_publish.py::test_csv_tags_into_a_binary_run_leave_it_alone",
+        ),
     ),
     Mutant(
         "a nested model's error loses its field path",

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, PeaksNotFoundError
-from .timetags import MAX_TIMESTAMP_PS, atomic_write_bytes, chunk_slices, write_csv
+from .timetags import MAX_TIMESTAMP_PS, chunk_slices, write_csv
 
 # Events of the first record swept per step of compute_g2, which bounds its
 # temporaries whatever the block's length.
@@ -401,5 +401,5 @@ def write_histogram_csv(hist: G2Histogram, path):
 
 
 def write_estimates_json(estimates: list[SyncEstimate], path):
-    text = json.dumps([asdict(e) for e in estimates], indent=2) + "\n"
-    atomic_write_bytes(path, [text.encode()])
+    with open(path, "wb") as fh:
+        fh.write((json.dumps([asdict(e) for e in estimates], indent=2) + "\n").encode())

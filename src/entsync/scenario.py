@@ -7,9 +7,13 @@ a chosen attack model and pushes counting noise through the reconstruction.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
+import secrets
+import shutil
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +53,6 @@ from .timetags import (
     apply_clock,
     apply_detector,
     arm_detector,
-    atomic_write_bytes,
     generate_pairs,
     merge_streams,
     read_tags,
@@ -332,8 +335,6 @@ def analyze_blocks(
     if n_blocks is None:
         n_blocks = complete_blocks(a_ts, b_ts, block_ps)
     _check_blocks(block_ps, n_blocks, params)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     estimates = []
     for k in range(n_blocks):
         hist, est = analyze_block(a_ts, b_ts, k, block_ps, params)
@@ -420,7 +421,35 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
 
 
 def _write_json(payload: dict, path):
-    atomic_write_bytes(path, [(json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()])
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+
+
+@contextlib.contextmanager
+def _publish(out_dir):
+    """Yield a new private directory beside ``out_dir``, then rename it to ``out_dir``.
+
+    A run's directory thus appears whole or not at all. ``rename`` replaces only
+    an empty directory, so a non-empty ``out_dir``, or a file there, is an
+    OSError that names it and is left as it was. On any exception, Ctrl-C
+    included, only the private directory is removed. ``out_dir``'s parents are
+    made as needed; they are not part of the run.
+    """
+    out = Path(out_dir)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    # mkdir, not tempfile.mkdtemp, so that the directory gets the umask's mode.
+    private = out.parent / f".{out.name}.{secrets.token_hex(8)}"
+    private.mkdir()
+    try:
+        yield private
+        try:
+            os.rename(private, out)
+        except OSError as exc:
+            reason = f"{exc.strerror}; a run writes only to a new or empty directory"
+            raise OSError(exc.errno, reason, str(out)) from None
+    except BaseException:
+        shutil.rmtree(private)
+        raise
 
 
 def run_scenario(
@@ -429,27 +458,22 @@ def run_scenario(
     seed: int | None = None,
     tag_format: str = "binary",
 ) -> dict:
-    """Simulate a timing scenario and write tags, histograms, and estimates.
-
-    The tags are simulated before the output directory is made, so a run that
-    fails there, for want of memory say, leaves no directory behind.
-    """
+    """Simulate a timing scenario and write tags, histograms, and estimates."""
     sc = load_timing_scenario(config_path)
     if seed is not None:
         sc = dataclasses.replace(sc, seed=seed)
     alice, bob = simulate_timing(sc)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if tag_format == "csv":
-        write_tags_csv(alice, out / "alice.csv")
-        write_tags_csv(bob, out / "bob.csv")
-    else:
-        write_tags_binary(alice, out / "alice.tt")
-        write_tags_binary(bob, out / "bob.tt")
+    with _publish(out_dir) as out:
+        if tag_format == "csv":
+            write_tags_csv(alice, out / "alice.csv")
+            write_tags_csv(bob, out / "bob.csv")
+        else:
+            write_tags_binary(alice, out / "alice.tt")
+            write_tags_binary(bob, out / "bob.tt")
 
-    estimates = analyze_blocks(alice, bob, sc.block_s, sc.analysis, out, sc.n_blocks())
-    summary = build_timing_summary(sc, estimates)
-    _write_json(summary, out / "summary.json")
+        estimates = analyze_blocks(alice, bob, sc.block_s, sc.analysis, out, sc.n_blocks())
+        summary = build_timing_summary(sc, estimates)
+        _write_json(summary, out / "summary.json")
     return summary
 
 
@@ -461,10 +485,15 @@ def analyze_files(
     block_s: float,
     n_blocks: int | None = None,
 ) -> list[SyncEstimate]:
-    """Run the offline analysis half on previously recorded tag files."""
+    """Run the offline analysis half on previously recorded tag files.
+
+    ``block_s`` and a given ``n_blocks`` are checked before either file is read.
+    """
+    _check_blocks(_block_ps(block_s), n_blocks or 0, params)
     alice = read_tags(alice_path)
     bob = read_tags(bob_path)
-    return analyze_blocks(alice, bob, block_s, params, out_dir, n_blocks)
+    with _publish(out_dir) as out:
+        return analyze_blocks(alice, bob, block_s, params, out, n_blocks)
 
 
 # --- tomography scenario ----------------------------------------------------
@@ -524,11 +553,7 @@ def attacked_state(sc: TomoScenario) -> TwoQubitState:
 
 
 def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
-    """Forward-model, sample, reconstruct, and error-propagate one comparison.
-
-    Every fit runs before the output directory is made, so a failed run
-    leaves no partial artifacts.
-    """
+    """Forward-model, sample, reconstruct, and error-propagate one comparison."""
     sc = load_tomo_scenario(config_path)
     if seed is not None:
         sc = dataclasses.replace(sc, seed=seed)
@@ -546,12 +571,6 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
         counts["before"], counts["after"], sc.reps, sc.seed, rho_hat["before"], rho_hat["after"]
     )
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for which in ("before", "after"):
-        write_counts_csv(counts[which], out / f"counts_{which}.csv")
-        _write_json(density_to_json(rho_hat[which]), out / f"rho_{which}.json")
-    _write_json(distribution.to_json(), out / "fidelity_distribution.json")
     summary = {
         "config": dataclasses.asdict(sc),
         "fidelity_before_vs_target": fidelity(rho_hat["before"], target),
@@ -563,5 +582,10 @@ def run_tomo_scenario(config_path, out_dir, seed: int | None = None) -> dict:
         "n_mc_samples": int(distribution.samples.size),
         "n_mc_failed": sc.reps - int(distribution.samples.size),
     }
-    _write_json(summary, out / "summary.json")
+    with _publish(out_dir) as out:
+        for which in ("before", "after"):
+            write_counts_csv(counts[which], out / f"counts_{which}.csv")
+            _write_json(density_to_json(rho_hat[which]), out / f"rho_{which}.json")
+        _write_json(distribution.to_json(), out / "fidelity_distribution.json")
+        _write_json(summary, out / "summary.json")
     return summary

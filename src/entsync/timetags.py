@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import stat
 from dataclasses import dataclass
 
@@ -323,6 +324,9 @@ def apply_clock(
 # uint32 reserved == 0). CSV: header line "timestamp_ps,channel".
 
 RECORD_DTYPE = np.dtype([("timestamp_ps", "<i8"), ("channel", "<u4"), ("reserved", "<u4")])
+# A CSV record line, once stripped: two decimal integers of ASCII digits, each
+# with an optional "-". A negative channel is read, so that it is out of range.
+_CSV_RECORD = re.compile(r"(-?[0-9]+),(-?[0-9]+)")
 
 
 # Binary tag records read or written per step: 1 MB.
@@ -338,20 +342,8 @@ def chunk_slices(n: int, size: int):
         yield slice(start, min(start + size, n))
 
 
-def atomic_write_bytes(path, chunks):
-    """Write an iterable of bytes-like chunks to path through a temporary file.
-
-    Readers never see a partial file; a contiguous array chunk is written without a copy.
-    """
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
-
-
 def write_csv(path, header: str, values: np.ndarray, fmt, first_column):
-    """Write a header line, then one row per integer of ``values``, through ``atomic_write_bytes``.
+    """Write a header line, then one row per integer of ``values``.
 
     Row i is ``first_column(part)``'s cell for it, separator included, then
     ``fmt(values[i])``, the rest of the row with its newline. ``first_column``
@@ -371,19 +363,18 @@ def write_csv(path, header: str, values: np.ndarray, fmt, first_column):
             text = np.char.add(first_column(part), cells[np.searchsorted(distinct, values[part])])
             yield text.tobytes().translate(None, b"\0")
 
-    atomic_write_bytes(path, rows())
+    with open(path, "wb") as fh:
+        fh.writelines(rows())
 
 
 def write_tags_binary(stream: TimeTagStream, path):
-    def records():
-        rec = np.zeros(min(len(stream), _IO_CHUNK), dtype=RECORD_DTYPE)
+    rec = np.zeros(min(len(stream), _IO_CHUNK), dtype=RECORD_DTYPE)
+    with open(path, "wb") as fh:
         for part in chunk_slices(len(stream), _IO_CHUNK):
             out = rec[: part.stop - part.start]
             out["timestamp_ps"] = stream.timestamps_ps[part]
             out["channel"] = stream.channels[part]
-            yield out
-
-    atomic_write_bytes(path, records())
+            fh.write(out)
 
 
 def read_tags_binary(path) -> TimeTagStream:
@@ -454,8 +445,8 @@ def write_tags_csv(stream: TimeTagStream, path):
 
 
 def read_tags_csv(path) -> TimeTagStream:
-    # A byte that is not UTF-8 is kept as a lone surrogate, which int() rejects,
-    # so it is a malformed line like any other.
+    # A byte that is not UTF-8 is kept as a lone surrogate, which no record
+    # matches, so it is a malformed line like any other.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "timestamp_ps,channel":
@@ -466,10 +457,13 @@ def read_tags_csv(path) -> TimeTagStream:
             if not line:
                 blanks.append(lineno)
                 continue
+            record = _CSV_RECORD.fullmatch(line)
+            # int() also refuses a cell of more digits than its limit, 4300 by default.
             try:
-                t, c = line.split(",")
-                ts.append(int(t))
-                ch.append(int(c))
+                if record is None:
+                    raise ValueError(line)
+                ts.append(int(record[1]))
+                ch.append(int(record[2]))
             except ValueError:
                 raise StreamFormatError(f"malformed record at line {lineno} in {path}: {line!r}")
 

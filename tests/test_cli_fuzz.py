@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -134,7 +135,8 @@ VALID_TAGS = TimeTagStream(
     np.array([0, 1, 2, 3, 0, 1, 2, 3], dtype=np.uint32),
 )
 OUT_OF_RANGE = [2**62, -(2**62), 2**62 + 12_345, 2**63 - 1, -(2**63)]
-NON_INTEGERS = ["x", "", "1.5", "1e3", "0x10", "--1", " "]
+# int() reads the last four, which a record's grammar of ASCII decimal integers refuses.
+NON_INTEGERS = ["x", "", "1.5", "1e3", "0x10", "--1", " ", "1_000", "+2000", "1 000", "\uff13000"]
 
 
 @st.composite
@@ -212,6 +214,20 @@ def test_broken_tag_file_is_an_io_error_naming_it(broken, alice):
         assert not out.exists()
     assert err.getvalue().startswith("i/o error: ")
     assert expected.format(path=bad) in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("cell", NON_INTEGERS)
+def test_csv_cell_outside_the_record_grammar_is_malformed(tmp_path, capsys, cell, column):
+    row = ["7", "1"]
+    row[column] = cell
+    tags = tmp_path / "tags.csv"
+    tags.write_text(f"timestamp_ps,channel\n0,0\n{','.join(row)}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["analyze", "--alice", str(tags), "--bob", str(tags), "--out", str(out)]
+    assert cli_main(argv + ANALYZE_FLAGS) == 3
+    assert f"malformed record at line 3 in {tags}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- every accepted timing scenario runs -------------------------------------------

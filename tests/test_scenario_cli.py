@@ -1032,6 +1032,20 @@ class TestCliErrors:
         assert read == []
         assert "config error: bin_width_ps must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--block-s", "0"], "block_s must be finite and > 0"),
+            (["--block-s", "1e-6"], BLOCK_IN_WINDOW),
+            (["--n-blocks", "-1"], "n_blocks must be >= 0"),
+        ],
+    )
+    def test_bad_block_flag_rejected_before_reading(self, tmp_path, capsys, flags, message):
+        missing = str(tmp_path / "missing.tt")
+        argv = ["analyze", "--alice", missing, "--bob", missing, "--out", str(tmp_path / "o")]
+        assert cli_main(argv + flags) == 1
+        assert re.search(f"config error: {message}", capsys.readouterr().err)
+
 
 class TestPredict:
     def test_channel_only_config(self, tmp_path, capsys):

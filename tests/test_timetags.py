@@ -590,6 +590,13 @@ class TestFileFormats:
         with pytest.raises(StreamFormatError, match=f"^{message}.*tags\\.csv: record at line 5"):
             read_tags_csv(path)
 
+    def test_csv_cell_past_the_int_digit_limit_is_malformed(self, tmp_path):
+        # int() refuses more than 4300 digits by default: the row is malformed, not a crash.
+        path = tmp_path / "tags.csv"
+        path.write_text(f"timestamp_ps,channel\n0,0\n{'1' * 5000},2\n")
+        with pytest.raises(StreamFormatError, match="^malformed record at line 3 in "):
+            read_tags_csv(path)
+
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "tags.csv"
         path.write_text("time,chan\n0,0\n")
