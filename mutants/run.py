@@ -168,6 +168,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "decimal cells write the pairs past a number's digits as zeros",
+        "src/entsync/timetags.py",
+        "            pair += np.uint64(100) * (magnitude == 0)\n",
+        "            pass\n",
+        (
+            "tests/test_timetags.py::TestFileFormats::test_decimal_cells_match_python_formatting",
+            "tests/test_timetags.py::TestFileFormats::test_csv_bytes_match_row_loop",
+        ),
+    ),
+    Mutant(
+        "decimal cells keep a number's leading zero",
+        "src/entsync/timetags.py",
+        "        pair += np.uint64(100) * (rest == 0)\n",
+        "",
+        (
+            "tests/test_timetags.py::TestFileFormats::test_decimal_cells_match_python_formatting",
+            "tests/test_correlation.py::TestExports::test_histogram_csv_bytes_match_row_loop",
+        ),
+    ),
+    Mutant(
         "circular amplitudes enter through the inverse basis change",
         "src/entsync/polarization.py",
         "return cls(_RL_TO_HV @ rl)",
@@ -184,9 +204,31 @@ MUTANTS = (
     Mutant(
         "g2 window starts after ties",
         "src/entsync/correlation.py",
-        "j = np.searchsorted(b, a + params.tau_min_ps)",
-        'j = np.searchsorted(b, a + params.tau_min_ps, side="right")',
+        "else np.searchsorted(b, starts)",
+        'else np.searchsorted(b, starts, side="right")',
         ("tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",),
+    ),
+    Mutant(
+        "g2 grid step passes an event tied with its window start",
+        "src/entsync/correlation.py",
+        "j += b[j] < q",
+        "j += b[j] <= q",
+        (
+            "tests/test_correlation.py::TestComputeG2::test_grid_starts_match_binary_search",
+            "tests/test_correlation.py::TestComputeG2"
+            "::test_dense_walk_matches_bruteforce_on_edges_and_ties",
+        ),
+    ),
+    Mutant(
+        "g2 grid looks a window start up one cell late",
+        "src/entsync/correlation.py",
+        "j = first[cell.view(np.int64)]",
+        "j = first[cell.view(np.int64) + 1]",
+        (
+            "tests/test_correlation.py::TestComputeG2::test_grid_starts_match_binary_search",
+            "tests/test_correlation.py::TestComputeG2"
+            "::test_dense_walk_matches_bruteforce_on_edges_and_ties",
+        ),
     ),
     Mutant(
         "plateau peak rounds its midpoint up",
@@ -198,10 +240,9 @@ MUTANTS = (
     Mutant(
         "histogram centre written with .10g",
         "src/entsync/correlation.py",
-        "        if not half:\n",
+        '        return decimal_cells(floor, b",", half=bool(half))\n',
         '        centers = (floor + half).tolist()\n'
-        '        return np.array([f"{c:.10g}," for c in centers], dtype=np.bytes_)\n'
-        "        if not half:\n",
+        '        return np.array([f"{c:.10g}," for c in centers], dtype=np.bytes_)\n',
         ("tests/test_correlation.py::TestExports::test_histogram_centres_are_exact_far_from_zero",),
     ),
     Mutant(

@@ -342,6 +342,45 @@ def chunk_slices(n: int, size: int):
         yield slice(start, min(start + size, n))
 
 
+# "00" to "99", then the same without a leading zero, then two NULs: digit
+# pair r, r + 100 for a number's leading pair, 200 for a pair past its digits.
+_DIGIT_PAIRS = np.array(
+    [[48 + r // 10, 48 + r % 10] for r in range(100)]
+    + [[48 + r // 10 if r >= 10 else 0, 48 + r % 10] for r in range(100)]
+    + [[0, 0]],
+    dtype=np.uint8,
+)
+
+
+def decimal_cells(values: np.ndarray, suffix: bytes, half: bool = False) -> np.ndarray:
+    """Each int64 of ``values``, plus 0.5 when ``half``, as decimal text then ``suffix``.
+
+    The cells are NUL-padded fixed-width bytes, for ``write_csv``'s first
+    column: a sign, the digits right-aligned, ".5" when ``half``, then the
+    suffix. The digits are taken two per division by 100. A half-integer is
+    written by its magnitude: -998 + 0.5 is "-997.5", whose digits are those
+    of ~-998 = 997.
+    """
+    negative = values < 0
+    # Negation wraps -2**63 to itself, whose uint64 view is its magnitude.
+    magnitude = np.where(negative, ~values if half else -values, values).view(np.uint64)
+    tail = np.frombuffer(b".5" * half + suffix, dtype=np.uint8)
+    n_pairs = max(1, (len(str(int(magnitude.max(initial=0)))) + 1) // 2)
+    width = 1 + 2 * n_pairs + tail.size
+    text = np.zeros((values.size, width), dtype=np.uint8)
+    text[negative, 0] = ord("-")
+    text[:, width - tail.size :] = tail
+    for i in range(n_pairs):
+        rest, pair = np.divmod(magnitude, 100)
+        pair += np.uint64(100) * (rest == 0)
+        if i:
+            # A number has no digits left for this pair: 0 + 100 + 100.
+            pair += np.uint64(100) * (magnitude == 0)
+        magnitude = rest
+        text[:, 2 * (n_pairs - i) - 1 : 2 * (n_pairs - i) + 1] = _DIGIT_PAIRS[pair]
+    return text.view(f"S{width}").ravel()
+
+
 def write_csv(path, header: str, values: np.ndarray, fmt, first_column):
     """Write a header line, then one row per integer of ``values``.
 
@@ -350,8 +389,9 @@ def write_csv(path, header: str, values: np.ndarray, fmt, first_column):
     takes a slice of at most ``_TEXT_ROWS`` rows and gives their cells as a
     bytes-string array. ``fmt`` runs once per distinct value, so equal values
     share one cell, found by a binary search into the sorted distinct values.
-    Fixed-width numpy strings are NUL-padded and formatted numbers never
-    contain NUL, so dropping every NUL byte leaves exactly the text.
+    Fixed-width numpy strings are NUL-padded, ``decimal_cells`` pads inside
+    its cells too, and formatted numbers never contain NUL, so dropping every
+    NUL byte leaves exactly the text.
     """
     distinct = np.unique(values)
     cells = np.array([fmt(v) for v in distinct.tolist()], dtype=np.bytes_)
@@ -440,7 +480,7 @@ def write_tags_csv(stream: TimeTagStream, path):
         "timestamp_ps,channel",
         stream.channels,
         lambda c: f"{c}\n",
-        lambda part: np.char.add(stream.timestamps_ps[part].astype(np.bytes_), b","),
+        lambda part: decimal_cells(stream.timestamps_ps[part], b","),
     )
 
 

@@ -18,6 +18,7 @@ from entsync.channel import ChannelConfig
 from entsync.correlation import (
     MAX_G2_BINS,
     _background_stats,
+    _grid_starts,
     _local_maxima_above,
     PeakPair,
     SyncAnalysisParams,
@@ -68,6 +69,30 @@ def g2_records(draw):
             t = a[draw(st.integers(0, len(a) - 1))]
             b += [t + tau_min + k % (hi_edge - tau_min) for k in range(12)]
     return a, b, tau_min, tau_max, bin_width
+
+
+@st.composite
+def grid_queries(draw):
+    """Window starts ``q`` and a slice ``b`` of the second record, as `_pair_bins` makes them.
+
+    Returns (q, b), each sorted, with q[0] <= b[0] and b[-1] past q[-1]. The
+    span is either a few picoseconds, so that ties within and across the two
+    are common, or up to the 2**64 - 2 ps a chunk's window starts and ends
+    can cover. A run of up to 3 000 equal events of b outlasts the grid's steps.
+    """
+    lo = draw(st.integers(-(2**63) + 1, 2**63 - 2))
+    hi = min(2**63 - 1, lo + draw(st.one_of(st.integers(1, 64), st.integers(1, 2**64))))
+    q = draw(st.lists(st.integers(lo, hi - 1), min_size=1, max_size=30))
+    q0 = min(q)
+    b = draw(st.lists(st.integers(q0, hi - 1), max_size=30))
+    if draw(st.booleans()):
+        tie = draw(st.integers(q0, hi - 1))
+        b += [tie] * draw(st.integers(1, 3000))
+        q += [tie] + [tie + 1] * (tie + 1 < hi)
+    # Queries on the events of b and events on the queries.
+    q += draw(st.lists(st.sampled_from(b), max_size=4)) if b else []
+    b += draw(st.lists(st.sampled_from(q), max_size=4))
+    return sorted(q), sorted(b) + [hi]
 
 
 def window(tau_min_ps, tau_max_ps, bin_width_ps):
@@ -187,6 +212,32 @@ class TestComputeG2:
             patch.setattr(entsync.correlation, "_G2_CHUNK", chunk)
             hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1_000)
         assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, tau_min, tau_max, bin_width))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    @given(records=g2_records())
+    @example(records=([3], [3 + k for k in range(-4, 8)], -4, 8, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_walk_matches_bruteforce_on_edges_and_ties(self, chunk, records):
+        # A 1 ps duration puts every block with events on both sides above one
+        # accidental per bin, so its window starts come from the grid count.
+        a, b, tau_min, tau_max, bin_width = records
+        a, b = times(sorted(a)), times(sorted(b))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(entsync.correlation, "_G2_CHUNK", chunk)
+            hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1)
+        assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, tau_min, tau_max, bin_width))
+
+    @given(starts=grid_queries())
+    # One query; the widest span a chunk can have, from -(2**63 - 1) to 2**63 - 1.
+    @example(starts=([5], [9]))
+    @example(starts=([-(2**63) + 1, -(2**63) + 1, 0], [-(2**63) + 1, 1, 2**63 - 1]))
+    # 3 000 ties before a query in its 512 ps cell, more than the grid's steps
+    # pass: the binary search takes them.
+    @example(starts=([0, 2], [1] * 3000 + [10**6]))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_starts_match_binary_search(self, starts):
+        q, b = times(starts[0]), times(starts[1])
+        assert np.array_equal(_grid_starts(b, q), np.searchsorted(b, q))
 
     def test_records_spanning_the_timestamp_range_stay_exact(self):
         # One chunk spans almost 2**63 ps. After its last pair, the first event
@@ -675,7 +726,8 @@ class TestExports:
     @pytest.mark.parametrize(
         "case",
         [
-            "odd_bin_width", "exponent_centres", "hand_built", "two_write_steps", "zero_bins",
+            "odd_bin_width", "exponent_centres", "hand_built", "two_write_steps",
+            "range_edge_centres", "zero_bins",
         ],
     )
     def test_histogram_csv_bytes_match_row_loop(self, case, tmp_path):
@@ -703,6 +755,11 @@ class TestExports:
             counts = np.random.default_rng(5).poisson(2.0, 2 * _TEXT_ROWS) + 1
             hist = histogram_from_dense(-16 * _TEXT_ROWS, 16, counts, 4_000, 5_000, 10**9)
             expected_text = b"\n-8.5,"
+        elif case == "range_edge_centres":
+            # Four bins of 2**61 ps across the whole window the parameters allow:
+            # 19-digit half-integer centres on both sides of 0.
+            hist = histogram_from_dense(-(2**62), 2**61, [1, 2, 3, 4], 10, 10, 10**6)
+            expected_text = b"\n-3458764513820540928.5,1,"
         else:
             hist = histogram_from_dense(0, 16, np.zeros(0, np.int64), 0, 0, 10)
             expected_text = b"tau_ps,counts,g2\n"

@@ -1,4 +1,5 @@
 import os
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from entsync.timetags import (
     apply_clock,
     apply_detector,
     arm_detector,
+    decimal_cells,
     generate_pairs,
     merge_streams,
     read_tags_binary,
@@ -572,6 +574,21 @@ class TestFileFormats:
         empty = make_stream([])
         write_tags_csv(empty, path)
         assert path.read_bytes() == tags_csv_reference(empty)
+
+    @pytest.mark.parametrize("half", [False, True], ids=["integers", "half_integers"])
+    def test_decimal_cells_match_python_formatting(self, half):
+        # The int64 extremes, 0, +-1, every power of ten and its neighbours,
+        # and -998, whose half-integer -997.5 is written by its magnitude.
+        values = [-(2**63), 2**63 - 1, 0, 1, -1, -998]
+        for k in range(19):
+            values += [10**k - 1, 10**k, 10**k + 1, -(10**k) - 1, -(10**k), -(10**k) + 1]
+        cells = decimal_cells(np.array(values, dtype=np.int64), b",", half)
+        assert cells.dtype.kind == "S" and cells.size == len(values)
+        text = [cell.replace(b"\0", b"") for cell in cells.tolist()]
+        # v + 0.5 in exact decimal.
+        expected = [f"{Decimal(2 * v + 1) / 2:f}," if half else f"{v}," for v in values]
+        assert text == [e.encode() for e in expected]
+        assert decimal_cells(np.empty(0, dtype=np.int64), b",", half).size == 0
 
     def test_csv_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "tags.csv"
