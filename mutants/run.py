@@ -204,9 +204,22 @@ MUTANTS = (
     Mutant(
         "g2 window starts after ties",
         "src/entsync/correlation.py",
-        "else np.searchsorted(b, starts)",
-        'else np.searchsorted(b, starts, side="right")',
-        ("tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",),
+        "    j += b[j] < q\n"
+        "    short = np.flatnonzero(b[j] < q)\n"
+        "    for _ in range(4):\n"
+        "        j[short] += 1\n"
+        "        short = short[b[j[short]] < q[short]]\n"
+        "    j[short] = np.searchsorted(b, q[short])\n",
+        "    j += b[j] <= q\n"
+        "    short = np.flatnonzero(b[j] <= q)\n"
+        "    for _ in range(4):\n"
+        "        j[short] += 1\n"
+        "        short = short[b[j[short]] <= q[short]]\n"
+        '    j[short] = np.searchsorted(b, q[short], side="right")\n',
+        (
+            "tests/test_correlation.py::TestComputeG2::test_grid_starts_match_binary_search",
+            "tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",
+        ),
     ),
     Mutant(
         "g2 grid step passes an event tied with its window start",
@@ -215,8 +228,7 @@ MUTANTS = (
         "j += b[j] <= q",
         (
             "tests/test_correlation.py::TestComputeG2::test_grid_starts_match_binary_search",
-            "tests/test_correlation.py::TestComputeG2"
-            "::test_dense_walk_matches_bruteforce_on_edges_and_ties",
+            "tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",
         ),
     ),
     Mutant(
@@ -226,8 +238,7 @@ MUTANTS = (
         "j = first[cell.view(np.int64) + 1]",
         (
             "tests/test_correlation.py::TestComputeG2::test_grid_starts_match_binary_search",
-            "tests/test_correlation.py::TestComputeG2"
-            "::test_dense_walk_matches_bruteforce_on_edges_and_ties",
+            "tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",
         ),
     ),
     Mutant(

@@ -161,29 +161,25 @@ def _grid_starts(b: np.ndarray, q: np.ndarray) -> np.ndarray:
     return j
 
 
-def _pair_bins(a: np.ndarray, bt: np.ndarray, params: SyncAnalysisParams, grid: bool) -> np.ndarray:
+def _pair_bins(a: np.ndarray, bt: np.ndarray, params: SyncAnalysisParams) -> np.ndarray:
     """Histogram bin of every pair of a chunk `a` of the first record with `bt`.
 
     Cuts `bt` to the span the chunk's windows cover and finds each event's
-    window start there: by a count over a grid (`_grid_starts`) when ``grid``,
-    else by one binary search per event. Then walks forward: step k takes
-    every still-open event's k-th candidate and closes the events whose
-    candidate lies at or past the window's end. A sentinel at the chunk's last
-    window end closes every event, so no step needs a bounds check.
+    window start there by a count over a grid (`_grid_starts`). Then walks
+    forward: step k takes every still-open event's k-th candidate and closes
+    the events whose candidate lies at or past the window's end. A sentinel at
+    the chunk's last window end closes every event, so no step needs a bounds
+    check.
 
-    On a 100 kHz block the binary searches, 65 536 queries per chunk into a
-    512 kB slice, took 189 of the sweep's 304 ms, and the grid took the
-    block's window starts from 185 to 113 ms. A sparse block's slice is small
-    enough to search in cache: on fig3's 16 k-event blocks the grid gained
-    nothing (426-446 against 440-457 us a block), so the accidental-rate test
-    that picks the counting also picks the grid.
+    On a 100 kHz block a binary search per event, 65 536 queries per chunk
+    into a 512 kB slice, took 189 of the sweep's 304 ms; the grid took the
+    block's window starts from 185 to 113 ms.
     """
     n_bins, hi_edge = _histogram_window(params)
     ends = a + hi_edge
     b_lo, b_hi = np.searchsorted(bt, [a[0] + params.tau_min_ps, ends[-1]])
     b = np.append(bt[b_lo:b_hi], ends[-1])
-    starts = a + params.tau_min_ps
-    j = _grid_starts(b, starts) if grid else np.searchsorted(b, starts)
+    j = _grid_starts(b, a + params.tau_min_ps)
     # Measured from each window's end, a candidate pairs while it is
     # negative; unlike t_b - t_a, this cannot overflow across a long chunk.
     offsets = []
@@ -207,33 +203,30 @@ def compute_g2(
     """Exact pair-difference histogram over tau = t_b - t_a of two sorted records.
 
     The sweep runs over `at` in fixed chunks, each giving the bins of its pairs
-    (see `_pair_bins`). Cost is one window start per event, found in a slice
-    of `bt`, plus O(pairs), plus a few numpy calls per step of the forward
-    walk, for as many steps as the most pairs of any one event.
+    (see `_pair_bins`). Cost is one window start per event, found by a grid
+    count over a slice of `bt`, plus O(pairs), plus a few numpy calls per step
+    of the forward walk, for as many steps as the most pairs of any one event.
     ``duration_ps`` is the span both records were taken over, which fixes the
     accidental rate the histogram is normalised by.
 
     How the pairs are counted follows that rate. Below one accidental per bin,
     the accidental pairs are fewer than n_bins, so the chunks' bins are kept
-    and counted by sorting them: no array grows with n_bins, and each window
-    start is a binary search into a slice small enough to stay in cache. At
-    one or more per bin, each chunk adds into one dense count array, whose
-    occupied bins are taken once at the end: on a 100 kHz block of 5.5 M
-    pairs in 125 000 bins, sorting took 44 ms against 9 ms for counting. Such
-    a block's slices are too long to search in cache, so its window starts
-    come from one grid count per chunk instead.
+    and counted by sorting them: no array grows with n_bins. At one or more
+    per bin, each chunk adds into one dense count array, whose occupied bins
+    are taken once at the end: on a 100 kHz block of 5.5 M pairs in 125 000
+    bins, sorting took 44 ms against 9 ms for counting.
     """
     n_bins, _ = _histogram_window(params)
     parts = chunk_slices(at.size, _G2_CHUNK)
     if at.size * bt.size * params.bin_width_ps < duration_ps:
         pair_bins = [np.empty(0, np.int64)]
-        pair_bins += [_pair_bins(at[part], bt, params, grid=False) for part in parts]
+        pair_bins += [_pair_bins(at[part], bt, params) for part in parts]
         bins, counts = np.unique(np.concatenate(pair_bins), return_counts=True)
     else:
         dense = np.zeros(n_bins, dtype=np.int64)
         for part in parts:
             # Each chunk's temporaries are freed before the next chunk's are made.
-            dense += np.bincount(_pair_bins(at[part], bt, params, grid=True), minlength=n_bins)
+            dense += np.bincount(_pair_bins(at[part], bt, params), minlength=n_bins)
         bins = np.flatnonzero(dense)
         counts = dense[bins]
     return G2Histogram(

@@ -198,33 +198,25 @@ class TestComputeG2:
         assert hist.counts.dtype == np.int64
         assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, -3000, 3000, 32))
 
-    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    # At 1 ps every block with events on both sides counts dense; at 1 000 ps
+    # many take the sparse branch.
+    @pytest.mark.parametrize(
+        ("chunk", "duration_ps"),
+        [(1, 1_000), (3, 1_000), (8, 1_000), (1, 1), (3, 1), (8, 1)],
+        ids=["1", "3", "8", "1-dense", "3-dense", "8-dense"],
+    )
     @given(records=g2_records())
     # Either record empty; one event with more pairs than any chunk has events.
     @example(records=([], [0, 5], -4, 8, 2))
     @example(records=([0, 5], [], -4, 8, 2))
     @example(records=([3], [3 + k for k in range(-4, 8)], -4, 8, 1))
     @settings(max_examples=60, deadline=None)
-    def test_walk_matches_bruteforce_on_edges_and_ties(self, chunk, records):
+    def test_walk_matches_bruteforce_on_edges_and_ties(self, chunk, duration_ps, records):
         a, b, tau_min, tau_max, bin_width = records
         a, b = times(sorted(a)), times(sorted(b))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(entsync.correlation, "_G2_CHUNK", chunk)
-            hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1_000)
-        assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, tau_min, tau_max, bin_width))
-
-    @pytest.mark.parametrize("chunk", [1, 3, 8])
-    @given(records=g2_records())
-    @example(records=([3], [3 + k for k in range(-4, 8)], -4, 8, 1))
-    @settings(max_examples=60, deadline=None)
-    def test_dense_walk_matches_bruteforce_on_edges_and_ties(self, chunk, records):
-        # A 1 ps duration puts every block with events on both sides above one
-        # accidental per bin, so its window starts come from the grid count.
-        a, b, tau_min, tau_max, bin_width = records
-        a, b = times(sorted(a)), times(sorted(b))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(entsync.correlation, "_G2_CHUNK", chunk)
-            hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), 1)
+            hist = compute_g2(a, b, window(tau_min, tau_max, bin_width), duration_ps)
         assert np.array_equal(dense_counts(hist), g2_bruteforce(a, b, tau_min, tau_max, bin_width))
 
     @given(starts=grid_queries())
