@@ -234,8 +234,8 @@ MUTANTS = (
     Mutant(
         "g2 grid looks a window start up one cell late",
         "src/entsync/correlation.py",
-        "j = first[cell.view(np.int64)]",
-        "j = first[cell.view(np.int64) + 1]",
+        "j = first[((q.view(np.uint64) - origin) >> k).view(np.int64)]",
+        "j = first[((q.view(np.uint64) - origin) >> k).view(np.int64) + 1]",
         (
             "tests/test_correlation.py::TestComputeG2::test_grid_starts_match_binary_search",
             "tests/test_correlation.py::TestComputeG2::test_walk_matches_bruteforce_on_edges_and_ties",
@@ -278,13 +278,31 @@ MUTANTS = (
     Mutant(
         "density rule inverted",
         "src/entsync/correlation.py",
-        "if at.size * bt.size * params.bin_width_ps < duration_ps:",
-        "if at.size * bt.size * params.bin_width_ps >= duration_ps:",
+        "if per_bin < duration_ps:",
+        "if per_bin >= duration_ps:",
         (
             "tests/test_correlation.py::TestComputeG2::test_counting_follows_the_accidental_rate",
             "tests/test_correlation.py::TestAnalyzeBlock"
             "::test_sparse_block_work_does_not_grow_with_n_bins",
         ),
+    ),
+    Mutant(
+        "block cap takes the larger of its pairs and its bins",
+        "src/entsync/correlation.py",
+        "per_bin = min(at.size * bt.size * params.bin_width_ps, duration_ps)",
+        "per_bin = max(at.size * bt.size * params.bin_width_ps, duration_ps)",
+        (
+            "tests/test_correlation.py::TestComputeG2::test_cap_boundary_is_exact[sparse]",
+            "tests/test_calibration.py"
+            "::test_a_window_as_wide_as_the_link_finds_a_long_link_and_a_far_clock",
+        ),
+    ),
+    Mutant(
+        "block cap refuses a block at the cap",
+        "src/entsync/correlation.py",
+        "if per_bin * n_bins > MAX_G2_BINS * duration_ps:",
+        "if per_bin * n_bins >= MAX_G2_BINS * duration_ps:",
+        ("tests/test_correlation.py::TestComputeG2::test_cap_boundary_is_exact",),
     ),
     Mutant(
         "median of an even count takes the upper middle value",
@@ -315,6 +333,16 @@ MUTANTS = (
         (
             "tests/test_correlation.py::TestAnalyzeBlock"
             "::test_sparse_block_work_does_not_grow_with_n_bins",
+        ),
+    ),
+    Mutant(
+        "centroid mapped to its bin from tau_min_ps in float64 again",
+        "src/entsync/correlation.py",
+        "nxt = (math.floor(centroid) - hist.tau_min_ps) // hist.bin_width_ps",
+        "nxt = int((centroid - hist.tau_min_ps) // hist.bin_width_ps)",
+        (
+            "tests/test_correlation.py::TestAnalyzeBlock"
+            "::test_centroid_is_placed_exactly_past_2_53_ps",
         ),
     ),
     Mutant(

@@ -21,9 +21,9 @@ from .timetags import MAX_TIMESTAMP_PS, chunk_slices, decimal_cells, write_csv
 # Events of the first record swept per step of compute_g2, which bounds its
 # temporaries whatever the block's length.
 _G2_CHUNK = 1 << 16
-# Most bins in one g2 histogram. A block that expects at least one accidental
-# per bin counts into a dense array, up to 32 MiB; a sparser block holds only
-# its pairs. Its CSV lists only the occupied bins, so at most this many rows.
+# Most a g2 block may hold, min(its expected pairs, its bins), whatever its
+# window's width: a dense array of at most 32 MiB, or pairs at ~49 bytes each
+# traced in compute_g2 plus ~25 per occupied bin in find_two_peaks.
 MAX_G2_BINS = 1 << 22
 
 
@@ -109,11 +109,8 @@ class SyncAnalysisParams:
             raise ConfigError("tau_max_ps must be <= 2**62")
         if self.bin_width_ps < 1:
             raise ConfigError("bin_width_ps must be >= 1")
-        n_bins, hi_edge = _histogram_window(self)
-        if hi_edge > MAX_TIMESTAMP_PS:
+        if _histogram_window(self)[1] > MAX_TIMESTAMP_PS:
             raise ConfigError("bin_width_ps must end the last bin at or below 2**62 ps")
-        if n_bins > MAX_G2_BINS:
-            raise ConfigError("bin_width_ps must split the g2 window into at most 2**22 bins")
         if self.min_separation_ps < 0:
             raise ConfigError("min_separation_ps must be >= 0")
         if not math.isfinite(self.threshold_sigma) or self.threshold_sigma < 0:
@@ -144,12 +141,14 @@ def _grid_starts(b: np.ndarray, q: np.ndarray) -> np.ndarray:
     cell = b.view(np.uint64) - origin
     k = np.uint64((int(cell[-1]) // b.size).bit_length())
     cell >>= k
-    # first[c] is the number of events in the cells before cell c.
-    first = np.zeros(int(cell[-1]) + 2, dtype=np.intp)
-    np.cumsum(np.bincount(cell.view(np.int64)), out=first[1:])
-    cell = q.view(np.uint64) - origin
-    cell >>= k
-    j = first[cell.view(np.int64)]
+    cell += 1
+    # Counts moved up one cell, then summed: first[c] is the events before cell c.
+    first = np.bincount(cell.view(np.int64))
+    del cell
+    np.cumsum(first, out=first)
+    # The queries' cells and the table are freed before the steps' temporaries.
+    j = first[((q.view(np.uint64) - origin) >> k).view(np.int64)]
+    del first
     # Most queries pass at most one event of their cell, so one step covers
     # them all; the rest step on their own, up to four more times.
     j += b[j] < q
@@ -217,8 +216,15 @@ def compute_g2(
     bins, sorting took 44 ms against 9 ms for counting.
     """
     n_bins, _ = _histogram_window(params)
+    # Exact integers: per_bin * n_bins / duration_ps = min(expected pairs, n_bins).
+    per_bin = min(at.size * bt.size * params.bin_width_ps, duration_ps)
+    if per_bin * n_bins > MAX_G2_BINS * duration_ps:
+        pairs = -(-at.size * bt.size * params.bin_width_ps * n_bins // duration_ps)
+        raise ConfigError(
+            f"expects {pairs} pairs in {n_bins} g2 bins; min(pairs, bins) must be at most 2**22"
+        )
     parts = chunk_slices(at.size, _G2_CHUNK)
-    if at.size * bt.size * params.bin_width_ps < duration_ps:
+    if per_bin < duration_ps:
         pair_bins = [np.empty(0, np.int64)]
         pair_bins += [_pair_bins(at[part], bt, params) for part in parts]
         bins, counts = np.unique(np.concatenate(pair_bins), return_counts=True)
@@ -296,7 +302,8 @@ def _refine_centroid(
         var = float(np.dot(w, (tau - centroid) ** 2) / wsum)
         sigma = math.sqrt(max(var, hist.bin_width_ps**2 / 12.0) / wsum)
         peak = window.max()
-        nxt = int((centroid - hist.tau_min_ps) // hist.bin_width_ps)
+        # Exact: centroid - tau_min_ps in float64 rounds by up to 256 ps near 2**61.
+        nxt = (math.floor(centroid) - hist.tau_min_ps) // hist.bin_width_ps
         nxt = min(max(nxt, 0), n - 1)
         if nxt == cur or nxt in visited:
             break
@@ -392,7 +399,10 @@ def analyze_block(
     _, hi_edge = _histogram_window(params)
     a_lo, a_hi = np.searchsorted(a_ts, [t0, t1])
     b_lo, b_hi = np.searchsorted(b_ts, [t0 + params.tau_min_ps, t1 + hi_edge])
-    hist = compute_g2(a_ts[a_lo:a_hi], b_ts[b_lo:b_hi], params, block_ps)
+    try:
+        hist = compute_g2(a_ts[a_lo:a_hi], b_ts[b_lo:b_hi], params, block_ps)
+    except ConfigError as exc:
+        raise ConfigError(f"block {block_index} {exc}") from None
     try:
         return hist, estimate_sync(find_two_peaks(hist, params), block_index)
     except PeaksNotFoundError:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -63,6 +63,32 @@ def test_offset_z_scores_are_calibrated(scenario_dir):
     lo, hi = (stats.chi2.ppf(q, n - 1) / (n - 1) for q in (0.0005, 0.9995))
     assert lo <= variance <= hi, f"z variance {variance:.3f} outside [{lo:.3f}, {hi:.3f}]"
     assert abs(float(np.mean(z))) <= 3.3 / math.sqrt(n)
+
+
+def test_a_window_as_wide_as_the_link_finds_a_long_link_and_a_far_clock(scenario_dir):
+    # 10 km of fiber each way (about 50 us) and Bob's clock 0.3 s ahead: only a
+    # +-0.31 s window holds both peaks, 3.9e10 bins of 16 ps. At 200 Hz a block
+    # expects about 4e5 pairs in it, so the block holds those, not the bins.
+    smoke = load_timing_scenario(scenario_dir / "smoke.json")
+    sc = dataclasses.replace(
+        smoke,
+        duration_s=8.0,
+        block_s=4.0,
+        channel=dataclasses.replace(smoke.channel, base_length_m=10_000.0),
+        bob_clock=ClockModel(3 * 10**11),
+        analysis=dataclasses.replace(
+            smoke.analysis, tau_min_ps=-31 * 10**10, tau_max_ps=31 * 10**10
+        ),
+    )
+    delays = {d: sc.channel.delay_rounded_ps(d) for d in Direction}
+    truth = 3 * 10**11 + (delays[Direction.A_TO_B] - delays[Direction.B_TO_A]) / 2.0
+    alice, bob = simulate_timing(sc)
+    block_ps = round(sc.block_s * PS_PER_S)
+    for k in range(sc.n_blocks()):
+        _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis)
+        assert est is not None, f"block {k} gave no estimate"
+        assert abs(est.delta_ps - truth) <= 3.0 * est.delta_sigma_ps
+        assert abs(est.round_trip_ps - sum(delays.values())) <= 6.0 * est.delta_sigma_ps
 
 
 # Metres per picosecond, and fig3's base fiber and group index.
@@ -170,7 +196,19 @@ LINKS = st.builds(
 )
 
 
-# Each example simulates a run, so a failing one is reported unshrunk.
+# Each example simulates a run, so a failing one is reported unshrunk. The
+# explicit example's links, 10 km, then 200 m and 3 km, lie past the default
+# window, which the test then widens to hold both peaks of every block.
+@example(
+    channel=ChannelConfig(10_000.0, 0.0, 0.0, 1.5),
+    changes={1: ChannelConfig(200.0, 30.0, 0.0, 1.47), 2: ChannelConfig(3_000.0, 0.0, 40.0, 1.9)},
+    alice_offset_ps=-120_000,
+    bob_offset_ps=150_000,
+    rate_hz=3000.0,
+    emission_sigma_ps=100.0,
+    detector=DetectorModel(30.0, 0.8, 2000.0, 50_000),
+    seed=11,
+)
 @settings(
     max_examples=40, derandomize=True, deadline=None, phases=[Phase.explicit, Phase.generate]
 )
@@ -195,6 +233,20 @@ def test_estimates_match_the_link_across_configurations(
     scenario_dir, channel, changes, alice_offset_ps, bob_offset_ps, rate_hz, emission_sigma_ps,
     detector, seed,
 ):
+    # Each block's link: the last change at or before its start, and its
+    # rounded one-way delays, computed here rather than by the model.
+    links = [channel]
+    for k in (1, 2):
+        links.append(changes.get(k, links[-1]))
+    delays = [
+        [
+            round((link.base_length_m + eve_m) * link.group_index / C_M_PER_PS)
+            for eve_m in (link.eve_length_ab_m, link.eve_length_ba_m)
+        ]
+        for link in links
+    ]
+    # Both peaks at least 100 ns inside the window; LINKS keep the default one.
+    reach_ps = max(map(max, delays)) + abs(bob_offset_ps - alice_offset_ps) + 100_000
     smoke = load_timing_scenario(scenario_dir / "smoke.json")
     source = PairSourceModel(rate_hz, emission_sigma_ps)
     sc = dataclasses.replace(
@@ -209,20 +261,16 @@ def test_estimates_match_the_link_across_configurations(
         alice_clock=ClockModel(alice_offset_ps),
         bob_clock=ClockModel(bob_offset_ps),
         detectors=Detectors(detector, detector, detector, detector),
+        analysis=dataclasses.replace(
+            smoke.analysis,
+            tau_min_ps=min(smoke.analysis.tau_min_ps, -reach_ps),
+            tau_max_ps=max(smoke.analysis.tau_max_ps, reach_ps),
+        ),
     )
-    # Each block's link: the last change at or before its start.
-    links = [channel]
-    for k in (1, 2):
-        links.append(changes.get(k, links[-1]))
     alice, bob = simulate_timing(sc)
     block_ps = round(sc.block_s * PS_PER_S)
     assert sc.n_blocks() == len(links)
-    for k, link in enumerate(links):
-        # The rounded one-way delays of the block's link, computed here rather than by the model.
-        d_ab, d_ba = (
-            round((link.base_length_m + eve_m) * link.group_index / C_M_PER_PS)
-            for eve_m in (link.eve_length_ab_m, link.eve_length_ba_m)
-        )
+    for k, (d_ab, d_ba) in enumerate(delays):
         truth = bob_offset_ps - alice_offset_ps + (d_ab - d_ba) / 2.0
         _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis)
         assert est is not None, f"block {k} gave no estimate"

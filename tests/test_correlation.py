@@ -161,14 +161,36 @@ class TestComputeG2:
                 window(*bounds)
 
     def test_bin_count_is_capped(self):
-        # 2 * 10**12 one-ps bins would be 14.6 TiB of counts; no histogram is built here.
-        cap = "bin_width_ps must split the g2 window into at most 2\\*\\*22 bins"
-        with pytest.raises(ConfigError, match=cap):
-            window(-(10**12), 10**12, 1)
-        with pytest.raises(ConfigError, match=cap):
-            window(0, MAX_G2_BINS + 1, 1)
-        assert window(0, MAX_G2_BINS + 1, 2).bin_width_ps == 2
-        assert window(-MAX_G2_BINS, 0, 1).tau_min_ps == -MAX_G2_BINS
+        # 2 * 10**12 one-ps bins is a valid window; a block is capped by what it
+        # would hold. 2100 events a side in a 2 s block expect 4 410 000 pairs.
+        params = window(-(10**12), 10**12, 1)
+        events = times(np.arange(2100) * 10**9)
+        cap = "pairs in 2000000000000 g2 bins; min\\(pairs, bins\\) must be at most 2\\*\\*22$"
+        with pytest.raises(ConfigError, match="^expects 4410000 " + cap):
+            compute_g2(events, events, params, 2 * 10**12)
+        # Block 0 holds the first 2000 events of the first record.
+        with pytest.raises(ConfigError, match="^block 0 expects 4200000 " + cap):
+            analyze_block(events, events, 0, 2 * 10**12, params)
+
+    @pytest.mark.parametrize(
+        "n_events, bin_width_ps, duration_ps, n_bins",
+        [
+            # Dense: one pair expected per bin, in 2**22 bins.
+            (1, 1, 1, MAX_G2_BINS),
+            # Sparse: 64 * 64 events * 2 ps in 16 384 ps, half a pair per bin, in 2**23 bins.
+            (64, 2, 16_384, 2 * MAX_G2_BINS),
+        ],
+        ids=["dense", "sparse"],
+    )
+    def test_cap_boundary_is_exact(self, n_events, bin_width_ps, duration_ps, n_bins):
+        # min(expected pairs, n_bins) is 2**22; one bin more adds a pair or half a pair.
+        a = times(np.arange(n_events))
+        hist = compute_g2(a, a, window(0, n_bins * bin_width_ps, bin_width_ps), duration_ps)
+        assert hist.n_bins == n_bins and hist.counts.sum() == n_events * (n_events + 1) // 2
+        wider = window(0, (n_bins + 1) * bin_width_ps, bin_width_ps)
+        refused = f"expects {MAX_G2_BINS + 1} pairs in {n_bins + 1} g2 bins"
+        with pytest.raises(ConfigError, match=refused):
+            compute_g2(a, a, wider, duration_ps)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31),
@@ -364,22 +386,42 @@ class TestAnalyzeBlock:
         assert np.array_equal(total, g2_bruteforce(a, b, -300, 290, 50))
 
     def test_sparse_block_work_does_not_grow_with_n_bins(self, traced_peak):
-        # 300 events a second with two partners each, in a window of nearly 2**22
-        # bins: one dense array of them would be 32 MiB.
+        # 300 events with two partners each, in a window of nearly 2**22 bins and
+        # in one of 2**40 bins as wide as half the block: one dense array of
+        # either would be 32 MiB or 8 TiB. What the block holds follows its
+        # pairs instead, about 49 bytes a pair traced.
         rng = np.random.default_rng(12)
-        a = np.sort(rng.integers(0, 10**12, 300))
-        jitter = np.rint(rng.normal(0.0, 150.0, (2, 300))).astype(np.int64)
-        b = np.sort(np.concatenate([a + 30_000 + jitter[0], a - 20_000 + jitter[1]]))
-        params = SyncAnalysisParams(tau_min_ps=-(2**25), tau_max_ps=2**25 - 128)
-        hist = compute_g2(a, b, params, 10**12)
-        assert hist.n_bins == 2**22 - 8 and hist.accidentals_per_bin < 1
+        for edges_ps, n_bins, duration_ps in (
+            ((-(2**25), 2**25 - 128), 2**22 - 8, 10**12),
+            ((-(2**43), 2**43), 2**40, 2**45),
+        ):
+            a = np.sort(rng.integers(0, duration_ps, 300))
+            jitter = np.rint(rng.normal(0.0, 150.0, (2, 300))).astype(np.int64)
+            b = np.sort(np.concatenate([a + 30_000 + jitter[0], a - 20_000 + jitter[1]]))
+            params = window(*edges_ps, 16)
+            hist = compute_g2(a, b, params, duration_ps)
+            assert hist.n_bins == n_bins and hist.accidentals_per_bin < 1
 
-        def block():
-            return find_two_peaks(compute_g2(a, b, params, 10**12), params)
+            def block():
+                return find_two_peaks(compute_g2(a, b, params, duration_ps), params)
 
-        peak, peaks = traced_peak(block)
-        assert peak < 1 << 20
-        assert abs(peaks.tau_ab_ps - 30_000) < 50 and abs(peaks.tau_ba_ps + 20_000) < 50
+            # Once untraced, so that the one-time imports of the first call are not counted.
+            block()
+            peak, peaks = traced_peak(block)
+            assert peak < 64 * int(hist.counts.sum()) + (1 << 16)
+            assert abs(peaks.tau_ab_ps - 30_000) < 50 and abs(peaks.tau_ba_ps + 20_000) < 50
+
+    def test_centroid_is_placed_exactly_past_2_53_ps(self):
+        # One block of 2**62 - 2 ps in a window of as many 1 ps bins: bin
+        # positions relative to tau_min_ps pass 2**61, where float64 steps by
+        # 512 ps. 40 events each have partners exactly 30 ns later and 20 ns earlier.
+        rng = np.random.default_rng(3)
+        a = np.sort(rng.integers(0, 2**62 - 2, 40))
+        b = np.sort(np.concatenate([a + 30_000, a - 20_000]))
+        params = SyncAnalysisParams(tau_min_ps=-(2**61 - 1), tau_max_ps=2**61 - 1, bin_width_ps=1)
+        hist, estimate = analyze_block(a, b, 0, 2**62 - 2, params)
+        assert hist.n_bins == 2**62 - 2
+        assert (estimate.delta_ps, estimate.round_trip_ps) == (5_000.0, 50_000.0)
 
 
 def test_timing_layers_import_without_scipy():

@@ -966,20 +966,26 @@ class TestCliErrors:
         assert not (tmp_path / "o").exists()
 
     def test_g2_bin_cap_exits_1(self, smoke_run, scenario_dir, tmp_path, capsys):
+        # 2 * 10**12 one-ps bins is a valid window, but smoke's first 40 s block
+        # expects far more than 2**22 pairs in it. simulate reports it after it
+        # has simulated; neither command leaves a directory.
         out, _ = smoke_run
         too_many = {"tau_min_ps": -(10**12), "tau_max_ps": 10**12, "bin_width_ps": 1}
-        message = "bin_width_ps must split the g2 window into at most 2**22 bins"
+        message = re.compile(
+            r"config error: block 0 expects \d+ pairs in 2000000000000 g2 bins;"
+            r" min\(pairs, bins\) must be at most 2\*\*22\n"
+        )
         argv = ["analyze", "--alice", str(out / "alice.tt"), "--bob", str(out / "bob.tt")]
         for key, value in too_many.items():
             argv += ["--" + key.replace("_", "-"), str(value)]
         assert cli_main(argv + ["--out", str(tmp_path / "a")]) == 1
-        assert f"config error: {message}" in capsys.readouterr().err
+        assert message.fullmatch(capsys.readouterr().err)
         timing = json.loads((scenario_dir / "smoke.json").read_text())
         timing["analysis"].update(too_many)
         config = write_json(tmp_path / "timing.json", timing)
         assert cli_main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 1
-        assert f"config error: analysis.{message}" in capsys.readouterr().err
-        assert not (tmp_path / "a").exists() and not (tmp_path / "s").exists()
+        assert message.fullmatch(capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["timing.json"]
 
     @pytest.mark.parametrize("key", ["counts_per_setting", "accidentals_per_setting"])
     def test_tomo_mean_count_above_limit_exits_1(self, tmp_path, capsys, key):
