@@ -410,9 +410,23 @@ MUTANTS = (
     Mutant(
         "summary forgives a block a nanosecond across a segment edge",
         "src/entsync/scenario.py",
-        "if lo_ps <= e.block_index * block_ps and",
-        "if lo_ps - 1000 <= e.block_index * block_ps and",
+        "if lo_ps <= start and end <= hi_ps]",
+        "if lo_ps - 1000 <= start and end <= hi_ps]",
         ("tests/test_scenario_cli.py::TestRunScenario::test_blocks_and_segments_share_the_ps_grid",),
+    ),
+    Mutant(
+        "analyze block count reads the second record again",
+        "src/entsync/scenario.py",
+        "n_blocks = complete_blocks(a_ts, block_ps)",
+        "n_blocks = complete_blocks(np.union1d(a_ts, b_ts), block_ps)",
+        ("tests/test_scenario_cli.py::TestBlocksCovered::test_late_second_record_adds_no_block",),
+    ),
+    Mutant(
+        "analyze block count goes negative before t = 0",
+        "src/entsync/scenario.py",
+        "return max(0, (last + tolerance) // block_ps)",
+        "return (last + tolerance) // block_ps",
+        ("tests/test_scenario_cli.py::TestBlocksCovered::test_record_before_t0_covers_no_block",),
     ),
     Mutant(
         "analyze reads the tags before it checks its block flags",

@@ -3,8 +3,8 @@
 The histogram of pairwise time differences tau = t_b - t_a shows one
 coincidence peak per pair source. The peak separation is the photon
 round-trip time; the midpoint is the clock offset, provided the channel is
-symmetric. Analysis runs per wall-clock block so a staged channel change is
-visible block by block.
+symmetric. Each analysis covers one span of the first record, so a staged
+channel change is visible block by block.
 """
 from __future__ import annotations
 
@@ -386,45 +386,27 @@ def analyze_block(
     a_ts: np.ndarray,
     b_ts: np.ndarray,
     block_index: int,
-    block_ps: int,
+    edges: tuple[int, int],
     params: SyncAnalysisParams,
 ) -> tuple[G2Histogram, Optional[SyncEstimate]]:
-    """Histogram and estimate for one wall-clock block; None when peaks fail.
+    """Histogram and estimate for the span ``edges`` = [t0, t1) ps of the first
+    record; None when peaks fail. ``block_index`` names the estimate and errors.
 
-    Blocks are defined on the first record's timeline; the second record's
-    slice is widened by the correlation window so boundary pairs survive.
+    The second record's slice is widened by the correlation window so that
+    pairs across the span's edges survive.
     """
-    t0 = block_index * block_ps
-    t1 = t0 + block_ps
+    t0, t1 = edges
     _, hi_edge = _histogram_window(params)
     a_lo, a_hi = np.searchsorted(a_ts, [t0, t1])
     b_lo, b_hi = np.searchsorted(b_ts, [t0 + params.tau_min_ps, t1 + hi_edge])
     try:
-        hist = compute_g2(a_ts[a_lo:a_hi], b_ts[b_lo:b_hi], params, block_ps)
+        hist = compute_g2(a_ts[a_lo:a_hi], b_ts[b_lo:b_hi], params, t1 - t0)
     except ConfigError as exc:
         raise ConfigError(f"block {block_index} {exc}") from None
     try:
         return hist, estimate_sync(find_two_peaks(hist, params), block_index)
     except PeaksNotFoundError:
         return hist, None
-
-
-def complete_blocks(a_ts: np.ndarray, b_ts: np.ndarray, block_ps: int) -> int:
-    """Number of blocks covered by two sorted timestamp records.
-
-    The last event of a Poisson recording sits about one mean gap before the
-    nominal end, so a block counts as covered once data reaches within 0.1%
-    of its end, or within 20 mean gaps of the denser record if that is more,
-    but never within more than half a block; trailing fractional blocks are
-    dropped.
-    """
-    records = [ts for ts in (a_ts, b_ts) if ts.size]
-    if not records:
-        return 0
-    last = max(int(ts[-1]) for ts in records)
-    gaps = [(int(ts[-1]) - int(ts[0])) / (ts.size - 1) for ts in records if ts.size > 1]
-    tolerance = max(1, block_ps // 1000, min(round(20 * min(gaps, default=0)), block_ps // 2))
-    return int((last + tolerance) // block_ps)
 
 
 def write_histogram_csv(hist: G2Histogram, path):

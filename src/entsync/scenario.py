@@ -26,7 +26,6 @@ from .correlation import (
     SyncAnalysisParams,
     SyncEstimate,
     analyze_block,
-    complete_blocks,
     write_estimates_json,
     write_histogram_csv,
 )
@@ -99,6 +98,27 @@ def _block_ps(block_s: float) -> int:
     if not 1 <= block_ps < MAX_TIMESTAMP_PS:
         raise ConfigError("block_s must round to at least 1 ps and less than 2**62 ps")
     return block_ps
+
+
+def _block_edges(k: int, block_ps: int) -> tuple[int, int]:
+    """Block k of the analysis grid, [k * block_ps, (k + 1) * block_ps) in ps."""
+    return k * block_ps, (k + 1) * block_ps
+
+
+def complete_blocks(a_ts: np.ndarray, block_ps: int) -> int:
+    """Blocks of the grid that the sorted first record covers, 0 or more.
+
+    A block without first-record events has no pairs, so the second record is
+    not read. A Poisson record's last event sits about one mean gap before its
+    nominal end, so a block is covered once the record reaches within 0.1% of
+    its end, or 20 mean gaps if that is more, but at most half a block.
+    """
+    if not a_ts.size:
+        return 0
+    last = int(a_ts[-1])
+    gap = (last - int(a_ts[0])) / max(a_ts.size - 1, 1)
+    tolerance = max(1, block_ps // 1000, min(round(20 * gap), block_ps // 2))
+    return max(0, (last + tolerance) // block_ps)
 
 
 def _check_blocks(block_ps: int, n_blocks: int, params: SyncAnalysisParams):
@@ -183,7 +203,7 @@ class TimingScenario:
                 )
 
     def n_blocks(self) -> int:
-        """Complete blocks [k * block_ps, (k + 1) * block_ps) inside the configured duration."""
+        """Complete blocks of the grid (``_block_edges``) inside the configured duration."""
         return round(self.duration_s * PS_PER_S) // _block_ps(self.block_s)
 
     def channel_segments(self) -> list[tuple[float, float, ChannelConfig]]:
@@ -328,16 +348,16 @@ def analyze_blocks(
 
     Each block's histogram is written to ``out_dir`` as ``g2_block_NNN.csv``,
     then the estimates as ``estimates.json``. Without ``n_blocks`` only the
-    blocks the recorded data covers are analyzed.
+    blocks the first record covers (``complete_blocks``) are analyzed.
     """
     block_ps = _block_ps(block_s)
     a_ts, b_ts = alice.timestamps_ps, bob.timestamps_ps
     if n_blocks is None:
-        n_blocks = complete_blocks(a_ts, b_ts, block_ps)
+        n_blocks = complete_blocks(a_ts, block_ps)
     _check_blocks(block_ps, n_blocks, params)
     estimates = []
     for k in range(n_blocks):
-        hist, est = analyze_block(a_ts, b_ts, k, block_ps, params)
+        hist, est = analyze_block(a_ts, b_ts, k, _block_edges(k, block_ps), params)
         write_histogram_csv(hist, out_dir / f"g2_block_{k:03d}.csv")
         if est is not None:
             estimates.append(est)
@@ -363,11 +383,8 @@ def build_timing_summary(sc: TimingScenario, estimates: list[SyncEstimate]) -> d
     def within(lo_s: float, hi_s: float) -> list[SyncEstimate]:
         """Estimates whose block lies inside [lo_s, hi_s] on the ps grid the channel switches on."""
         lo_ps, hi_ps = round(lo_s * PS_PER_S), round(hi_s * PS_PER_S)
-        return [
-            e
-            for e in estimates
-            if lo_ps <= e.block_index * block_ps and (e.block_index + 1) * block_ps <= hi_ps
-        ]
+        spans = ((e, _block_edges(e.block_index, block_ps)) for e in estimates)
+        return [e for e, (start, end) in spans if lo_ps <= start and end <= hi_ps]
 
     segments = [
         (start_s, end_s, cfg, predicted_offset_error_ps(cfg))

@@ -10,6 +10,7 @@ So per block, the difference of their estimates tests the paper's timing
 claims far below a block's sigma (1.67 ps at fig3's rates).
 """
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from entsync.channel import ChannelConfig, Direction
+from entsync.cli import main as cli_main
 from entsync.correlation import analyze_block
 from entsync.scenario import Detectors, ScheduleEntry, load_timing_scenario, simulate_timing
 from entsync.timetags import PS_PER_S, ClockModel, DetectorModel, PairSourceModel
@@ -51,9 +53,8 @@ def test_offset_z_scores_are_calibrated(scenario_dir):
         sc = dataclasses.replace(base, seed=seed)
         alice, bob = simulate_timing(sc)
         for k in range(sc.n_blocks()):
-            _, est = analyze_block(
-                alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis
-            )
+            edges = (k * block_ps, (k + 1) * block_ps)
+            _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, edges, sc.analysis)
             assert est is not None, f"seed {seed} block {k} gave no estimate"
             z.append((est.delta_ps - truth) / est.delta_sigma_ps)
 
@@ -65,7 +66,19 @@ def test_offset_z_scores_are_calibrated(scenario_dir):
     assert abs(float(np.mean(z))) <= 3.3 / math.sqrt(n)
 
 
-def test_a_window_as_wide_as_the_link_finds_a_long_link_and_a_far_clock(scenario_dir):
+def test_a_window_as_wide_as_the_link_finds_a_long_link_and_a_far_clock(
+    scenario_dir, tmp_path, capsys
+):
+    # A window left at its default, +-1 us, holds neither peak of 1 km of fiber
+    # (about 5 us each way): no block gives an estimate, and the run still succeeds.
+    config = json.loads((scenario_dir / "smoke.json").read_text())
+    config.update(duration_s=8.0, block_s=4.0)
+    config["channel"]["base_length_m"] = 1_000.0
+    (tmp_path / "1km.json").write_text(json.dumps(config))
+    argv = ["simulate", "--config", str(tmp_path / "1km.json"), "--out", str(tmp_path / "1km")]
+    assert cli_main(argv) == 0
+    assert "wrote 0/2 block estimates" in capsys.readouterr().out
+
     # 10 km of fiber each way (about 50 us) and Bob's clock 0.3 s ahead: only a
     # +-0.31 s window holds both peaks, 3.9e10 bins of 16 ps. At 200 Hz a block
     # expects about 4e5 pairs in it, so the block holds those, not the bins.
@@ -85,7 +98,8 @@ def test_a_window_as_wide_as_the_link_finds_a_long_link_and_a_far_clock(scenario
     alice, bob = simulate_timing(sc)
     block_ps = round(sc.block_s * PS_PER_S)
     for k in range(sc.n_blocks()):
-        _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis)
+        edges = (k * block_ps, (k + 1) * block_ps)
+        _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, edges, sc.analysis)
         assert est is not None, f"block {k} gave no estimate"
         assert abs(est.delta_ps - truth) <= 3.0 * est.delta_sigma_ps
         assert abs(est.round_trip_ps - sum(delays.values())) <= 6.0 * est.delta_sigma_ps
@@ -133,7 +147,8 @@ def same_seed_runs(scenario_dir):
         first, second = records[::-1] if swap else records
         rows = []
         for k in range(base.n_blocks()):
-            _, est = analyze_block(first, second, k, block_ps, base.analysis)
+            edges = (k * block_ps, (k + 1) * block_ps)
+            _, est = analyze_block(first, second, k, edges, base.analysis)
             assert est is not None, f"{ab_m} m / {ba_m} m block {k} gave no estimate"
             rows.append((est.delta_ps, est.round_trip_ps))
         return np.array(rows)
@@ -272,7 +287,8 @@ def test_estimates_match_the_link_across_configurations(
     assert sc.n_blocks() == len(links)
     for k, (d_ab, d_ba) in enumerate(delays):
         truth = bob_offset_ps - alice_offset_ps + (d_ab - d_ba) / 2.0
-        _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, block_ps, sc.analysis)
+        edges = (k * block_ps, (k + 1) * block_ps)
+        _, est = analyze_block(alice.timestamps_ps, bob.timestamps_ps, k, edges, sc.analysis)
         assert est is not None, f"block {k} gave no estimate"
         # The round trip's sigma is twice delta's.
         bound = 4.0 * est.delta_sigma_ps

@@ -170,7 +170,7 @@ class TestComputeG2:
             compute_g2(events, events, params, 2 * 10**12)
         # Block 0 holds the first 2000 events of the first record.
         with pytest.raises(ConfigError, match="^block 0 expects 4200000 " + cap):
-            analyze_block(events, events, 0, 2 * 10**12, params)
+            analyze_block(events, events, 0, (0, 2 * 10**12), params)
 
     @pytest.mark.parametrize(
         "n_events, bin_width_ps, duration_ps, n_bins",
@@ -358,7 +358,7 @@ class TestAnalyzeBlock:
         # Warnings fail this suite, so a centroid window without weight or a g2
         # over no singles, which divide by 0, cannot pass unseen.
         a, b, params, block_ps = block
-        hist, estimate = analyze_block(a, b, 0, block_ps, params)
+        hist, estimate = analyze_block(a, b, 0, (0, block_ps), params)
         try:
             expected = estimate_sync(find_two_peaks_reference(hist, params))
         except PeaksNotFoundError:
@@ -375,7 +375,7 @@ class TestAnalyzeBlock:
         params = window(-300, 290, 50)
         a = times([0, 400, 999, 1000, 1700])
         b = times([-301, -300, 100, 699, 700, 1000, 1250, 1298, 1299, 1300, 2200])
-        hists = [analyze_block(a, b, k, 1_000, params)[0] for k in (0, 1)]
+        hists = [analyze_block(a, b, k, (1_000 * k, 1_000 * (k + 1)), params)[0] for k in (0, 1)]
         # Block k keeps a in [t0, t1) and b in [t0 - 300, t1 + 300).
         assert [h.n_a for h in hists] == [3, 2]
         assert [h.n_b for h in hists] == [8, 7]
@@ -419,7 +419,7 @@ class TestAnalyzeBlock:
         a = np.sort(rng.integers(0, 2**62 - 2, 40))
         b = np.sort(np.concatenate([a + 30_000, a - 20_000]))
         params = SyncAnalysisParams(tau_min_ps=-(2**61 - 1), tau_max_ps=2**61 - 1, bin_width_ps=1)
-        hist, estimate = analyze_block(a, b, 0, 2**62 - 2, params)
+        hist, estimate = analyze_block(a, b, 0, (0, 2**62 - 2), params)
         assert hist.n_bins == 2**62 - 2
         assert (estimate.delta_ps, estimate.round_trip_ps) == (5_000.0, 50_000.0)
 

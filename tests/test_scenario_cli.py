@@ -12,7 +12,7 @@ import pytest
 from entsync import cli, scenario, tomography
 from entsync.channel import ChannelConfig
 from entsync.cli import main as cli_main
-from entsync.correlation import SyncAnalysisParams, SyncEstimate, complete_blocks
+from entsync.correlation import SyncAnalysisParams, SyncEstimate
 from entsync.errors import ConfigError, ReconstructionError
 from entsync.polarization import FaradayParams
 from entsync.scenario import (
@@ -22,6 +22,7 @@ from entsync.scenario import (
     TomoScenario,
     analyze_files,
     build_timing_summary,
+    complete_blocks,
     load_timing_scenario,
     load_tomo_scenario,
     parse_config,
@@ -82,6 +83,17 @@ def dir_digest(path: Path) -> dict:
         for p in sorted(path.iterdir())
         if p.is_file()
     }
+
+
+def shifted_tags(run: Path, tmp_path: Path, **shifts_ps: int) -> list[str]:
+    """``analyze``'s tag flags for copies of a run's records, each shifted by its ps."""
+    argv = []
+    for name, shift_ps in shifts_ps.items():
+        record = read_tags_binary(run / f"{name}.tt")
+        path = tmp_path / f"{name}.tt"
+        write_tags_binary(TimeTagStream(record.timestamps_ps + shift_ps, record.channels), path)
+        argv += [f"--{name}", str(path)]
+    return argv
 
 
 @pytest.fixture(scope="module")
@@ -657,9 +669,27 @@ class TestBlocksCovered:
             detectors=Detectors(detector, detector, detector, detector),
         )
         for sc, expected in ((fig3, 22), (high_rate, 2)):
-            alice, bob = simulate_timing(sc)
+            alice, _ = simulate_timing(sc)
             block_ps = round(sc.block_s * PS_PER_S)
-            assert complete_blocks(alice.timestamps_ps, bob.timestamps_ps, block_ps) == expected
+            assert complete_blocks(alice.timestamps_ps, block_ps) == expected
+
+    def test_record_before_t0_covers_no_block(self, smoke_run, tmp_path, capsys):
+        # Blocks start at t = 0, so a record that ends before it covers none.
+        shift = -1000 * PS_PER_S
+        tags = shifted_tags(smoke_run[0], tmp_path, alice=shift, bob=shift)
+        out = tmp_path / "out"
+        assert cli_main(["analyze", *tags, "--out", str(out), "--block-s", "40"]) == 0
+        assert "wrote 0 block estimates" in capsys.readouterr().out
+        assert [p.name for p in out.iterdir()] == ["estimates.json"]
+        assert json.loads((out / "estimates.json").read_text()) == []
+
+    def test_late_second_record_adds_no_block(self, smoke_run, tmp_path):
+        # Blocks are cut from the first record: past its end they hold no pairs.
+        tags = shifted_tags(smoke_run[0], tmp_path, alice=0, bob=1000 * PS_PER_S)
+        out = tmp_path / "out"
+        assert cli_main(["analyze", *tags, "--out", str(out), "--block-s", "40"]) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["estimates.json", "g2_block_000.csv", "g2_block_001.csv"]
 
 
 class TestCliErrors:
